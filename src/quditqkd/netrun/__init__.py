@@ -12,8 +12,10 @@ from .roles import (
 from .wire import (
     ABORT_CONDITION,
     ABORT_CONFIG,
+    ABORT_FRAME_TOO_LARGE,
     ABORT_PROTOCOL,
     AbortReceived,
+    FrameTooLarge,
     FrameType,
     Link,
     PeerDisconnect,
@@ -24,8 +26,10 @@ from .wire import (
 __all__ = [
     "ABORT_CONDITION",
     "ABORT_CONFIG",
+    "ABORT_FRAME_TOO_LARGE",
     "ABORT_PROTOCOL",
     "AbortReceived",
+    "FrameTooLarge",
     "FrameType",
     "Link",
     "PeerDisconnect",

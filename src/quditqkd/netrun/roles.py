@@ -1,17 +1,20 @@
 """State machines for the networked protocol roles.
 
 Alice and Bob run the session lock-step over one framed link: a CONFIG
-handshake, then per round QUDIT (alice), OUTCOME_ANNOUNCE (bob),
-PAIR_ANNOUNCE (alice); then sifting, sample reveal, the continuation
-gate, k pairing-parity exchanges, block parities, and a VERDICT
-cross-check.  Eve is an optional middlebox that relays every classical
-frame untouched and pushes each QUDIT frame through her channel model.
+handshake, then the round phase in windows of :data:`WINDOW` rounds (the
+last window holds the remainder), each one QUDIT frame (alice), one
+OUTCOME_ANNOUNCE frame (bob) and one PAIR_ANNOUNCE frame (alice) of one
+record per round; then sifting, sample reveal, the continuation gate, k
+pairing-parity exchanges, block parities, and a VERDICT cross-check.
+Eve is an optional middlebox that relays every classical frame untouched
+and pushes each QUDIT window through her channel model.
 
 Both endpoints consume randomness through the same five-stream layout
-as :func:`quditqkd.protocol.run_session` and reuse its helpers, so a
-session with a shared master seed reproduces the in-process engine's
-keys exactly (the shared seed is this artifact's reproducibility
-contract, not a security model).  All estimate and keep decisions are
+as :func:`quditqkd.protocol.run_session` and call its vectorised stages
+(``prepare``, ``transmit``, ``measure``, ``line_offsets``) on each
+window, so a session with a shared master seed reproduces the in-process
+engine's keys exactly (the shared seed is this artifact's
+reproducibility contract, not a security model).  All estimate and keep decisions are
 computed independently by both sides from announced data; any
 divergence surfaces as a VERDICT mismatch and a protocol-error abort.
 """
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channels import apply_term, resolve_channel
+from ..channels import resolve_channel
 from ..distill import DistillParams, block_parities, draw_stage_seeds, pair_stage_permutation
 from ..field import FieldSpec
 from ..protocol import (
@@ -38,42 +41,52 @@ from ..protocol import (
     RoundLog,
     SessionConfig,
     condition_verdict,
-    decode_bob_bit,
-    draw_alice_round,
-    draw_bob_round,
     estimate_ec,
+    line_offsets,
+    measure,
     pair_table,
+    prepare,
     spawn_streams,
+    transmit,
 )
-from ..qstates import Outcome, SparseKet
+from ..qstates import Outcome
 from .wire import (
     ABORT_CONDITION,
     ABORT_CONFIG,
+    ABORT_FRAME_TOO_LARGE,
     ABORT_PROTOCOL,
     AbortReceived,
+    FrameTooLarge,
     FrameType,
     Link,
     PeerDisconnect,
     ProtocolViolation,
     decode_block_parity,
+    decode_index_list,
     decode_json,
-    decode_outcome_announce,
-    decode_pair,
+    decode_outcome_batch,
+    decode_pair_batch,
     decode_parity_round,
+    decode_qudit_batch,
     decode_sample_reveal,
     encode_block_parity,
     encode_index_list,
-    decode_index_list,
     encode_json,
-    encode_outcome_announce,
-    encode_pair,
+    encode_outcome_batch,
+    encode_pair_batch,
     encode_parity_round,
+    encode_qudit_batch,
     encode_sample_reveal,
 )
 
 ROLES = ("alice", "bob", "eve")
 ABORT_INSUFFICIENT_SIFT = "insufficient-sift"
 ABORT_INSUFFICIENT_KEY = "insufficient-key"
+
+# Rounds per round-phase window: one QUDIT frame of 4096 kets is 24 KiB.
+WINDOW = 4096
+# Seconds a role waits for its peer's next bytes before ending the session.
+PEER_TIMEOUT = 60.0
 
 
 @dataclass(frozen=True)
@@ -136,7 +149,16 @@ def handshake_facts(cfg: RoleConfig) -> dict:
         "condition_strict": cfg.session.condition_strict,
         "k": cfg.params.k,
         "r": cfg.params.r,
+        "window": WINDOW,
     }
+
+
+def _abort(report: RoleReport, link: Link, reason: str, exit_code: int = 1) -> None:
+    """Send ABORT and end the report with the reason as its status."""
+    link.send_abort(reason)
+    report.abort_sent = reason
+    report.status = reason
+    report.exit_code = exit_code
 
 
 def _announced_log(spec: FieldSpec, ai, aj, bi, bj, clicked) -> RoundLog:
@@ -146,15 +168,10 @@ def _announced_log(spec: FieldSpec, ai, aj, bi, bj, clicked) -> RoundLog:
     as Plus); sign outcomes and key bits are never on the wire, so the
     bit columns are placeholders the estimator does not read.
     """
-    delta = ai ^ aj
-    on = (bi ^ bj) == delta
-    off = np.full(len(ai), -1, np.int16)
-    mul_t = spec.mul_table.astype(np.int16)
-    inv_t = spec.inv_table.astype(np.int16)
-    off[on] = mul_t[(bi ^ ai)[on], inv_t[delta[on]]]
     outcome = np.where(clicked, 0, 2).astype(np.int8)
     zeros = np.zeros(len(ai), np.int8)
-    return RoundLog(ai, aj, zeros, bi, bj, outcome, zeros, off)
+    offset = line_offsets(spec, ai, aj, bi, bj)
+    return RoundLog(ai, aj, zeros, bi, bj, outcome, zeros, offset)
 
 
 def _session_tail(
@@ -190,10 +207,7 @@ def _session_tail(
         if not np.array_equal(announced, sift_idx):
             raise ProtocolViolation("sift list does not match own computation")
     if n_sift == 0:
-        link.send_abort(ABORT_INSUFFICIENT_SIFT)
-        report.abort_sent = ABORT_INSUFFICIENT_SIFT
-        report.status = "insufficient-sift"
-        report.exit_code = 1
+        _abort(report, link, ABORT_INSUFFICIENT_SIFT)
         return
 
     n_samp = int(session.sample_fraction * n_sift)
@@ -249,19 +263,13 @@ def _session_tail(
     }
     report.shared = shared
     if not verdict:
-        link.send_abort(ABORT_CONDITION)
-        report.abort_sent = ABORT_CONDITION
-        report.status = ABORT_CONDITION
-        report.exit_code = 2
+        _abort(report, link, ABORT_CONDITION, exit_code=2)
         return
 
     keep_rounds = sift_idx[~np.isin(sift_idx, sample_rounds)]
     bits = my_bits_full[keep_rounds].astype(np.uint8)
     if len(bits) < params.min_length:
-        link.send_abort(ABORT_INSUFFICIENT_KEY)
-        report.abort_sent = ABORT_INSUFFICIENT_KEY
-        report.status = "insufficient-key"
-        report.exit_code = 1
+        _abort(report, link, ABORT_INSUFFICIENT_KEY)
         return
 
     seeds = draw_stage_seeds(params.k, streams[STREAM_PAIRING]) if leader else None
@@ -344,21 +352,10 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         mine = handshake_facts(cfg)
         if leader:
             link.send(FrameType.CONFIG, encode_json(mine))
-            theirs = decode_json(link.expect(FrameType.CONFIG))
-            if theirs != mine:
-                link.send_abort(ABORT_CONFIG)
-                report.abort_sent = ABORT_CONFIG
-                report.status = "config-mismatch"
-                report.exit_code = 1
-                return report
-        else:
-            theirs = decode_json(link.expect(FrameType.CONFIG))
-            if theirs != mine:
-                link.send_abort(ABORT_CONFIG)
-                report.abort_sent = ABORT_CONFIG
-                report.status = "config-mismatch"
-                report.exit_code = 1
-                return report
+        if decode_json(link.expect(FrameType.CONFIG)) != mine:
+            _abort(report, link, ABORT_CONFIG)
+            return report
+        if not leader:
             link.send(FrameType.CONFIG, encode_json(mine))
 
         ai = np.empty(rounds, np.int16)
@@ -367,35 +364,31 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         bj = np.empty(rounds, np.int16)
         clicked = np.empty(rounds, bool)
         my_bits = np.empty(rounds, np.uint8)
-        if leader:
-            for rnd in range(rounds):
-                prep = draw_alice_round(spec, table, streams[STREAM_ALICE])
-                link.send(FrameType.QUDIT, prep.ket().serialize())
-                u, v, category = decode_outcome_announce(
-                    link.expect(FrameType.OUTCOME_ANNOUNCE), spec.order
+        for lo in range(0, rounds, WINDOW):
+            hi = min(lo + WINDOW, rounds)
+            w = hi - lo
+            if leader:
+                i, j, s = prepare(table, streams[STREAM_ALICE], w)
+                link.send(FrameType.QUDIT, encode_qudit_batch(i, j, s))
+                u, v, category = decode_outcome_batch(
+                    link.expect(FrameType.OUTCOME_ANNOUNCE), w, spec.order
                 )
-                link.send(FrameType.PAIR_ANNOUNCE, encode_pair(prep.i, prep.j))
-                ai[rnd], aj[rnd] = prep.i, prep.j
-                bi[rnd], bj[rnd] = u, v
-                clicked[rnd] = category == 0
-                my_bits[rnd] = prep.s
-        else:
-            for rnd in range(rounds):
-                payload = link.expect(FrameType.QUDIT)
-                try:
-                    ket = SparseKet.deserialize(spec, payload)
-                except ValueError as exc:
-                    raise ProtocolViolation(f"bad qudit payload: {exc}") from exc
-                (u, v), out, noise = draw_bob_round(spec, table, ket, streams[STREAM_BOB])
-                category = 0 if out != Outcome.OUTSIDE else 1
-                link.send(
-                    FrameType.OUTCOME_ANNOUNCE, encode_outcome_announce(u, v, category)
+                link.send(FrameType.PAIR_ANNOUNCE, encode_pair_batch(i, j))
+                my_bits[lo:hi] = s
+            else:
+                k1, k2, sigma = decode_qudit_batch(
+                    link.expect(FrameType.QUDIT), w, spec.order
                 )
-                i, j = decode_pair(link.expect(FrameType.PAIR_ANNOUNCE), spec.order)
-                ai[rnd], aj[rnd] = i, j
-                bi[rnd], bj[rnd] = u, v
-                clicked[rnd] = category == 0
-                my_bits[rnd] = decode_bob_bit(out, noise)
+                u, v, out, bit = measure(table, k1, k2, sigma, streams[STREAM_BOB])
+                category = out == Outcome.OUTSIDE
+                link.send(FrameType.OUTCOME_ANNOUNCE, encode_outcome_batch(u, v, category))
+                i, j = decode_pair_batch(
+                    link.expect(FrameType.PAIR_ANNOUNCE), w, spec.order
+                )
+                my_bits[lo:hi] = bit
+            ai[lo:hi], aj[lo:hi] = i, j
+            bi[lo:hi], bj[lo:hi] = u, v
+            clicked[lo:hi] = category == 0
 
         _session_tail(
             report, link, cfg, spec, streams, ai, aj, bi, bj, clicked, my_bits, leader
@@ -404,9 +397,13 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         report.status = f"peer-abort:{exc.reason}"
         report.exit_code = 2 if exc.reason == ABORT_CONDITION else 1
     except ProtocolViolation as exc:
-        link.send_abort(ABORT_PROTOCOL)
-        report.abort_sent = ABORT_PROTOCOL
-        report.status = "protocol-error"
+        _abort(report, link, ABORT_PROTOCOL)
+        report.extra["detail"] = str(exc)
+    except FrameTooLarge as exc:
+        _abort(report, link, ABORT_FRAME_TOO_LARGE)
+        report.extra["detail"] = str(exc)
+    except TimeoutError as exc:
+        report.status = "peer-timeout"
         report.exit_code = 1
         report.extra["detail"] = str(exc)
     except (PeerDisconnect, ConnectionError, OSError) as exc:
@@ -428,12 +425,13 @@ def run_bob(cfg: RoleConfig, sock: socket.socket) -> RoleReport:
 
 
 def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket) -> RoleReport:
-    """Relay both directions; push QUDIT frames through the channel model.
+    """Relay both directions; push QUDIT windows through the channel model.
 
-    Classical frames pass through byte-identical.  The channel stream is
-    consumed exactly as the in-process engine does (two uniforms per
-    qudit, term index then auxiliary), so a shared master seed keeps the
-    relayed session equal to :func:`quditqkd.protocol.run_session`.
+    Classical frames pass through byte-identical.  Each QUDIT window goes
+    through the engine's ``transmit`` stage, which consumes the channel
+    stream exactly as the in-process engine does (two uniforms per qudit,
+    term index then auxiliary), so a shared master seed keeps the relayed
+    session equal to :func:`quditqkd.protocol.run_session`.
     """
     session = cfg.session
     spec = FieldSpec.get(session.n, session.modulus)
@@ -444,25 +442,23 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     report = RoleReport(role="eve")
     audit: list[list[int]] = []
     errors: list[str] = []
+    timeouts: list[str] = []
     io_notes: list[str] = []
 
     def alice_to_bob() -> None:
-        rnd = 0
+        done = 0
         try:
             while True:
                 ftype, payload = la.recv()
                 if ftype == FrameType.QUDIT:
-                    try:
-                        ket = SparseKet.deserialize(spec, payload)
-                    except ValueError as exc:
-                        raise ProtocolViolation(f"bad qudit payload: {exc}") from exc
-                    term_u = rng.random()
-                    aux_u = rng.random()
-                    term = model.sample_term_index(term_u)
-                    ket = apply_term(model.terms[term][1], ket, aux_u, spec)
-                    payload = ket.serialize()
-                    audit.append([rnd, term])
-                    rnd += 1
+                    # after the last window the expected count is 0
+                    w = min(WINDOW, session.rounds - done)
+                    kets = decode_qudit_batch(payload, w, spec.order)
+                    m1, m2, sigma, terms = transmit(model, *kets, rng)
+                    payload = encode_qudit_batch(m1, m2, sigma)
+                    rnd = np.arange(done, done + w)
+                    audit.extend(np.column_stack((rnd, terms)).tolist())
+                    done += w
                 lb.send(ftype, payload)
         except PeerDisconnect:
             pass
@@ -470,6 +466,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             errors.append(str(exc))
             la.send_abort(ABORT_PROTOCOL)
             lb.send_abort(ABORT_PROTOCOL)
+        except TimeoutError as exc:
+            timeouts.append(str(exc))
         except OSError as exc:
             # receiver gone while a frame was in flight: the pipe is
             # simply finished (mutual aborts close both ends at once)
@@ -488,6 +486,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             errors.append(str(exc))
             la.send_abort(ABORT_PROTOCOL)
             lb.send_abort(ABORT_PROTOCOL)
+        except TimeoutError as exc:
+            timeouts.append(str(exc))
         except OSError as exc:
             io_notes.append(str(exc))
         finally:
@@ -499,9 +499,17 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     upstream.start()
     downstream.join()
     upstream.join()
-    report.extra = {"audit_terms": audit, "errors": errors, "io_notes": io_notes}
+    report.extra = {
+        "audit_terms": audit,
+        "errors": errors,
+        "timeouts": timeouts,
+        "io_notes": io_notes,
+    }
     if errors:
         report.status = "protocol-error"
+        report.exit_code = 1
+    elif timeouts:
+        report.status = "peer-timeout"
         report.exit_code = 1
     report.transcripts = {
         "alice": la.transcript_dict(),
@@ -519,9 +527,11 @@ def _parse_addr(text: str) -> tuple[str, int]:
     return host or "127.0.0.1", int(port)
 
 
-def _no_delay(sock: socket.socket) -> socket.socket:
-    # the round phase ping-pongs small frames; Nagle would add ~40ms each
+def _role_socket(sock: socket.socket) -> socket.socket:
+    # every exchange is request/response, so Nagle would hold back each
+    # frame's last segment for ~40ms; the deadline ends a stalled session
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    sock.settimeout(PEER_TIMEOUT)
     return sock
 
 
@@ -530,7 +540,7 @@ def _accept_one(addr: tuple[str, int], timeout: float = 60.0) -> socket.socket:
     try:
         server.settimeout(timeout)
         conn, _ = server.accept()
-        return _no_delay(conn)
+        return _role_socket(conn)
     finally:
         server.close()
 
@@ -539,9 +549,7 @@ def _connect(addr: tuple[str, int], attempts: int = 40, delay: float = 0.25) -> 
     last: OSError | None = None
     for _ in range(attempts):
         try:
-            sock = socket.create_connection(addr, timeout=30.0)
-            sock.settimeout(None)
-            return _no_delay(sock)
+            return _role_socket(socket.create_connection(addr, timeout=30.0))
         except OSError as exc:
             last = exc
             time.sleep(delay)

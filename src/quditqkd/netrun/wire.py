@@ -1,11 +1,16 @@
 """Framed wire format for the networked protocol roles.
 
 Every message is one frame: a 4-byte big-endian payload length, one
-type byte, then the payload.  Payload layouts:
+type byte, then the payload.  The round phase runs in windows of rounds;
+its three frames each carry one fixed-width record per round of the
+window, in round order.  Payload layouts:
 
-    QUDIT            serialized sparse ket (u16 index + sign byte/term)
-    PAIR_ANNOUNCE    two u16 basis indices, canonical i < j
-    OUTCOME_ANNOUNCE u16 u | u16 v | u8 category (0 in-pair, 1 outside)
+    QUDIT            (u16 i | u8 sign | u16 j | u8 sign) kets in canonical
+                     form: leading sign 0, i < j; a single-term ket has
+                     j = 0xFFFF and sign 0 (its one term serialized, padded)
+    OUTCOME_ANNOUNCE (u16 u | u16 v | u8 category) entries, u < v,
+                     category 0 in-pair, 1 outside
+    PAIR_ANNOUNCE    (u16 i | u16 j) entries, i < j
     SIFT_ACCEPT      strictly increasing u32 round indices
     SAMPLE_REVEAL    (u32 round | u8 bit) entries, rounds increasing
     PARITY_ROUND     u64 pairing seed | pair-parity bitmap
@@ -18,7 +23,9 @@ The outcome announcement carries only the in-pair/outside category --
 announcing the sign outcome itself would reveal raw key bits.  Bitmaps
 are LSB-first with zero padding in the final byte (validated on
 decode).  Decoders raise :class:`ProtocolViolation` on any malformed
-payload; roles translate that into a clean ABORT, never a crash.
+payload, including a round-phase frame whose record count is not the
+window length both ends expect; roles translate that into a clean ABORT,
+never a crash.
 """
 
 from __future__ import annotations
@@ -37,10 +44,15 @@ MAX_PAYLOAD = 1 << 26
 ABORT_CONDITION = "condition-2-failed"
 ABORT_PROTOCOL = "protocol-error"
 ABORT_CONFIG = "config-mismatch"
+ABORT_FRAME_TOO_LARGE = "frame-too-large"
 
 
 class ProtocolViolation(Exception):
     """Malformed, out-of-order, or inconsistent frame."""
+
+
+class FrameTooLarge(ValueError):
+    """An outgoing payload exceeds :data:`MAX_PAYLOAD`."""
 
 
 class PeerDisconnect(ConnectionError):
@@ -70,7 +82,7 @@ class FrameType(enum.IntEnum):
 
 def encode_frame(ftype: FrameType, payload: bytes) -> bytes:
     if len(payload) > MAX_PAYLOAD:
-        raise ValueError("payload too large")
+        raise FrameTooLarge(f"{ftype.name} payload of {len(payload)} bytes exceeds cap")
     return _HEADER.pack(len(payload), int(ftype)) + payload
 
 
@@ -119,6 +131,87 @@ def decode_outcome_announce(payload: bytes, order: int) -> tuple[int, int, int]:
     if category not in (0, 1):
         raise ProtocolViolation(f"invalid outcome category {category}")
     return u, v, category
+
+
+_NO_INDEX = 0xFFFF
+_KET_DTYPE = np.dtype([("i", ">u2"), ("si", "u1"), ("j", ">u2"), ("sj", "u1")])
+_OUTCOME_DTYPE = np.dtype([("u", ">u2"), ("v", ">u2"), ("category", "u1")])
+_PAIR_DTYPE = np.dtype([("i", ">u2"), ("j", ">u2")])
+
+
+def _records(payload: bytes, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+    if len(payload) != count * dtype.itemsize:
+        raise ProtocolViolation(
+            f"{what} batch of {len(payload)} bytes, expected {count} records"
+        )
+    return np.frombuffer(payload, dtype)
+
+
+def _check_pairs(lo: np.ndarray, hi: np.ndarray, order: int, what: str) -> None:
+    if np.any(lo >= hi) or np.any(hi >= order):
+        raise ProtocolViolation(f"{what} batch holds a pair that is not i < j < {order}")
+
+
+def encode_qudit_batch(k1, k2, sigma) -> bytes:
+    """Ket columns (k2 = -1 for a single-term ket) as QUDIT records."""
+    rec = np.zeros(len(k1), _KET_DTYPE)
+    rec["i"] = k1
+    rec["j"] = np.where(np.asarray(k2) < 0, _NO_INDEX, k2)
+    rec["sj"] = sigma
+    return rec.tobytes()
+
+
+def decode_qudit_batch(payload: bytes, count: int, order: int):
+    """QUDIT records -> (k1, k2, sigma) columns, k2 = -1 for single-term kets."""
+    rec = _records(payload, _KET_DTYPE, count, "qudit")
+    i = rec["i"].astype(np.int32)
+    j = rec["j"].astype(np.int32)
+    sj = rec["sj"]
+    two = j != _NO_INDEX
+    if np.any(rec["si"] != 0):
+        raise ProtocolViolation("qudit batch holds a ket without a leading + sign")
+    if np.any(i >= order):
+        raise ProtocolViolation(f"qudit batch holds an index >= {order}")
+    _check_pairs(i[two], j[two], order, "qudit")
+    if np.any(sj > 1) or np.any(sj[~two] != 0):
+        raise ProtocolViolation("qudit batch holds a bad sign byte")
+    return i.astype(np.int16), np.where(two, j, -1).astype(np.int16), sj.astype(np.int8)
+
+
+def encode_outcome_batch(u, v, category) -> bytes:
+    rec = np.empty(len(u), _OUTCOME_DTYPE)
+    rec["u"] = u
+    rec["v"] = v
+    rec["category"] = category
+    return rec.tobytes()
+
+
+def decode_outcome_batch(payload: bytes, count: int, order: int):
+    """OUTCOME_ANNOUNCE records -> (u, v, category) columns."""
+    rec = _records(payload, _OUTCOME_DTYPE, count, "outcome")
+    u = rec["u"].astype(np.int32)
+    v = rec["v"].astype(np.int32)
+    _check_pairs(u, v, order, "outcome")
+    category = rec["category"]
+    if np.any(category > 1):
+        raise ProtocolViolation("outcome batch holds a category other than 0 or 1")
+    return u.astype(np.int16), v.astype(np.int16), category.astype(np.int8)
+
+
+def encode_pair_batch(i, j) -> bytes:
+    rec = np.empty(len(i), _PAIR_DTYPE)
+    rec["i"] = i
+    rec["j"] = j
+    return rec.tobytes()
+
+
+def decode_pair_batch(payload: bytes, count: int, order: int):
+    """PAIR_ANNOUNCE records -> (i, j) columns."""
+    rec = _records(payload, _PAIR_DTYPE, count, "pair")
+    i = rec["i"].astype(np.int32)
+    j = rec["j"].astype(np.int32)
+    _check_pairs(i, j, order, "pair")
+    return i.astype(np.int16), j.astype(np.int16)
 
 
 def encode_index_list(indices) -> bytes:

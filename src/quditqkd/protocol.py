@@ -21,7 +21,7 @@ alice, bob, channel, sample, pairing (in that index order).  Per round,
 alice consumes exactly two uniforms (pair, sign), the channel two
 (term, auxiliary), bob three (pair, outcome, outside-decode noise).
 Batched draws fill row-major, so any chunking of rounds -- including the
-one-round-at-a-time networked runner -- reproduces identical sessions.
+networked runner's windows of rounds -- reproduces identical sessions.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
@@ -41,8 +41,8 @@ from .channels import (
     RandomDephase,
     UnitaryTerm,
     resolve_channel,
-    transmit,
 )
+from .channels import transmit as transmit_ket
 from .field import FieldSpec
 from .qstates import Outcome, PairState, SparseKet, decide_outcome, probabilities
 
@@ -362,6 +362,111 @@ def decode_bob_bit(outcome: Outcome, noise_bit: int) -> int:
     return int(outcome) if outcome != Outcome.OUTSIDE else noise_bit
 
 
+# -- vectorised stages ----------------------------------------------------------
+#
+# Each stage works on column arrays of any number of rounds and draws its
+# own uniforms row-major, exactly as the scalar helpers above draw them
+# round by round.  A batch of kets is three columns: the support k1 < k2
+# (k2 = -1 for a collapsed single-term ket) and the relative sign bit
+# sigma (0 for a single-term ket).
+
+
+def pick_pairs(table: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vector form of :func:`pick_pair_index`: the table pair of each uniform."""
+    pairs = len(table)
+    row = np.minimum((u * pairs).astype(np.int64), pairs - 1)
+    return table[row, 0], table[row, 1]
+
+
+def prepare(table: np.ndarray, rng, count: int):
+    """Alice's stage: pairs i < j and sign bits s of ``count`` rounds."""
+    draw = rng.random((count, 2))
+    i, j = pick_pairs(table, draw[:, 0])
+    return i, j, (draw[:, 1] >= 0.5).astype(np.int8)
+
+
+def _phase_bits(mask: int, order: int) -> np.ndarray:
+    """Bit y of a diagonal sign mask at index y, for y < order."""
+    raw = np.frombuffer(mask.to_bytes((order + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little")[:order].view(np.int8)
+
+
+def transmit(model: ChannelModel, k1, k2, sigma, rng):
+    """Channel stage: push a ket batch through ``model``.
+
+    Draws two uniforms per ket (term, auxiliary) and returns the output
+    columns (k1, k2, sigma) with the drawn term index of each ket.
+    """
+    count = len(k1)
+    draw = rng.random((count, 2))
+    terms = model.terms
+    t = np.minimum(
+        np.searchsorted(model.cum_weights, draw[:, 0], side="right"), len(terms) - 1
+    )
+    aux = draw[:, 1]
+    single = k2 < 0
+    # A single-term ket rides the term loop as the degenerate pair {k1, k1}:
+    # shifts and sign masks then act on it correctly, and the fix-up after
+    # the loop restores its canonical form (no second index, sign +).
+    k2 = np.where(single, k1, k2)
+    m1 = k1.copy()
+    m2 = k2.copy()
+    sig = sigma.copy()
+    for ti in np.flatnonzero(np.bincount(t, minlength=len(terms))):
+        action = terms[ti][1]
+        rows = t == ti
+        if isinstance(action, UnitaryTerm):
+            if action.mask:
+                ph = _phase_bits(action.mask, model.spec.order)
+                sig[rows] ^= ph[k1[rows]] ^ ph[k2[rows]]
+            x1 = k1[rows] ^ action.shift
+            x2 = k2[rows] ^ action.shift
+            m1[rows] = np.minimum(x1, x2)
+            m2[rows] = np.maximum(x1, x2)
+        elif isinstance(action, RandomDephase):
+            sig[rows] ^= aux[rows] < 0.5
+        else:
+            assert isinstance(action, InterceptResend)
+            m1[rows] = np.where(aux[rows] < 0.5, k1[rows], k2[rows])
+            m2[rows] = -1
+            sig[rows] = 0
+    m2[single] = -1
+    sig[single] = 0
+    return m1, m2, sig, t
+
+
+def measure(table: np.ndarray, k1, k2, sigma, rng):
+    """Bob's stage: pair, outcome and decoded key bit of each ket.
+
+    Draws three uniforms per ket (pair, outcome, noise) and returns the
+    columns (u, v, outcome, bit): outcome holds :class:`Outcome` values,
+    bit is :func:`decode_bob_bit` of the outcome and the noise draw.
+    """
+    draw = rng.random((len(k1), 3))
+    u, v = pick_pairs(table, draw[:, 0])
+    sign2 = 1 - 2 * sigma.astype(np.int64)
+    c_u = (u == k1) * 1 + (u == k2) * sign2
+    c_v = (v == k1) * 1 + (v == k2) * sign2
+    # Squared projections are dyadic rationals, exact in float64, so
+    # the threshold comparisons match the scalar Fraction path.
+    width = np.where(k2 < 0, 2.0, 4.0)
+    p_plus = (c_u + c_v) ** 2 / width
+    p_minus = (c_u - c_v) ** 2 / width
+    u_out = draw[:, 1]
+    out = np.where(u_out < p_plus, 0, np.where(u_out < p_plus + p_minus, 1, 2))
+    noise = (draw[:, 2] >= 0.5).astype(np.int8)
+    return u, v, out, np.where(out < 2, out, noise)
+
+
+def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
+    """Vector form of :func:`pair_offset` (-1 where Bob is off Alice's line)."""
+    delta = ai ^ aj
+    on = (bi ^ bj) == delta
+    off = np.full(len(ai), -1, np.int16)
+    off[on] = spec.mul_table[(bi ^ ai)[on], spec.inv_table[delta[on]]]
+    return off
+
+
 def estimate_ec(log: RoundLog, mode: str = "in_pair", z: float = Z_99) -> RateEstimate:
     """Accepted-rate estimate from announced data.
 
@@ -433,7 +538,6 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     model = resolve_channel(cfg.channel, spec)
     streams = spawn_streams(cfg.seed)
     table = pair_table(spec)
-    pairs = len(table)
     rounds = cfg.rounds
 
     alice_i = np.empty(rounds, np.int16)
@@ -445,76 +549,11 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     bob_bit = np.empty(rounds, np.int8)
     offset = np.empty(rounds, np.int16)
 
-    mul_t = spec.mul_table.astype(np.int16)
-    inv_t = spec.inv_table.astype(np.int16)
-    phase_tabs = {}
-    for ti, (_, action) in enumerate(model.terms):
-        if isinstance(action, UnitaryTerm):
-            phase_tabs[ti] = np.array(
-                [(action.mask >> y) & 1 for y in range(spec.order)], dtype=np.int8
-            )
-
     for lo in range(0, rounds, _ENGINE_CHUNK):
         hi = min(lo + _ENGINE_CHUNK, rounds)
-        m = hi - lo
-        a_draw = streams[STREAM_ALICE].random((m, 2))
-        c_draw = streams[STREAM_CHANNEL].random((m, 2))
-        b_draw = streams[STREAM_BOB].random((m, 3))
-
-        a_row = np.minimum((a_draw[:, 0] * pairs).astype(np.int64), pairs - 1)
-        ai = table[a_row, 0]
-        aj = table[a_row, 1]
-        s = (a_draw[:, 1] >= 0.5).astype(np.int8)
-
-        t_arr = np.minimum(
-            np.searchsorted(model.cum_weights, c_draw[:, 0], side="right"),
-            len(model.terms) - 1,
-        )
-        aux = c_draw[:, 1]
-        # Transmitted state per round: support {m1, m2} (m2 = -1 for a
-        # collapsed single-term ket) and relative sign bit sigma.
-        m1 = ai.copy()
-        m2 = aj.copy()
-        sigma = s.copy()
-        nterms = np.full(m, 2, np.int8)
-        for ti, (_, action) in enumerate(model.terms):
-            rows = t_arr == ti
-            if not rows.any():
-                continue
-            if isinstance(action, UnitaryTerm):
-                ph = phase_tabs[ti]
-                sigma[rows] ^= ph[ai[rows]] ^ ph[aj[rows]]
-                x1 = ai[rows] ^ action.shift
-                x2 = aj[rows] ^ action.shift
-                m1[rows] = np.minimum(x1, x2)
-                m2[rows] = np.maximum(x1, x2)
-            elif isinstance(action, RandomDephase):
-                sigma[rows] ^= aux[rows] < 0.5
-            else:
-                assert isinstance(action, InterceptResend)
-                m1[rows] = np.where(aux[rows] < 0.5, ai[rows], aj[rows])
-                m2[rows] = -1
-                sigma[rows] = 0
-                nterms[rows] = 1
-
-        b_row = np.minimum((b_draw[:, 0] * pairs).astype(np.int64), pairs - 1)
-        bu = table[b_row, 0]
-        bv = table[b_row, 1]
-        sign2 = (1 - 2 * sigma.astype(np.int64))
-        c_u = (bu == m1) * 1 + (bu == m2) * sign2
-        c_v = (bv == m1) * 1 + (bv == m2) * sign2
-        # Squared projections are dyadic rationals, exact in float64, so
-        # the threshold comparisons match the scalar Fraction path.
-        p_plus = (c_u + c_v) ** 2 / (2.0 * nterms)
-        p_minus = (c_u - c_v) ** 2 / (2.0 * nterms)
-        u_out = b_draw[:, 1]
-        out = np.where(u_out < p_plus, 0, np.where(u_out < p_plus + p_minus, 1, 2))
-        noise = (b_draw[:, 2] >= 0.5).astype(np.int8)
-
-        delta = ai ^ aj
-        on_line = (bu ^ bv) == delta
-        off = np.full(m, -1, np.int16)
-        off[on_line] = mul_t[(bu ^ ai)[on_line], inv_t[delta[on_line]]]
+        ai, aj, s = prepare(table, streams[STREAM_ALICE], hi - lo)
+        m1, m2, sigma, _ = transmit(model, ai, aj, s, streams[STREAM_CHANNEL])
+        bu, bv, out, bit = measure(table, m1, m2, sigma, streams[STREAM_BOB])
 
         alice_i[lo:hi] = ai
         alice_j[lo:hi] = aj
@@ -522,8 +561,8 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
         bob_i[lo:hi] = bu
         bob_j[lo:hi] = bv
         outcome[lo:hi] = out
-        bob_bit[lo:hi] = np.where(out < 2, out, noise)
-        offset[lo:hi] = off
+        bob_bit[lo:hi] = bit
+        offset[lo:hi] = line_offsets(spec, ai, aj, bu, bv)
 
     log = RoundLog(alice_i, alice_j, alice_s, bob_i, bob_j, outcome, bob_bit, offset)
 
@@ -586,7 +625,7 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
     cols = {name: [] for name in ("ai", "aj", "s", "bi", "bj", "out", "bit", "off")}
     for _ in range(cfg.rounds):
         prep = draw_alice_round(spec, table, streams[STREAM_ALICE])
-        ket = transmit(model, prep.ket(), streams[STREAM_CHANNEL])
+        ket = transmit_ket(model, prep.ket(), streams[STREAM_CHANNEL])
         (u, v), out, noise = draw_bob_round(spec, table, ket, streams[STREAM_BOB])
         cols["ai"].append(prep.i)
         cols["aj"].append(prep.j)

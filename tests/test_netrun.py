@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -13,16 +14,21 @@ from hypothesis import strategies as st
 
 from quditqkd.distill import DistillParams, LabeledKey, simulate_distillation
 from quditqkd.field import field_spec
+import quditqkd.netrun.roles as roles
+import quditqkd.netrun.wire as wire
 from quditqkd.netrun import (
     RoleConfig,
     RoleReport,
+    handshake_facts,
     run_alice,
     run_bob,
     run_eve,
     run_role,
 )
+from quditqkd.netrun.roles import WINDOW
 from quditqkd.netrun.wire import (
     ABORT_CONDITION,
+    ABORT_FRAME_TOO_LARGE,
     AbortReceived,
     FrameType,
     Link,
@@ -32,16 +38,22 @@ from quditqkd.netrun.wire import (
     decode_index_list,
     decode_json,
     decode_outcome_announce,
+    decode_outcome_batch,
     decode_pair,
+    decode_pair_batch,
     decode_parity_round,
+    decode_qudit_batch,
     decode_sample_reveal,
     encode_block_parity,
     encode_frame,
     encode_index_list,
     encode_json,
     encode_outcome_announce,
+    encode_outcome_batch,
     encode_pair,
+    encode_pair_batch,
     encode_parity_round,
+    encode_qudit_batch,
     encode_sample_reveal,
     pack_bitmap,
     unpack_bitmap,
@@ -52,6 +64,7 @@ from quditqkd.protocol import (
     run_session,
     spawn_streams,
 )
+from quditqkd.qstates import SparseKet
 
 JOIN_TIMEOUT = 60.0
 
@@ -602,3 +615,295 @@ class TestFuzzing:
         rep = self._fuzz_role(run_bob, [header])
         assert rep.status in self.ACCEPTABLE
         assert rep.exit_code == 1
+
+    @staticmethod
+    def _probe_role(runner, cfg: RoleConfig, script) -> RoleReport:
+        """Run one role against a scripted probe peer on a socketpair."""
+        sa, sb = socket.socketpair()
+        out: dict[str, RoleReport] = {}
+        t = threading.Thread(target=lambda: out.__setitem__("r", runner(cfg, sa)))
+        t.start()
+        probe = Link(sb)
+        try:
+            script(probe)
+        except (ProtocolViolation, PeerDisconnect, AbortReceived, OSError):
+            pass
+        _join_or_fail([t], [sa])
+        probe.close()
+        return out["r"]
+
+    @staticmethod
+    def _mangle(payload: bytes, record: int, how: str) -> bytes:
+        if how == "short":
+            return payload[:-record]
+        if how == "long":
+            return payload + payload[:record]
+        # the first record's first index becomes 0xFFFF
+        return b"\xff\xff" + payload[2:]
+
+    BATCH_FAULTS = ("short", "long", "corrupt")
+
+    @pytest.mark.parametrize("how", BATCH_FAULTS)
+    def test_bad_qudit_batch_against_bob(self, how):
+        cfg = _role_cfg("bob", SessionConfig(n=2, rounds=50, seed=0))
+
+        def script(link):
+            link.send(FrameType.CONFIG, encode_json(handshake_facts(cfg)))
+            link.expect(FrameType.CONFIG)
+            kets = encode_qudit_batch(np.zeros(50), np.ones(50), np.zeros(50))
+            link.send(FrameType.QUDIT, self._mangle(kets, 6, how))
+            link.expect(FrameType.OUTCOME_ANNOUNCE)
+
+        rep = self._probe_role(run_bob, cfg, script)
+        assert rep.status == "protocol-error"
+        assert rep.exit_code == 1
+
+    @pytest.mark.parametrize("how", BATCH_FAULTS)
+    def test_bad_outcome_batch_against_alice(self, how):
+        cfg = _role_cfg("alice", SessionConfig(n=2, rounds=50, seed=0))
+
+        def script(link):
+            link.send(FrameType.CONFIG, link.expect(FrameType.CONFIG))
+            link.expect(FrameType.QUDIT)
+            outcomes = encode_outcome_batch(np.zeros(50), np.ones(50), np.zeros(50))
+            link.send(FrameType.OUTCOME_ANNOUNCE, self._mangle(outcomes, 5, how))
+            link.expect(FrameType.PAIR_ANNOUNCE)
+
+        rep = self._probe_role(run_alice, cfg, script)
+        assert rep.status == "protocol-error"
+        assert rep.exit_code == 1
+
+    @pytest.mark.parametrize("how", BATCH_FAULTS)
+    def test_bad_pair_batch_against_bob(self, how):
+        cfg = _role_cfg("bob", SessionConfig(n=2, rounds=50, seed=0))
+
+        def script(link):
+            link.send(FrameType.CONFIG, encode_json(handshake_facts(cfg)))
+            link.expect(FrameType.CONFIG)
+            kets = encode_qudit_batch(np.zeros(50), np.ones(50), np.zeros(50))
+            link.send(FrameType.QUDIT, kets)
+            link.expect(FrameType.OUTCOME_ANNOUNCE)
+            pairs = encode_pair_batch(np.zeros(50), np.ones(50))
+            link.send(FrameType.PAIR_ANNOUNCE, self._mangle(pairs, 4, how))
+            link.expect(FrameType.SIFT_ACCEPT)
+
+        rep = self._probe_role(run_bob, cfg, script)
+        assert rep.status == "protocol-error"
+        assert rep.exit_code == 1
+
+
+def _patched(payload: bytes, offset: int, data: bytes) -> bytes:
+    return payload[:offset] + data + payload[offset + len(data) :]
+
+
+class TestBatchCodecs:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_records_equal_per_round_encodings(self, n):
+        spec = field_spec(n)
+        order = spec.order
+        rng = np.random.default_rng(n)
+        kets = [SparseKet.pair(spec, 0, order - 1, 1), SparseKet.single(spec, order - 1)]
+        for _ in range(60):
+            i, j = sorted(rng.choice(order, 2, replace=False).tolist())
+            kets.append(SparseKet.pair(spec, i, j, int(rng.integers(2))))
+            kets.append(SparseKet.single(spec, int(rng.integers(order))))
+        k1 = [k.terms[0][0] for k in kets]
+        k2 = [k.terms[1][0] if len(k.terms) == 2 else -1 for k in kets]
+        sigma = [int(k.relative_sign() == -1) for k in kets]
+        payload = encode_qudit_batch(np.array(k1), np.array(k2), np.array(sigma))
+        for r, ket in enumerate(kets):
+            # a single-term ket is its serialized term padded by (0xFFFF, +)
+            want = ket.serialize() + b"\xff\xff\x00" * (2 - len(ket.terms))
+            assert payload[6 * r : 6 * r + 6] == want
+        got = decode_qudit_batch(payload, len(kets), order)
+        assert [col.tolist() for col in got] == [k1, k2, sigma]
+
+        u, v = map(list, zip(*(k.indices for k in kets if len(k.terms) == 2)))
+        category = rng.integers(0, 2, len(u)).tolist()
+        payload = encode_outcome_batch(np.array(u), np.array(v), np.array(category))
+        assert payload == b"".join(
+            encode_outcome_announce(a, b, c) for a, b, c in zip(u, v, category)
+        )
+        got = decode_outcome_batch(payload, len(u), order)
+        assert [col.tolist() for col in got] == [u, v, category]
+
+        payload = encode_pair_batch(np.array(u), np.array(v))
+        assert payload == b"".join(encode_pair(a, b) for a, b in zip(u, v))
+        got = decode_pair_batch(payload, len(u), order)
+        assert [col.tolist() for col in got] == [u, v]
+
+    def test_qudit_batch_validation(self):
+        # records: {0, 3} with sign -, the single-term ket {1}, {2, 3}
+        good = encode_qudit_batch(
+            np.array([0, 1, 2]), np.array([3, -1, 3]), np.array([1, 0, 0])
+        )
+        assert decode_qudit_batch(good, 3, 4)[1].tolist() == [3, -1, 3]
+        bad = [
+            (good[:-6], 3),  # a record short
+            (good + good[:6], 3),  # a record long
+            (good, 2),  # window length disagrees
+            (_patched(good, 2, b"\x01"), 3),  # leading sign not +
+            (_patched(good, 11, b"\x01"), 3),  # single-term ket with a sign
+            (_patched(good, 5, b"\x02"), 3),  # sign byte not 0 or 1
+            (_patched(good, 3, b"\x00\x00"), 3),  # i == j
+            (_patched(good, 12, b"\x00\x04"), 3),  # i > j
+            (_patched(good, 3, b"\x00\x04"), 3),  # j >= order
+            (_patched(good, 6, b"\x00\x04"), 3),  # single index >= order
+            (_patched(good, 6, b"\xff\xff"), 3),  # single index 0xFFFF
+        ]
+        for payload, count in bad:
+            with pytest.raises(ProtocolViolation):
+                decode_qudit_batch(payload, count, 4)
+
+    def test_outcome_batch_validation(self):
+        good = encode_outcome_batch(np.array([0, 1]), np.array([2, 3]), np.array([0, 1]))
+        assert decode_outcome_batch(good, 2, 4)[2].tolist() == [0, 1]
+        bad = [
+            (good[:-5], 2),
+            (good + good[:5], 2),
+            (_patched(good, 4, b"\x02"), 2),  # category 2
+            (_patched(good, 0, b"\x00\x02"), 2),  # u == v
+            (_patched(good, 2, b"\x00\x04"), 2),  # v >= order
+            (_patched(good, 7, b"\xff\xff"), 2),  # v = 0xFFFF
+        ]
+        for payload, count in bad:
+            with pytest.raises(ProtocolViolation):
+                decode_outcome_batch(payload, count, 4)
+
+    def test_pair_batch_validation(self):
+        good = encode_pair_batch(np.array([0, 1]), np.array([2, 3]))
+        assert decode_pair_batch(good, 2, 4)[0].tolist() == [0, 1]
+        bad = [
+            (good[:-4], 2),
+            (good + good[:4], 2),
+            (_patched(good, 0, b"\x00\x03"), 2),  # i > j
+            (_patched(good, 6, b"\x00\x04"), 2),  # j >= order
+            (_patched(good, 4, b"\xff\xff"), 2),  # i = 0xFFFF
+        ]
+        for payload, count in bad:
+            with pytest.raises(ProtocolViolation):
+                decode_pair_batch(payload, count, 4)
+
+
+def _engine_status(stats, params: DistillParams) -> str:
+    """The status both wire endpoints must end with for this engine run."""
+    if stats.status == "insufficient-sift":
+        return "insufficient-sift"
+    if not stats.condition_pass:
+        return ABORT_CONDITION
+    if stats.key_length < params.min_length:
+        return "insufficient-key"
+    return "pass"
+
+
+class TestWindowBoundaries:
+    """Criterion 9 at window edges: keys and facts equal the engine's."""
+
+    @pytest.mark.parametrize("rounds", [1, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 17])
+    @pytest.mark.parametrize("channel", [None, "z_flip:0.3", "partial_intercept:0.4"])
+    def test_matches_engine(self, rounds, channel):
+        seed = 13
+        params = DistillParams(1, 3)
+        session = SessionConfig(n=2, rounds=rounds, seed=seed)
+        cfg_a = RoleConfig("alice", session, params)
+        cfg_b = RoleConfig("bob", session, params)
+        if channel is None:
+            rep_a, rep_b = _run_pair(cfg_a, cfg_b)
+        else:
+            eve_session = SessionConfig(n=2, rounds=rounds, seed=seed, channel=channel)
+            rep_a, rep_b, rep_e = _run_triple(
+                cfg_a, cfg_b, RoleConfig("eve", eve_session, params)
+            )
+            assert rep_e.status == "pass"
+            audit = rep_e.extra["audit_terms"]
+            assert len(audit) == rounds
+            assert [r for r, _ in audit] == list(range(rounds))
+        engine = run_session(
+            SessionConfig(n=2, rounds=rounds, seed=seed, channel=channel or "identity")
+        )
+        assert rep_a.status == rep_b.status == _engine_status(engine.stats, params)
+        if engine.stats.status == "ok":
+            for key, want in _expected_shared(engine.stats).items():
+                assert rep_a.shared[key] == want, key
+            assert rep_a.shared == rep_b.shared
+        if rep_a.status == "pass":
+            ref = _reference_keys(engine, params, seed)
+            assert rep_a.final_key == ref.alice_out.tolist()
+            assert rep_b.final_key == ref.bob_out.tolist()
+            assert rep_a.shared["disagreements"] == ref.disagreement_count
+
+    def test_round_phase_frames_per_window(self):
+        rounds = 2 * WINDOW + 17
+        session = SessionConfig(n=2, rounds=rounds, seed=4)
+        rep_a, _ = _run_pair(_role_cfg("alice", session), _role_cfg("bob", session))
+        assert rep_a.status == "pass"
+        # CONFIG, 3 windows of QUDIT + PAIR_ANNOUNCE, SIFT, SAMPLE, BLOCK, VERDICT
+        assert rep_a.transcripts["peer"]["tx_frames"] == 1 + 3 * 2 + 4
+
+
+class TestDeadlines:
+    """A stalled peer ends the session with peer-timeout, never a hang."""
+
+    @pytest.mark.parametrize("runner", [run_alice, run_bob], ids=["alice", "bob"])
+    def test_silent_after_handshake(self, runner):
+        session = SessionConfig(n=2, rounds=50, seed=0)
+        cfg = _role_cfg("alice" if runner is run_alice else "bob", session)
+        sa, sb = socket.socketpair()
+        sa.settimeout(0.5)
+        out: dict[str, RoleReport] = {}
+        t = threading.Thread(target=lambda: out.__setitem__("r", runner(cfg, sa)))
+        started = time.monotonic()
+        t.start()
+        probe = Link(sb)
+        if runner is run_alice:
+            probe.send(FrameType.CONFIG, probe.expect(FrameType.CONFIG))
+        else:
+            probe.send(FrameType.CONFIG, encode_json(handshake_facts(cfg)))
+            probe.expect(FrameType.CONFIG)
+        _join_or_fail([t], [sa])
+        elapsed = time.monotonic() - started
+        probe.close()
+        assert out["r"].status == "peer-timeout"
+        assert out["r"].exit_code == 1
+        assert elapsed < JOIN_TIMEOUT / 10
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_run_role_sockets_have_a_deadline(self, monkeypatch, role):
+        monkeypatch.setattr(roles, "PEER_TIMEOUT", 0.5)
+        session = SessionConfig(n=2, rounds=50, seed=0)
+        port = TestRunRoleTopology._free_port()
+        addr = ("127.0.0.1", port)
+        out: dict[str, RoleReport] = {}
+        if role == "bob":
+            # bob listens; the silent peer connects and never sends CONFIG
+            cfg = _role_cfg("bob", session, listen=f"127.0.0.1:{port}")
+            t = threading.Thread(target=lambda: out.__setitem__("r", run_role(cfg)))
+            t.start()
+            silent = roles._connect(addr)
+        else:
+            # alice dials a listener that accepts and never answers
+            server = socket.create_server(addr)
+            cfg = _role_cfg("alice", session, connect_bob=f"127.0.0.1:{port}")
+            t = threading.Thread(target=lambda: out.__setitem__("r", run_role(cfg)))
+            t.start()
+            silent, _ = server.accept()
+            server.close()
+        _join_or_fail([t], [silent])
+        silent.close()
+        assert out["r"].status == "peer-timeout"
+        assert out["r"].exit_code == 1
+
+
+class TestOversizedFrames:
+    def test_sift_list_over_cap_aborts_cleanly(self, monkeypatch):
+        # one QUDIT window fits the cap; the SIFT_ACCEPT list of ~10W/6
+        # four-byte round indices does not
+        monkeypatch.setattr(wire, "MAX_PAYLOAD", 6 * WINDOW)
+        session = SessionConfig(n=2, rounds=10 * WINDOW, seed=0)
+        rep_a, rep_b = _run_pair(_role_cfg("alice", session), _role_cfg("bob", session))
+        assert rep_a.status == "frame-too-large"
+        assert rep_a.abort_sent == ABORT_FRAME_TOO_LARGE
+        assert "SIFT_ACCEPT" in rep_a.extra["detail"]
+        assert rep_b.status == f"peer-abort:{ABORT_FRAME_TOO_LARGE}"
+        for rep in (rep_a, rep_b):
+            assert rep.exit_code == 1

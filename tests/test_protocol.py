@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quditqkd.protocol as protocol
+from quditqkd.channels import resolve_channel
+from quditqkd.channels import transmit as transmit_ket
 from quditqkd.field import field_spec
 from quditqkd.protocol import (
     RateEstimate,
@@ -19,6 +21,7 @@ from quditqkd.protocol import (
     check_pm_condition,
     condition_verdict,
     decode_bob_bit,
+    draw_bob_round,
     estimate_ec,
     pair_offset,
     pair_table,
@@ -29,7 +32,7 @@ from quditqkd.protocol import (
     spawn_streams,
     wilson_interval,
 )
-from quditqkd.qstates import Outcome
+from quditqkd.qstates import Outcome, SparseKet
 
 from oracles import wilson_reference
 
@@ -323,3 +326,67 @@ class TestConfigValidation:
     def test_bad_ec_mode(self):
         with pytest.raises(ValueError):
             SessionConfig(ec_mode="wrong")
+
+
+def _random_kets(spec, rng, count):
+    """Mixed 1- and 2-term canonical kets as objects and as ket columns."""
+    kets = []
+    for _ in range(count):
+        if rng.random() < 0.3:
+            kets.append(SparseKet.single(spec, int(rng.integers(spec.order))))
+        else:
+            i, j = sorted(rng.choice(spec.order, 2, replace=False).tolist())
+            kets.append(SparseKet.pair(spec, i, j, int(rng.integers(2))))
+    k1 = np.array([k.terms[0][0] for k in kets], np.int16)
+    k2 = np.array([k.terms[1][0] if len(k.terms) == 2 else -1 for k in kets], np.int16)
+    sigma = np.array([int(k.relative_sign() == -1) for k in kets], np.int8)
+    return kets, k1, k2, sigma
+
+
+class TestStages:
+    """The vectorised stages against the scalar per-ket helpers."""
+
+    @pytest.mark.parametrize(
+        "channel",
+        TestEngineEquivalence.CHANNELS + ["custom:[(1/2,a=1,f=0x6),(1/2,a=3,f=0x9)]"],
+    )
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_transmit_matches_apply_term_on_mixed_kets(self, n, channel):
+        spec = field_spec(n)
+        model = resolve_channel(channel, spec)
+        kets, k1, k2, sigma = _random_kets(spec, np.random.default_rng(n), 400)
+        m1, m2, sig, terms = protocol.transmit(
+            model, k1, k2, sigma, np.random.default_rng(8)
+        )
+        scalar = np.random.default_rng(8)
+        draws = np.random.default_rng(8).random((len(kets), 2))
+        for r, ket in enumerate(kets):
+            want = transmit_ket(model, ket, scalar)
+            terms_got = [(int(m1[r]), 1)]
+            if m2[r] >= 0:
+                terms_got.append((int(m2[r]), -1 if sig[r] else 1))
+            else:
+                assert sig[r] == 0
+            assert SparseKet(spec, tuple(terms_got)) == want, r
+            assert terms[r] == model.sample_term_index(draws[r, 0])
+
+    def test_measure_matches_draw_bob_round_on_mixed_kets(self):
+        spec = field_spec(3)
+        table = pair_table(spec)
+        kets, k1, k2, sigma = _random_kets(spec, np.random.default_rng(3), 600)
+        u, v, out, bit = protocol.measure(table, k1, k2, sigma, np.random.default_rng(5))
+        scalar = np.random.default_rng(5)
+        for r, ket in enumerate(kets):
+            (su, sv), s_out, noise = draw_bob_round(spec, table, ket, scalar)
+            want = (su, sv, s_out, decode_bob_bit(s_out, noise))
+            assert (u[r], v[r], out[r], bit[r]) == want
+
+    def test_line_offsets_match_pair_offset(self):
+        spec = field_spec(3)
+        table = pair_table(spec)
+        rows = np.arange(len(table))
+        ai, aj = np.repeat(table[:, 0], len(rows)), np.repeat(table[:, 1], len(rows))
+        bi, bj = np.tile(table[:, 0], len(rows)), np.tile(table[:, 1], len(rows))
+        got = protocol.line_offsets(spec, ai, aj, bi, bj)
+        want = [pair_offset(spec, *map(int, q)) for q in zip(ai, aj, bi, bj)]
+        assert got.tolist() == want
