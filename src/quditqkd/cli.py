@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -44,16 +45,18 @@ EXIT_PASS = 0
 EXIT_ERROR = 1
 EXIT_EXPECTED_FAIL = 2
 
-SESSION_DEFAULTS = {
-    "n": 2,
-    "rounds": 10000,
-    "channel": "identity",
-    "sample_fraction": 0.1,
-    "seed": 0,
-    "ec_mode": "in_pair",
-    "condition_strict": True,
-    "modulus": None,
-}
+
+def _defaults(cls) -> dict:
+    """Field name -> default of a dataclass, the one source of built-ins."""
+    return {f.name: f.default for f in fields(cls)}
+
+
+def _from_merged(cls, merged: dict):
+    """Build ``cls`` from the merged settings named by its fields."""
+    return cls(**{f.name: merged[f.name] for f in fields(cls)})
+
+
+SESSION_DEFAULTS = _defaults(SessionConfig)
 
 ANALYZE_DEFAULTS = {"n": 2, "channel": "identity", "modulus": None}
 
@@ -65,11 +68,7 @@ DISTILL_DEFAULTS = {
     "auto_params": False,
     "k": None,
     "r": None,
-    "k_max": 30,
-    "r_max": 999_999,
-    "css_target": 0.01,
-    "z_budget": 0.005,
-    "margin": 10.0,
+    **_defaults(DistillBudget),
     "count": None,
     "seed": 0,
 }
@@ -131,22 +130,9 @@ def _format_rate(name: str, est) -> str:
     )
 
 
-def _session_from(merged: dict) -> SessionConfig:
-    return SessionConfig(
-        n=merged["n"],
-        rounds=merged["rounds"],
-        channel=merged["channel"],
-        sample_fraction=merged["sample_fraction"],
-        seed=merged["seed"],
-        ec_mode=merged["ec_mode"],
-        condition_strict=merged["condition_strict"],
-        modulus=merged["modulus"],
-    )
-
-
 def cmd_simulate(args: argparse.Namespace) -> int:
     merged = _layer(args, SESSION_DEFAULTS)
-    out = run_session(_session_from(merged))
+    out = run_session(_from_merged(SessionConfig, merged))
     stats = out.stats
     if args.round_log:
         with open(args.round_log, "w", encoding="utf-8", newline="") as fh:
@@ -230,13 +216,7 @@ def _distill_matrix(merged: dict):
 def cmd_distill(args: argparse.Namespace) -> int:
     merged = _layer(args, DISTILL_DEFAULTS)
     matrix = _distill_matrix(merged)
-    budget = DistillBudget(
-        k_max=merged["k_max"],
-        r_max=merged["r_max"],
-        css_target=merged["css_target"],
-        z_budget=merged["z_budget"],
-        margin=merged["margin"],
-    )
+    budget = _from_merged(DistillBudget, merged)
     m = ep_recursion(matrix, 0)
     report: dict = {
         "matrix": list(m.as_floats()),
@@ -340,7 +320,7 @@ def cmd_netrun(args: argparse.Namespace) -> int:
         raise ValueError("netrun needs --role alice|bob|eve")
     cfg = RoleConfig(
         role=merged["role"],
-        session=_session_from(merged),
+        session=_from_merged(SessionConfig, merged),
         params=DistillParams(merged["k"], merged["r"]),
         listen=merged["listen"],
         connect_alice=merged["connect_alice"],

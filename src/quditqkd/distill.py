@@ -441,6 +441,13 @@ def pair_stage_permutation(length: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).permutation(length)
 
 
+def pair_stage(length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (first[t], second[t]) paired by one stage; an odd one out is left."""
+    perm = pair_stage_permutation(length, seed)
+    half = length // 2
+    return perm[0 : 2 * half : 2], perm[1 : 2 * half : 2]
+
+
 def block_parities(bits, r: int) -> np.ndarray:
     """Parity of each consecutive r-chunk; the trailing remainder is dropped."""
     bits = np.asarray(bits, np.uint8)
@@ -482,12 +489,9 @@ def simulate_distillation(
     stages: list[StageRecord] = []
     for t in range(params.k):
         cur = len(bits)
-        perm = pair_stage_permutation(cur, int(seeds[t]))
-        half = cur // 2
-        first = perm[0 : 2 * half : 2]
-        second = perm[1 : 2 * half : 2]
+        first, second = pair_stage(cur, int(seeds[t]))
         keep = (z[first] ^ z[second]) == 0
-        stages.append(StageRecord(t, int(seeds[t]), cur, half, int(np.count_nonzero(keep))))
+        stages.append(StageRecord(t, int(seeds[t]), cur, len(first), int(np.count_nonzero(keep))))
         kept_first = first[keep]
         kept_second = second[keep]
         bits = bits[kept_first]

@@ -12,9 +12,12 @@ and pushes each QUDIT window through her channel model.
 Both endpoints consume randomness through the same five-stream layout
 as :func:`quditqkd.protocol.run_session` and call its vectorised stages
 (``prepare``, ``transmit``, ``measure``, ``line_offsets``) on each
-window, so a session with a shared master seed reproduces the in-process
-engine's keys exactly (the shared seed is this artifact's
-reproducibility contract, not a security model).  All estimate and keep decisions are
+window, then its post-round stages (``sift_rounds``, ``draw_sample``,
+``kept_rounds``, ``sample_rates``, ``accepted_rate``,
+``condition_verdict``) and :func:`quditqkd.distill.pair_stage`, so a
+session with a shared master seed reproduces the in-process engine's
+keys exactly (the shared seed is this artifact's reproducibility
+contract, not a security model).  All estimate and keep decisions are
 computed independently by both sides from announced data; any
 divergence surfaces as a VERDICT mismatch and a protocol-error abort.
 """
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..channels import resolve_channel
-from ..distill import DistillParams, block_parities, draw_stage_seeds, pair_stage_permutation
+from ..distill import DistillParams, block_parities, draw_stage_seeds, pair_stage
 from ..field import FieldSpec
 from ..protocol import (
     STREAM_ALICE,
@@ -37,15 +40,17 @@ from ..protocol import (
     STREAM_CHANNEL,
     STREAM_PAIRING,
     STREAM_SAMPLE,
-    RateEstimate,
-    RoundLog,
     SessionConfig,
+    accepted_rate,
     condition_verdict,
-    estimate_ec,
+    draw_sample,
+    kept_rounds,
     line_offsets,
     measure,
     pair_table,
     prepare,
+    sample_rates,
+    sift_rounds,
     spawn_streams,
     transmit,
 )
@@ -161,17 +166,14 @@ def _abort(report: RoleReport, link: Link, reason: str, exit_code: int = 1) -> N
     report.exit_code = exit_code
 
 
-def _announced_log(spec: FieldSpec, ai, aj, bi, bj, clicked) -> RoundLog:
-    """RoundLog view of announced data, enough for the e_c estimator.
-
-    The outcome column is the announced category (in-pair rounds appear
-    as Plus); sign outcomes and key bits are never on the wire, so the
-    bit columns are placeholders the estimator does not read.
-    """
-    outcome = np.where(clicked, 0, 2).astype(np.int8)
-    zeros = np.zeros(len(ai), np.int8)
-    offset = line_offsets(spec, ai, aj, bi, bj)
-    return RoundLog(ai, aj, zeros, bi, bj, outcome, zeros, offset)
+def _exchange(link: Link, leader: bool, ftype: FrameType, payload: bytes) -> bytes:
+    """The peer's ``ftype`` payload; the leader sends first, the follower answers."""
+    if leader:
+        link.send(ftype, payload)
+        return link.expect(ftype)
+    theirs = link.expect(ftype)
+    link.send(ftype, payload)
+    return theirs
 
 
 def _session_tail(
@@ -192,13 +194,14 @@ def _session_tail(
 
     ``leader`` marks the side that sends first in each exchange (alice)
     and owns the sample and pairing streams; the follower validates the
-    leader's announcements against its own computation.
+    leader's announcements against its own computation.  Sift, sample,
+    estimates and pairing are the post-round stages of
+    :mod:`quditqkd.protocol` and :func:`quditqkd.distill.pair_stage`.
     """
     session = cfg.session
     params = cfg.params
 
-    sifted = (ai == bi) & (aj == bj)
-    sift_idx = np.flatnonzero(sifted)
+    sift_idx = sift_rounds(ai, aj, bi, bj)
     n_sift = len(sift_idx)
     if leader:
         link.send(FrameType.SIFT_ACCEPT, encode_index_list(sift_idx))
@@ -210,51 +213,36 @@ def _session_tail(
         _abort(report, link, ABORT_INSUFFICIENT_SIFT)
         return
 
-    n_samp = int(session.sample_fraction * n_sift)
     if leader:
-        perm = streams[STREAM_SAMPLE].permutation(n_sift)
-        sample_pos = np.sort(perm[:n_samp])
-        sample_rounds = sift_idx[sample_pos]
-        link.send(
-            FrameType.SAMPLE_REVEAL,
-            encode_sample_reveal(sample_rounds, my_bits_full[sample_rounds]),
-        )
-        their_rounds, their_bits = decode_sample_reveal(link.expect(FrameType.SAMPLE_REVEAL))
-        if not np.array_equal(their_rounds, sample_rounds):
-            raise ProtocolViolation("sample reveal does not echo the sampled rounds")
-        alice_sample = my_bits_full[sample_rounds]
-        bob_sample = their_bits
+        sample_pos = draw_sample(sift_idx, session.sample_fraction, streams[STREAM_SAMPLE])
     else:
         their_rounds, their_bits = decode_sample_reveal(link.expect(FrameType.SAMPLE_REVEAL))
+        n_samp = int(session.sample_fraction * n_sift)
         if len(their_rounds) != n_samp:
             raise ProtocolViolation(
                 f"sample size {len(their_rounds)} != expected {n_samp}"
             )
-        if not np.isin(their_rounds, sift_idx).all():
+        sample_pos = np.minimum(np.searchsorted(sift_idx, their_rounds), n_sift - 1)
+        if not np.array_equal(sift_idx[sample_pos], their_rounds):
             raise ProtocolViolation("sample reveals an unsifted round")
-        sample_rounds = their_rounds
-        link.send(
-            FrameType.SAMPLE_REVEAL,
-            encode_sample_reveal(sample_rounds, my_bits_full[sample_rounds]),
-        )
-        alice_sample = their_bits
-        bob_sample = my_bits_full[sample_rounds]
+    sample_rounds = sift_idx[sample_pos]
+    my_sample = my_bits_full[sample_rounds]
+    link.send(FrameType.SAMPLE_REVEAL, encode_sample_reveal(sample_rounds, my_sample))
+    if leader:
+        their_rounds, their_bits = decode_sample_reveal(link.expect(FrameType.SAMPLE_REVEAL))
+        if not np.array_equal(their_rounds, sample_rounds):
+            raise ProtocolViolation("sample reveal does not echo the sampled rounds")
 
-    samp_click = clicked[sample_rounds]
-    samp_err = alice_sample != bob_sample
-    e_b = RateEstimate.from_counts(
-        int(np.count_nonzero(samp_err & samp_click)),
-        int(np.count_nonzero(samp_click)),
-    )
-    e_b_all = RateEstimate.from_counts(int(np.count_nonzero(samp_err)), n_samp)
-    e_c = estimate_ec(_announced_log(spec, ai, aj, bi, bj, clicked), session.ec_mode)
+    # a disagreement count does not depend on which side is alice
+    e_b, e_b_all = sample_rates(my_sample, their_bits, clicked[sample_rounds])
+    e_c = accepted_rate(line_offsets(spec, ai, aj, bi, bj), clicked, session.ec_mode)
     lhs, verdict = condition_verdict(e_b, e_c, session.n, session.condition_strict)
 
     shared: dict = {
         "n": session.n,
         "rounds": session.rounds,
         "sifted": n_sift,
-        "sampled": n_samp,
+        "sampled": len(sample_pos),
         "e_b": [e_b.successes, e_b.trials],
         "e_b_all": [e_b_all.successes, e_b_all.trials],
         "e_c": [e_c.successes, e_c.trials],
@@ -266,8 +254,7 @@ def _session_tail(
         _abort(report, link, ABORT_CONDITION, exit_code=2)
         return
 
-    keep_rounds = sift_idx[~np.isin(sift_idx, sample_rounds)]
-    bits = my_bits_full[keep_rounds].astype(np.uint8)
+    bits = my_bits_full[kept_rounds(sift_idx, sample_pos)].astype(np.uint8)
     if len(bits) < params.min_length:
         _abort(report, link, ABORT_INSUFFICIENT_KEY)
         return
@@ -275,43 +262,31 @@ def _session_tail(
     seeds = draw_stage_seeds(params.k, streams[STREAM_PAIRING]) if leader else None
     kept_per_stage: list[int] = []
     for t in range(params.k):
-        cur = len(bits)
-        half = cur // 2
         if leader:
             seed = int(seeds[t])
-            perm = pair_stage_permutation(cur, seed)
-            first = perm[0 : 2 * half : 2]
-            second = perm[1 : 2 * half : 2]
-            mine = bits[first] ^ bits[second]
-            link.send(FrameType.PARITY_ROUND, encode_parity_round(seed, mine))
+        else:
+            seed, theirs = decode_parity_round(
+                link.expect(FrameType.PARITY_ROUND), len(bits) // 2
+            )
+        first, second = pair_stage(len(bits), seed)
+        mine = bits[first] ^ bits[second]
+        link.send(FrameType.PARITY_ROUND, encode_parity_round(seed, mine))
+        if leader:
             echo_seed, theirs = decode_parity_round(
-                link.expect(FrameType.PARITY_ROUND), half
+                link.expect(FrameType.PARITY_ROUND), len(first)
             )
             if echo_seed != seed:
                 raise ProtocolViolation("parity round echoed a different seed")
-        else:
-            seed, theirs = decode_parity_round(link.expect(FrameType.PARITY_ROUND), half)
-            perm = pair_stage_permutation(cur, seed)
-            first = perm[0 : 2 * half : 2]
-            second = perm[1 : 2 * half : 2]
-            mine = bits[first] ^ bits[second]
-            link.send(FrameType.PARITY_ROUND, encode_parity_round(seed, mine))
         keep = mine == theirs
         bits = bits[first[keep]]
         kept_per_stage.append(int(np.count_nonzero(keep)))
 
     n_blocks = len(bits) // params.r
     mine_blocks = block_parities(bits, params.r)
-    if leader:
-        link.send(FrameType.BLOCK_PARITY, encode_block_parity(params.r, mine_blocks))
-        r_echo, their_blocks = decode_block_parity(
-            link.expect(FrameType.BLOCK_PARITY), n_blocks
-        )
-    else:
-        r_echo, their_blocks = decode_block_parity(
-            link.expect(FrameType.BLOCK_PARITY), n_blocks
-        )
-        link.send(FrameType.BLOCK_PARITY, encode_block_parity(params.r, mine_blocks))
+    blocks_payload = _exchange(
+        link, leader, FrameType.BLOCK_PARITY, encode_block_parity(params.r, mine_blocks)
+    )
+    r_echo, their_blocks = decode_block_parity(blocks_payload, n_blocks)
     if r_echo != params.r:
         raise ProtocolViolation(f"block size {r_echo} != agreed {params.r}")
     disagreements = int((mine_blocks ^ their_blocks).astype(np.int64).sum())
@@ -325,13 +300,7 @@ def _session_tail(
             "disagreements": disagreements,
         }
     )
-    if leader:
-        link.send(FrameType.VERDICT, encode_json(shared))
-        theirs_verdict = decode_json(link.expect(FrameType.VERDICT))
-    else:
-        theirs_verdict = decode_json(link.expect(FrameType.VERDICT))
-        link.send(FrameType.VERDICT, encode_json(shared))
-    if theirs_verdict != shared:
+    if decode_json(_exchange(link, leader, FrameType.VERDICT, encode_json(shared))) != shared:
         raise ProtocolViolation("verdict facts differ between endpoints")
 
     report.final_key = [int(b) for b in mine_blocks]

@@ -221,6 +221,10 @@ class RoundRecord:
     offset: int | None
 
 
+# Column dtypes of a RoundLog, in constructor order.
+_LOG_DTYPES = (np.int16, np.int16, np.int8, np.int16, np.int16, np.int8, np.int8, np.int16)
+
+
 class RoundLog:
     """Columnar per-round record of a session.
 
@@ -467,8 +471,50 @@ def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
     return off
 
 
-def estimate_ec(log: RoundLog, mode: str = "in_pair", z: float = Z_99) -> RateEstimate:
-    """Accepted-rate estimate from announced data.
+# -- post-round stages ------------------------------------------------------
+#
+# Sift, sample, estimate: the steps after the quantum rounds, over the
+# announced and revealed columns.  The in-process engine, its scalar
+# replay and both networked endpoints call these same functions.
+
+
+def sift_rounds(ai, aj, bi, bj) -> np.ndarray:
+    """Indices of the rounds whose announced pairs are equal (the raw key)."""
+    return np.flatnonzero((ai == bi) & (aj == bj))
+
+
+def draw_sample(sift_idx: np.ndarray, fraction: float, rng) -> np.ndarray:
+    """Sorted positions in ``sift_idx`` of the rounds revealed for e_b.
+
+    One permutation draw of the sifted rounds; its prefix of
+    floor(fraction * sifted) is the sample.
+    """
+    perm = rng.permutation(len(sift_idx))
+    return np.sort(perm[: int(fraction * len(sift_idx))])
+
+
+def kept_rounds(sift_idx: np.ndarray, sample_pos: np.ndarray) -> np.ndarray:
+    """The sifted rounds left for the key once the sample is removed."""
+    keep = np.ones(len(sift_idx), bool)
+    keep[sample_pos] = False
+    return sift_idx[keep]
+
+
+def sample_rates(alice_bits, bob_bits, clicked) -> tuple[RateEstimate, RateEstimate]:
+    """(e_b, e_b_all) of the revealed sample.
+
+    e_b counts disagreements among the in-pair (clicked) rounds only;
+    e_b_all also counts the randomly decoded Outside rounds.
+    """
+    err = alice_bits != bob_bits
+    e_b = RateEstimate.from_counts(
+        int(np.count_nonzero(err & clicked)), int(np.count_nonzero(clicked))
+    )
+    return e_b, RateEstimate.from_counts(int(np.count_nonzero(err)), len(err))
+
+
+def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
+    """Accepted-rate estimate from the line offsets and in-pair flags.
 
     "in_pair": among rounds measured on Alice's line with an in-pair
     outcome, the fraction whose offset class is {0, 1} (i.e. Bob's pair
@@ -480,37 +526,21 @@ def estimate_ec(log: RoundLog, mode: str = "in_pair", z: float = Z_99) -> RateEs
     """
     if mode not in EC_MODES:
         raise ValueError(f"unknown ec mode {mode!r}")
+    on_line = offset >= 0
+    in_class = on_line & ((offset & ~1) == 0)
+    if mode == "in_pair":
+        in_class &= clicked
+        on_line &= clicked
+    return RateEstimate.from_counts(
+        int(np.count_nonzero(in_class)), int(np.count_nonzero(on_line)), z
+    )
+
+
+def estimate_ec(log: RoundLog, mode: str = "in_pair", z: float = Z_99) -> RateEstimate:
+    """:func:`accepted_rate` of a round log."""
     if len(log) == 0:
         raise ValueError("empty round log")
-    on_line = log.offset >= 0
-    in_class = on_line & ((log.offset & ~1) == 0)
-    if mode == "in_pair":
-        clicked = log.clicked
-        num = int(np.count_nonzero(in_class & clicked))
-        den = int(np.count_nonzero(on_line & clicked))
-    else:
-        num = int(np.count_nonzero(in_class))
-        den = int(np.count_nonzero(on_line))
-    return RateEstimate.from_counts(num, den, z)
-
-
-def _empty_stats(cfg: SessionConfig, log: RoundLog) -> SessionStats:
-    none = RateEstimate.from_counts(0, 0)
-    return SessionStats(
-        status="insufficient-sift",
-        rounds=cfg.rounds,
-        sifted_count=0,
-        sample_count=0,
-        outside_in_sifted=0,
-        key_length=0,
-        ec_mode=cfg.ec_mode,
-        e_b=none,
-        e_b_all=none,
-        e_c=estimate_ec(log, cfg.ec_mode),
-        counts=_outcome_counts(log),
-        condition_lhs=None,
-        condition_pass=False,
-    )
+    return accepted_rate(log.offset, log.clicked, mode, z)
 
 
 def _outcome_counts(log: RoundLog) -> dict[tuple[int, int], int]:
@@ -540,67 +570,41 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     table = pair_table(spec)
     rounds = cfg.rounds
 
-    alice_i = np.empty(rounds, np.int16)
-    alice_j = np.empty(rounds, np.int16)
-    alice_s = np.empty(rounds, np.int8)
-    bob_i = np.empty(rounds, np.int16)
-    bob_j = np.empty(rounds, np.int16)
-    outcome = np.empty(rounds, np.int8)
-    bob_bit = np.empty(rounds, np.int8)
-    offset = np.empty(rounds, np.int16)
-
+    cols = [np.empty(rounds, dtype) for dtype in _LOG_DTYPES]
     for lo in range(0, rounds, _ENGINE_CHUNK):
         hi = min(lo + _ENGINE_CHUNK, rounds)
         ai, aj, s = prepare(table, streams[STREAM_ALICE], hi - lo)
         m1, m2, sigma, _ = transmit(model, ai, aj, s, streams[STREAM_CHANNEL])
         bu, bv, out, bit = measure(table, m1, m2, sigma, streams[STREAM_BOB])
+        chunk = (ai, aj, s, bu, bv, out, bit, line_offsets(spec, ai, aj, bu, bv))
+        for col, part in zip(cols, chunk):
+            col[lo:hi] = part
+    return _finish_session(cfg, RoundLog(*cols), streams[STREAM_SAMPLE])
 
-        alice_i[lo:hi] = ai
-        alice_j[lo:hi] = aj
-        alice_s[lo:hi] = s
-        bob_i[lo:hi] = bu
-        bob_j[lo:hi] = bv
-        outcome[lo:hi] = out
-        bob_bit[lo:hi] = bit
-        offset[lo:hi] = line_offsets(spec, ai, aj, bu, bv)
 
-    log = RoundLog(alice_i, alice_j, alice_s, bob_i, bob_j, outcome, bob_bit, offset)
+def _finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOutput:
+    """Sift, sample, estimate and decide on a complete round log.
 
-    sift_idx = np.flatnonzero(log.sifted)
-    n_sift = len(sift_idx)
-    if n_sift == 0:
-        empty = np.zeros(0, np.uint8)
-        return SessionOutput(empty, empty, _empty_stats(cfg, log), log)
-
-    # Sample selection: one permutation draw, prefix of floor(f * sifted).
-    perm = streams[STREAM_SAMPLE].permutation(n_sift)
-    n_samp = int(cfg.sample_fraction * n_sift)
-    sample_pos = np.sort(perm[:n_samp])
+    A session with no sifted round ends "insufficient-sift" with empty
+    keys and undefined sample rates.
+    """
+    sift_idx = sift_rounds(log.alice_i, log.alice_j, log.bob_i, log.bob_j)
+    sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
     sample_rounds = sift_idx[sample_pos]
-    keep = np.ones(n_sift, bool)
-    keep[sample_pos] = False
-    keep_rounds = sift_idx[keep]
-
-    alice_key = alice_s[keep_rounds].astype(np.uint8)
-    bob_key = bob_bit[keep_rounds].astype(np.uint8)
-
-    samp_click = log.clicked[sample_rounds]
-    samp_err = alice_s[sample_rounds] != bob_bit[sample_rounds]
-    e_b = RateEstimate.from_counts(
-        int(np.count_nonzero(samp_err & samp_click)),
-        int(np.count_nonzero(samp_click)),
+    keep = kept_rounds(sift_idx, sample_pos)
+    clicked = log.clicked
+    e_b, e_b_all = sample_rates(
+        log.alice_s[sample_rounds], log.bob_bit[sample_rounds], clicked[sample_rounds]
     )
-    e_b_all = RateEstimate.from_counts(int(np.count_nonzero(samp_err)), n_samp)
-    e_c = estimate_ec(log, cfg.ec_mode)
+    e_c = accepted_rate(log.offset, clicked, cfg.ec_mode)
     lhs, verdict = condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict)
-
     stats = SessionStats(
-        status="ok",
-        rounds=rounds,
-        sifted_count=n_sift,
-        sample_count=n_samp,
-        outside_in_sifted=int(np.count_nonzero(~log.clicked[sift_idx])),
-        key_length=len(alice_key),
+        status="ok" if len(sift_idx) else "insufficient-sift",
+        rounds=cfg.rounds,
+        sifted_count=len(sift_idx),
+        sample_count=len(sample_pos),
+        outside_in_sifted=int(np.count_nonzero(~clicked[sift_idx])),
+        key_length=len(keep),
         ec_mode=cfg.ec_mode,
         e_b=e_b,
         e_b_all=e_b_all,
@@ -609,77 +613,30 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
         condition_lhs=lhs,
         condition_pass=verdict,
     )
-    return SessionOutput(alice_key, bob_key, stats, log)
+    alice_key = log.alice_s[keep].astype(np.uint8)
+    return SessionOutput(alice_key, log.bob_bit[keep].astype(np.uint8), stats, log)
 
 
 def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
     """Round-at-a-time reference implementation of :func:`run_session`.
 
-    Used by tests to pin the batching invariance; the networked roles
-    follow exactly this draw order across processes.
+    Draws every round through the scalar per-round helpers; tests
+    compare it with the vectorised stages to pin the batching
+    invariance.  The post-round stages are shared with
+    :func:`run_session`.
     """
     spec = FieldSpec.get(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
     streams = spawn_streams(cfg.seed)
     table = pair_table(spec)
-    cols = {name: [] for name in ("ai", "aj", "s", "bi", "bj", "out", "bit", "off")}
+    rows = []
     for _ in range(cfg.rounds):
         prep = draw_alice_round(spec, table, streams[STREAM_ALICE])
         ket = transmit_ket(model, prep.ket(), streams[STREAM_CHANNEL])
         (u, v), out, noise = draw_bob_round(spec, table, ket, streams[STREAM_BOB])
-        cols["ai"].append(prep.i)
-        cols["aj"].append(prep.j)
-        cols["s"].append(prep.s)
-        cols["bi"].append(u)
-        cols["bj"].append(v)
-        cols["out"].append(int(out))
-        cols["bit"].append(decode_bob_bit(out, noise))
-        cols["off"].append(pair_offset(spec, prep.i, prep.j, u, v))
-    log = RoundLog(
-        np.array(cols["ai"], np.int16),
-        np.array(cols["aj"], np.int16),
-        np.array(cols["s"], np.int8),
-        np.array(cols["bi"], np.int16),
-        np.array(cols["bj"], np.int16),
-        np.array(cols["out"], np.int8),
-        np.array(cols["bit"], np.int8),
-        np.array(cols["off"], np.int16),
-    )
-    sift_idx = np.flatnonzero(log.sifted)
-    if len(sift_idx) == 0:
-        empty = np.zeros(0, np.uint8)
-        return SessionOutput(empty, empty, _empty_stats(cfg, log), log)
-    perm = streams[STREAM_SAMPLE].permutation(len(sift_idx))
-    n_samp = int(cfg.sample_fraction * len(sift_idx))
-    sample_pos = np.sort(perm[:n_samp])
-    keep = np.ones(len(sift_idx), bool)
-    keep[sample_pos] = False
-    keep_rounds = sift_idx[keep]
-    alice_key = log.alice_s[keep_rounds].astype(np.uint8)
-    bob_key = log.bob_bit[keep_rounds].astype(np.uint8)
-    sample_rounds = sift_idx[sample_pos]
-    samp_click = log.clicked[sample_rounds]
-    samp_err = log.alice_s[sample_rounds] != log.bob_bit[sample_rounds]
-    e_b = RateEstimate.from_counts(
-        int(np.count_nonzero(samp_err & samp_click)),
-        int(np.count_nonzero(samp_click)),
-    )
-    e_b_all = RateEstimate.from_counts(int(np.count_nonzero(samp_err)), n_samp)
-    e_c = estimate_ec(log, cfg.ec_mode)
-    lhs, verdict = condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict)
-    stats = SessionStats(
-        status="ok",
-        rounds=cfg.rounds,
-        sifted_count=len(sift_idx),
-        sample_count=n_samp,
-        outside_in_sifted=int(np.count_nonzero(~log.clicked[sift_idx])),
-        key_length=len(alice_key),
-        ec_mode=cfg.ec_mode,
-        e_b=e_b,
-        e_b_all=e_b_all,
-        e_c=e_c,
-        counts=_outcome_counts(log),
-        condition_lhs=lhs,
-        condition_pass=verdict,
-    )
-    return SessionOutput(alice_key, bob_key, stats, log)
+        bit = decode_bob_bit(out, noise)
+        off = pair_offset(spec, prep.i, prep.j, u, v)
+        rows.append((prep.i, prep.j, prep.s, u, v, int(out), bit, off))
+    cols = np.array(rows, np.int64).T
+    log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
+    return _finish_session(cfg, log, streams[STREAM_SAMPLE])

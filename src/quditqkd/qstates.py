@@ -281,23 +281,14 @@ def conjugate_bell(
 ) -> BellIndex:
     """Image of Psi_{b,kappa} under (I x L^-1 X_a Z^ell L).
 
-    Implements the shift-plus-norm-phase rule directly: the index moves to
+    The norm-mask case of :func:`conjugate_bell_mask`: the index moves to
     b + a/lam, and kappa flips exactly when ell = 1 and the norms of
     lam*b + beta and lam*(b+1) + beta differ.
     """
-    spec = b.spec
-    _check_same_spec(spec, lam, beta, a)
     if ell not in (0, 1):
         raise ValueError("ell must be 0 or 1")
-    if lam.value == 0:
-        raise ValueError("lam must be nonzero")
-    if kappa not in (0, 1):
-        raise ValueError("kappa must be 0 or 1")
-    lb = spec.mul(lam.value, b.value) ^ beta.value
-    lb1 = spec.mul(lam.value, b.value ^ 1) ^ beta.value
-    flip = ell and spec.norm(lb) != spec.norm(lb1)
-    idx = b.value ^ spec.mul(spec.inv(lam.value), a.value)
-    return BellIndex(FieldElement(spec, idx), kappa ^ int(flip))
+    phase = DiagonalPhase.norm_mask(b.spec) if ell else DiagonalPhase.zero(b.spec)
+    return conjugate_bell_mask(lam, beta, a, phase, b, kappa)
 
 
 def probabilities(

@@ -907,3 +907,83 @@ class TestOversizedFrames:
         assert rep_b.status == f"peer-abort:{ABORT_FRAME_TOO_LARGE}"
         for rep in (rep_a, rep_b):
             assert rep.exit_code == 1
+
+
+class TestEngineEquivalenceGrid:
+    """Wire roles against the engine beyond n = 2, in_pair and k <= 1."""
+
+    @pytest.mark.parametrize("k", [0, 2])
+    @pytest.mark.parametrize("ec_mode", ["in_pair", "announced"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_roles_match_engine(self, n, ec_mode, k):
+        seed = 23
+        session = SessionConfig(
+            n=n, rounds=10_000, seed=seed, sample_fraction=0.37,
+            ec_mode=ec_mode, condition_strict=False,
+        )
+        params = DistillParams(k, 3 if k else 1)
+        rep_a, rep_b = _run_pair(
+            RoleConfig("alice", session, params), RoleConfig("bob", session, params)
+        )
+        engine = run_session(session)
+        want = dict(_expected_shared(engine.stats), n=n)
+        for rep in (rep_a, rep_b):
+            assert {key: rep.shared[key] for key in want} == want
+
+        if ec_mode == "announced":
+            # e_c = 2/N puts the left side at (N-1)/N > 1/2
+            assert not engine.stats.condition_pass
+            for rep in (rep_a, rep_b):
+                assert rep.status == ABORT_CONDITION
+                assert rep.exit_code == 2
+                assert rep.final_key is None
+            return
+
+        assert engine.stats.condition_pass
+        assert rep_a.status == rep_b.status == "pass"
+        ref = _reference_keys(engine, params, seed)
+        assert rep_a.final_key == ref.alice_out.tolist()
+        assert rep_b.final_key == ref.bob_out.tolist()
+        assert rep_a.shared["kept_per_stage"] == [s.kept for s in ref.stages]
+        assert rep_a.shared["survivors"] == ref.survivor_count
+        assert rep_a.shared["blocks"] == ref.n_blocks
+        assert rep_a.shared["disagreements"] == ref.disagreement_count
+        assert rep_a.shared == rep_b.shared
+
+
+class TestSampleRevealChecks:
+    """Bob rejects a sample reveal that does not fit his own sift list."""
+
+    @pytest.mark.parametrize(
+        "rounds, detail",
+        [
+            ([0, 1], "unsifted"),  # round 1 was not sifted
+            ([0, 49], "unsifted"),  # past the last sifted round
+            ([0, 2, 4], "sample size"),  # floor(0.1 * 25) = 2 rounds
+        ],
+    )
+    def test_bad_sample_against_bob(self, rounds, detail):
+        cfg = _role_cfg("bob", SessionConfig(n=2, rounds=50, seed=0))
+
+        def script(link):
+            link.send(FrameType.CONFIG, encode_json(handshake_facts(cfg)))
+            link.expect(FrameType.CONFIG)
+            link.send(
+                FrameType.QUDIT,
+                encode_qudit_batch(np.zeros(50), np.ones(50), np.zeros(50)),
+            )
+            u, v, _ = decode_outcome_batch(link.expect(FrameType.OUTCOME_ANNOUNCE), 50, 4)
+            # alice's pair equals bob's on even rounds only
+            other = np.where(u == 0, 2, 0), np.where(u == 0, 3, 1)
+            even = np.arange(50) % 2 == 0
+            i, j = np.where(even, u, other[0]), np.where(even, v, other[1])
+            link.send(FrameType.PAIR_ANNOUNCE, encode_pair_batch(i, j))
+            link.send(FrameType.SIFT_ACCEPT, encode_index_list(np.arange(0, 50, 2)))
+            reveal = encode_sample_reveal(np.array(rounds), np.zeros(len(rounds)))
+            link.send(FrameType.SAMPLE_REVEAL, reveal)
+            link.expect(FrameType.SAMPLE_REVEAL)
+
+        rep = TestFuzzing._probe_role(run_bob, cfg, script)
+        assert rep.status == "protocol-error"
+        assert rep.exit_code == 1
+        assert detail in rep.extra["detail"]
