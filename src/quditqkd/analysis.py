@@ -19,15 +19,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .channels import (
+    KIND_DEPHASE,
+    KIND_INTERCEPT,
     ChannelModel,
-    InterceptResend,
-    RandomDephase,
-    UnitaryTerm,
     UnsupportedModelError,
+    as_probability,
 )
 from .field import FieldSpec
-from .qstates import DiagonalPhase, conjugate_bell_mask
 
 Probability = Fraction | float
 
@@ -78,36 +79,34 @@ def bell_distribution(model: ChannelModel) -> BellDistribution:
     Starting from the reference outcome (0, 0), each unitary term with
     shift c and mask f lands on index c/lam with sign bit
     f(beta) ^ f(lam + beta), averaged uniformly over lam != 0 and beta.
+    Per distinct mask and lam the sign flips are counted as integers,
+    #{beta : f(beta) != f(beta ^ lam)}; a RandomDephase term flips for
+    exactly half of the beta, since the two support labels differ.
+    Fractions are formed once per distinct term probability, at the end.
     Intercept-resend terms are not unitary and are rejected.
     """
+    if model.has_intercept():
+        raise UnsupportedModelError(
+            "bell_distribution requires a unitary-mixture channel"
+        )
     spec = model.spec
     N = spec.order
-    e: dict[tuple[int, int], Fraction] = {}
-    w_pair = Fraction(1, (N - 1) * N)
-    b0 = spec.el(0)
-    for p, action in model.terms:
-        if isinstance(action, InterceptResend):
-            raise UnsupportedModelError(
-                "bell_distribution requires a unitary-mixture channel"
-            )
-        if isinstance(action, RandomDephase):
-            # Uniform masks flip the sign bit with probability exactly 1/2
-            # for any (lam, beta), since the two support labels differ.
-            half = p / 2
-            e[(0, 0)] = e.get((0, 0), Fraction(0)) + half
-            e[(0, 1)] = e.get((0, 1), Fraction(0)) + half
-            continue
-        assert isinstance(action, UnitaryTerm)
-        phase = DiagonalPhase(spec, action.mask)
-        a_el = spec.el(action.shift)
-        for lam in range(1, N):
-            lam_el = spec.el(lam)
-            for beta in range(N):
-                out = conjugate_bell_mask(
-                    lam_el, spec.el(beta), a_el, phase, b0, 0
-                )
-                key = (out.a.value, out.ell)
-                e[key] = e.get(key, Fraction(0)) + p * w_pair
+    lam = np.arange(1, N)
+    masks, mask_id = np.unique(model.sign_bits, axis=0, return_inverse=True)
+    flips = (masks[:, None, :] != masks[:, lam[:, None] ^ np.arange(N)]).sum(axis=2)
+    flips = np.where((model.kind == KIND_DEPHASE)[:, None], N // 2, flips[mask_id])
+    # landing index c/lam of each (term, lam); mul_table is uint8, and the
+    # int64 weight ids widen the cell index before it could wrap at n = 8
+    land = spec.mul_table[spec.inv_table[lam][None, :], model.shift[:, None]]
+    cell = (model.weight_id[:, None] * N + land) * 2
+    counts = np.zeros((len(model.weights), N, 2), np.int64)
+    np.add.at(counts.reshape(-1), cell, N - flips)
+    np.add.at(counts.reshape(-1), cell + 1, flips)
+    scale = Fraction(1, N * (N - 1))
+    e = {
+        (int(a), int(ell)): scale * model.weighted(counts[:, a, ell])
+        for a, ell in zip(*np.nonzero(counts.any(axis=0)))
+    }
     return BellDistribution(spec, e)
 
 
@@ -202,46 +201,19 @@ def check_ed_condition(d: BellDistribution) -> EdVerdict:
 
 
 def intercept_distribution(eta, spec: FieldSpec) -> tuple[Fraction, Fraction]:
-    """Exact (e_b, e_c) for the partial intercept-resend channel.
+    """Exact (e_b, e_c) = (eta/2, 1) for the partial intercept-resend channel.
 
-    Computed by enumerating outcome probabilities over all of Bob's pair
-    choices with Alice's pair fixed at {0, 1}; affine relabellings act
-    transitively on ordered pairs and commute with a computational-basis
-    intercept, so the fixed pair loses no generality.
+    An intercept collapses Alice's state onto |i> or |j> of her pair
+    {i, j}.  A pair of Bob's clicks in-pair on the collapsed state only
+    if it holds that index, and the one such pair on Alice's line is
+    {i, j} itself; the same holds for the untouched state.  So every
+    in-pair click on the line is accepted: e_c = 1.  On {i, j} the
+    collapsed state gives Plus or Minus with probability 1/2 each
+    whatever Alice's sign, and the untouched state never errs, so half
+    of the intercepted rounds err: e_b = eta/2.  Neither rate depends on
+    the field ``spec``.
     """
-    from .channels import as_probability
-
-    eta = as_probability(eta)
-    N = spec.order
-    pairs = [(u, v) for u in range(N) for v in range(u + 1, N)]
-    i, j = 0, 1
-    err = inpair = num = den = Fraction(0)
-    for s in (0, 1):
-        w_s = Fraction(1, 2)
-        # branch list: (probability, {index: signed indicator}, term count)
-        branches = [
-            (1 - eta, {i: 1, j: -1 if s else 1}, 2),
-            (eta / 2, {i: 1}, 1),
-            (eta / 2, {j: 1}, 1),
-        ]
-        for bp, amp, ln in branches:
-            if bp == 0:
-                continue
-            for u, v in pairs:
-                cu, cv = amp.get(u, 0), amp.get(v, 0)
-                p_plus = Fraction((cu + cv) ** 2, 2 * ln)
-                p_minus = Fraction((cu - cv) ** 2, 2 * ln)
-                w = w_s * bp * Fraction(1, len(pairs))
-                same = (u, v) == (i, j)
-                on_line = (u ^ v) == (i ^ j)
-                if on_line:
-                    den += w * (p_plus + p_minus)
-                    if same:
-                        num += w * (p_plus + p_minus)
-                if same:
-                    inpair += w * (p_plus + p_minus)
-                    err += w * (p_minus if s == 0 else p_plus)
-    return err / inpair, num / den
+    return as_probability(eta) / 2, Fraction(1)
 
 
 def analysis_report(model: ChannelModel) -> dict:
@@ -251,15 +223,14 @@ def analysis_report(model: ChannelModel) -> dict:
     spec = model.spec
     report: dict = {"n": spec.n, "modulus": hex(spec.modulus)}
     if model.has_intercept():
-        for p, act in model.terms:
-            if not isinstance(act, (InterceptResend, UnitaryTerm)) or (
-                isinstance(act, UnitaryTerm) and (act.shift or act.mask)
-            ):
-                raise UnsupportedModelError(
-                    "mixed intercept channels are out of scope for analysis"
-                )
-        eta = sum(p for p, a in model.terms if isinstance(a, InterceptResend))
-        e_b, e_c = intercept_distribution(eta, spec)
+        intercept = model.kind == KIND_INTERCEPT
+        noisy = (model.kind == KIND_DEPHASE) | (model.shift != 0) | model.sign_bits.any(axis=1)
+        if (noisy & ~intercept).any():
+            raise UnsupportedModelError(
+                "mixed intercept channels are out of scope for analysis"
+            )
+        counts = np.bincount(model.weight_id[intercept], minlength=len(model.weights))
+        e_b, e_c = intercept_distribution(model.weighted(counts), spec)
         passes = check_pm_condition(e_b, e_c, spec.n)
         lhs = pm_condition_lhs(e_b, e_c, spec.n)
         report.update(

@@ -11,6 +11,14 @@ actions.  Three action kinds cover the workbench:
 * ``InterceptResend()``: measure in the computational basis and resend
   the collapsed single-index state.
 
+Each model is compiled once, at construction, into read-only term
+arrays: ``kind`` (one of KIND_UNITARY, KIND_DEPHASE, KIND_INTERCEPT),
+``shift``, ``sign_bits`` (bit y of each term's mask for every index
+y < N, zero for non-unitary terms) and ``weight_id`` into the distinct
+probabilities ``weights``.  The session engine and the closed-form
+analysis read these arrays by term index; ``apply_term`` and
+``transmit`` below stay as the per-ket scalar reference.
+
 Channel specs can also be given as strings, e.g. ``"z_flip:0.3"``,
 ``"shift_noise:0.2"``, ``"partial_intercept:0.4"``, ``"full_dephase"``,
 ``"identity"``, or ``"custom:[(0.9,a=0,f=0x0),(0.1,a=1,f=0x6)]"``.
@@ -56,6 +64,13 @@ class RandomDephase:
 
 Action = UnitaryTerm | InterceptResend | RandomDephase
 
+KIND_UNITARY, KIND_DEPHASE, KIND_INTERCEPT = 0, 1, 2
+_KINDS = {
+    UnitaryTerm: KIND_UNITARY,
+    RandomDephase: KIND_DEPHASE,
+    InterceptResend: KIND_INTERCEPT,
+}
+
 
 def as_probability(x) -> Fraction:
     """Coerce a numeric or decimal-string probability to an exact Fraction.
@@ -89,7 +104,7 @@ class ChannelModel:
                 spec.check(act.shift)
                 if not 0 <= act.mask < (1 << spec.order):
                     raise ValueError(f"mask {act.mask:#x} out of range")
-            elif not isinstance(act, (InterceptResend, RandomDephase)):
+            elif type(act) not in _KINDS:
                 raise TypeError(f"unknown action {act!r}")
             total += p
         if total != 1:
@@ -98,20 +113,33 @@ class ChannelModel:
         self.terms: tuple[tuple[Fraction, Action], ...] = tuple(
             (p, a) for p, a in terms if p > 0
         )
-        self._cum = np.cumsum([float(p) for p, _ in self.terms])
-        self._cum[-1] = 1.0
-        self._cum.setflags(write=False)
+        # cumulative float weights used for term sampling
+        self.cum_weights = np.cumsum([float(p) for p, _ in self.terms])
+        self.cum_weights[-1] = 1.0
+        acts = [a for _, a in self.terms]
+        self.kind = np.array([_KINDS[type(a)] for a in acts], np.int8)
+        self.shift = np.array([getattr(a, "shift", 0) for a in acts], np.int16)
+        width = (spec.order + 7) // 8
+        masks = b"".join(getattr(a, "mask", 0).to_bytes(width, "little") for a in acts)
+        raw = np.frombuffer(masks, np.uint8).reshape(len(acts), width)
+        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        self.sign_bits = bits[:, : spec.order].view(np.int8)
+        ids: dict[Fraction, int] = {}
+        self.weight_id = np.array([ids.setdefault(p, len(ids)) for p, _ in self.terms])
+        self.weights = tuple(ids)
+        for arr in (self.cum_weights, self.kind, self.shift, self.sign_bits, self.weight_id):
+            arr.setflags(write=False)
 
-    @property
-    def cum_weights(self) -> np.ndarray:
-        """Cumulative float weights used for term sampling."""
-        return self._cum
-
-    def sample_term_index(self, u: float) -> int:
-        return min(int(np.searchsorted(self._cum, u, side="right")), len(self.terms) - 1)
+    def sample_term_index(self, u):
+        """Term index of a uniform, or of each in an array (top edge clamped)."""
+        return np.minimum(np.searchsorted(self.cum_weights, u, side="right"), len(self.terms) - 1)
 
     def has_intercept(self) -> bool:
-        return any(isinstance(a, InterceptResend) for _, a in self.terms)
+        return bool((self.kind == KIND_INTERCEPT).any())
+
+    def weighted(self, counts) -> Fraction:
+        """Exact sum of counts[w] * weights[w] over the distinct probabilities."""
+        return sum((p * int(c) for p, c in zip(self.weights, counts) if c), Fraction(0))
 
     def __repr__(self) -> str:
         return f"ChannelModel({self.spec!r}, {len(self.terms)} terms)"

@@ -42,17 +42,6 @@ def poly_degree(p: int) -> int:
     return p.bit_length() - 1
 
 
-def poly_mul(a: int, b: int) -> int:
-    """Carry-less product of two GF(2) polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
-
-
 def poly_mod(a: int, m: int) -> int:
     """Remainder of a GF(2) polynomial a modulo m."""
     dm = poly_degree(m)
@@ -217,10 +206,6 @@ class FieldSpec:
 
     def elements(self) -> Iterator["FieldElement"]:
         for v in range(self._order):
-            yield FieldElement(self, v)
-
-    def nonzero_elements(self) -> Iterator["FieldElement"]:
-        for v in range(1, self._order):
             yield FieldElement(self, v)
 
     # -- identity -------------------------------------------------------------

@@ -414,21 +414,11 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     timeouts: list[str] = []
     io_notes: list[str] = []
 
-    def alice_to_bob() -> None:
-        done = 0
+    def relay(src: Link, dst: Link, rewrite) -> None:
         try:
             while True:
-                ftype, payload = la.recv()
-                if ftype == FrameType.QUDIT:
-                    # after the last window the expected count is 0
-                    w = min(WINDOW, session.rounds - done)
-                    kets = decode_qudit_batch(payload, w, spec.order)
-                    m1, m2, sigma, terms = transmit(model, *kets, rng)
-                    payload = encode_qudit_batch(m1, m2, sigma)
-                    rnd = np.arange(done, done + w)
-                    audit.extend(np.column_stack((rnd, terms)).tolist())
-                    done += w
-                lb.send(ftype, payload)
+                ftype, payload = src.recv()
+                dst.send(ftype, rewrite(ftype, payload))
         except PeerDisconnect:
             pass
         except ProtocolViolation as exc:
@@ -442,32 +432,28 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             # simply finished (mutual aborts close both ends at once)
             io_notes.append(str(exc))
         finally:
-            lb.close_write()
+            dst.close_write()
 
-    def bob_to_alice() -> None:
-        try:
-            while True:
-                ftype, payload = lb.recv()
-                la.send(ftype, payload)
-        except PeerDisconnect:
-            pass
-        except ProtocolViolation as exc:
-            errors.append(str(exc))
-            la.send_abort(ABORT_PROTOCOL)
-            lb.send_abort(ABORT_PROTOCOL)
-        except TimeoutError as exc:
-            timeouts.append(str(exc))
-        except OSError as exc:
-            io_notes.append(str(exc))
-        finally:
-            la.close_write()
+    def push_qudits(ftype: FrameType, payload: bytes) -> bytes:
+        if ftype != FrameType.QUDIT:
+            return payload
+        # audit holds one row per round relayed so far; after the last
+        # window the expected count is 0
+        done = len(audit)
+        w = min(WINDOW, session.rounds - done)
+        kets = decode_qudit_batch(payload, w, spec.order)
+        m1, m2, sigma, terms = transmit(model, *kets, rng)
+        audit.extend(np.column_stack((np.arange(done, done + w), terms)).tolist())
+        return encode_qudit_batch(m1, m2, sigma)
 
-    downstream = threading.Thread(target=alice_to_bob, name="eve-a2b")
-    upstream = threading.Thread(target=bob_to_alice, name="eve-b2a")
-    downstream.start()
-    upstream.start()
-    downstream.join()
-    upstream.join()
+    threads = [
+        threading.Thread(target=relay, args=(la, lb, push_qudits), name="eve-a2b"),
+        threading.Thread(target=relay, args=(lb, la, lambda _, payload: payload), name="eve-b2a"),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
     report.extra = {
         "audit_terms": audit,
         "errors": errors,

@@ -35,13 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    ChannelModel,
-    InterceptResend,
-    RandomDephase,
-    UnitaryTerm,
-    resolve_channel,
-)
+from .channels import KIND_DEPHASE, KIND_INTERCEPT, ChannelModel, resolve_channel
 from .channels import transmit as transmit_ket
 from .field import FieldSpec
 from .qstates import Outcome, PairState, SparseKet, decide_outcome, probabilities
@@ -56,7 +50,10 @@ STREAM_SAMPLE = 3
 STREAM_PAIRING = 4
 _STREAM_COUNT = 5
 
-_ENGINE_CHUNK = 1 << 18
+# Chunking leaves results unchanged; 2^17 (not 2^18) keeps transmit's
+# chunk temporaries small enough for glibc to return the heap after a
+# session, which at 2^18 slowed the next small session by up to 40%.
+_ENGINE_CHUNK = 1 << 17
 
 EC_MODES = ("in_pair", "announced")
 
@@ -257,13 +254,15 @@ class RoundLog:
 
     def record(self, idx: int) -> RoundRecord:
         off = int(self.offset[idx])
+        alice = (int(self.alice_i[idx]), int(self.alice_j[idx]))
+        bob = (int(self.bob_i[idx]), int(self.bob_j[idx]))
         return RoundRecord(
             idx,
-            (int(self.alice_i[idx]), int(self.alice_j[idx])),
+            alice,
             int(self.alice_s[idx]),
-            (int(self.bob_i[idx]), int(self.bob_j[idx])),
+            bob,
             Outcome(int(self.outcome[idx])),
-            bool(self.sifted[idx]),
+            alice == bob,
             None if off < 0 else off,
         )
 
@@ -389,53 +388,35 @@ def prepare(table: np.ndarray, rng, count: int):
     return i, j, (draw[:, 1] >= 0.5).astype(np.int8)
 
 
-def _phase_bits(mask: int, order: int) -> np.ndarray:
-    """Bit y of a diagonal sign mask at index y, for y < order."""
-    raw = np.frombuffer(mask.to_bytes((order + 7) // 8, "little"), np.uint8)
-    return np.unpackbits(raw, bitorder="little")[:order].view(np.int8)
-
-
 def transmit(model: ChannelModel, k1, k2, sigma, rng):
     """Channel stage: push a ket batch through ``model``.
 
     Draws two uniforms per ket (term, auxiliary) and returns the output
-    columns (k1, k2, sigma) with the drawn term index of each ket.
+    columns (k1, k2, sigma) with the drawn term index of each ket.  Each
+    ket reads its drawn term's row of the compiled term arrays.
     """
-    count = len(k1)
-    draw = rng.random((count, 2))
-    terms = model.terms
-    t = np.minimum(
-        np.searchsorted(model.cum_weights, draw[:, 0], side="right"), len(terms) - 1
-    )
-    aux = draw[:, 1]
-    single = k2 < 0
-    # A single-term ket rides the term loop as the degenerate pair {k1, k1}:
-    # shifts and sign masks then act on it correctly, and the fix-up after
-    # the loop restores its canonical form (no second index, sign +).
-    k2 = np.where(single, k1, k2)
-    m1 = k1.copy()
-    m2 = k2.copy()
-    sig = sigma.copy()
-    for ti in np.flatnonzero(np.bincount(t, minlength=len(terms))):
-        action = terms[ti][1]
-        rows = t == ti
-        if isinstance(action, UnitaryTerm):
-            if action.mask:
-                ph = _phase_bits(action.mask, model.spec.order)
-                sig[rows] ^= ph[k1[rows]] ^ ph[k2[rows]]
-            x1 = k1[rows] ^ action.shift
-            x2 = k2[rows] ^ action.shift
-            m1[rows] = np.minimum(x1, x2)
-            m2[rows] = np.maximum(x1, x2)
-        elif isinstance(action, RandomDephase):
-            sig[rows] ^= aux[rows] < 0.5
-        else:
-            assert isinstance(action, InterceptResend)
-            m1[rows] = np.where(aux[rows] < 0.5, k1[rows], k2[rows])
-            m2[rows] = -1
-            sig[rows] = 0
-    m2[single] = -1
-    sig[single] = 0
+    draw = rng.random((len(k1), 2))
+    t = model.sample_term_index(draw[:, 0])
+    heads = draw[:, 1] < 0.5
+    kind = model.kind[t]
+    # A single-term ket is handled as the degenerate pair {k1, k1}: shifts
+    # and sign masks then act on it correctly, and the collapse below
+    # restores its canonical form (no second index, sign +).
+    collapse = k2 < 0
+    k2 = np.where(collapse, k1, k2)
+    bits = model.sign_bits
+    sig = sigma ^ bits[t, k1] ^ bits[t, k2] ^ (heads & (kind == KIND_DEPHASE))
+    shift = model.shift[t]
+    x1 = k1 ^ shift
+    x2 = k2 ^ shift
+    m1 = np.minimum(x1, x2)
+    m2 = np.maximum(x1, x2)
+    # intercept-resend (shift 0, so m1 = k1 and m2 = k2): heads keeps k1
+    intercept = kind == KIND_INTERCEPT
+    m1 = np.where(intercept & ~heads, m2, m1)
+    collapse |= intercept
+    m2[collapse] = -1
+    sig[collapse] = 0
     return m1, m2, sig, t
 
 

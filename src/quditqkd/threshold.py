@@ -49,8 +49,7 @@ class FeasibilityPoint:
 
 def f_value(p: FeasibilityPoint):
     """The quadratic figure of merit; positive means distillable."""
-    order = 1 << p.n
-    bracket = 1 - p.e_b * p.e_c - order * (1 - p.e_c) / (order - 2) + 2 * p.e_11
+    bracket = bracket_value(p)
     return bracket * bracket - p.e_b * (1 - p.e_b) * p.e_c * p.e_c
 
 

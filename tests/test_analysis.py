@@ -20,6 +20,7 @@ from quditqkd.analysis import (
 )
 from quditqkd.channels import (
     UnsupportedModelError,
+    custom,
     full_dephase,
     identity,
     partial_intercept,
@@ -27,6 +28,7 @@ from quditqkd.channels import (
     z_flip,
 )
 from quditqkd.field import field_spec
+from quditqkd.qstates import DiagonalPhase, conjugate_bell_mask
 
 from oracles import exact_distill_lhs, observed_rates, random_exact_distribution
 
@@ -37,7 +39,7 @@ class TestBellDistribution:
             d = bell_distribution(identity(field_spec(n)))
             assert d.e == {(0, 0): Fraction(1)}
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_z_flip_table(self, n):
         spec = field_spec(n)
         q = Fraction(3, 10)
@@ -49,7 +51,7 @@ class TestBellDistribution:
         assert d.total() == 1
         d.validate()
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
     def test_shift_noise_table(self, n):
         spec = field_spec(n)
         eta = Fraction(1, 5)
@@ -101,6 +103,53 @@ class TestBellDistribution:
         d.validate(tol=1e-9)
         with pytest.raises(ValueError):
             d.validate(tol=1e-15)
+
+
+def _per_term_bell(model):
+    """Reference table: one conjugate_bell_mask call per (term, lam, beta)."""
+    spec = model.spec
+    N = spec.order
+    w_pair = Fraction(1, N * (N - 1))
+    e = {}
+    for p, action in model.terms:
+        phase = DiagonalPhase(spec, action.mask)
+        for lam in range(1, N):
+            for beta in range(N):
+                out = conjugate_bell_mask(
+                    spec.el(lam), spec.el(beta), spec.el(action.shift), phase, spec.el(0), 0
+                )
+                key = (out.a.value, out.ell)
+                e[key] = e.get(key, Fraction(0)) + p * w_pair
+    return e
+
+
+class TestBellDistributionDifferential:
+    """The integer flip counts against the per-term conjugation rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_custom_channels(self, n):
+        spec = field_spec(n)
+        rng = np.random.default_rng(40 + n)
+        for _ in range(6):
+            terms = int(rng.integers(1, 7))
+            # few distinct weights, shifts and masks so that terms share them
+            weights = rng.integers(1, 4, terms)
+            masks = rng.integers(0, 1 << spec.order, 3)
+            triples = [
+                (
+                    Fraction(int(wt), int(weights.sum())),
+                    int(rng.integers(spec.order)),
+                    int(rng.choice(masks)),
+                )
+                for wt in weights
+            ]
+            model = custom(spec, triples)
+            assert bell_distribution(model).e == _per_term_bell(model)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_full_dephase_enumeration(self, n):
+        model = full_dephase(field_spec(n))
+        assert bell_distribution(model).e == _per_term_bell(model)
 
 
 class TestPredictObservables:
@@ -200,7 +249,7 @@ class TestInterceptDistribution:
     def test_partial_scales_linearly(self):
         e_b, e_c = intercept_distribution(0.4, field_spec(2))
         assert (e_b, e_c) == (Fraction(1, 5), 1)
-        for n in (3, 4):
+        for n in (3, 4, 5, 6, 7, 8):
             e_b, e_c = intercept_distribution(0.4, field_spec(n))
             assert (e_b, e_c) == (Fraction(1, 5), 1)
 

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditqkd.channels import (
+    KIND_DEPHASE,
+    KIND_INTERCEPT,
+    KIND_UNITARY,
     ChannelModel,
     InterceptResend,
     RandomDephase,
@@ -142,6 +145,27 @@ class TestModelValidation:
     def test_empty_terms_rejected(self):
         with pytest.raises(ValueError):
             ChannelModel(field_spec(2), [])
+
+    def test_compiled_term_arrays(self):
+        spec = field_spec(8)
+        model = ChannelModel(
+            spec,
+            [
+                (Fraction(1, 4), UnitaryTerm(3, (1 << 200) | 0b101)),
+                (Fraction(1, 4), RandomDephase()),
+                (Fraction(1, 2), InterceptResend()),
+            ],
+        )
+        assert model.kind.tolist() == [KIND_UNITARY, KIND_DEPHASE, KIND_INTERCEPT]
+        assert model.shift.tolist() == [3, 0, 0]
+        assert model.sign_bits.shape == (3, 256)
+        assert np.flatnonzero(model.sign_bits[0]).tolist() == [0, 2, 200]
+        assert not model.sign_bits[1:].any()
+        assert model.weights == (Fraction(1, 4), Fraction(1, 2))
+        assert model.weight_id.tolist() == [0, 0, 1]
+        assert model.weighted([3, 1]) == Fraction(5, 4)
+        for arr in (model.kind, model.shift, model.sign_bits, model.weight_id):
+            assert not arr.flags.writeable
 
     def test_cum_weights_read_only(self):
         model = identity(field_spec(2))

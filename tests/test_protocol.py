@@ -298,6 +298,25 @@ class TestRoundLog:
         assert isinstance(rec.outcome, Outcome)
         assert rec.alice_pair[0] < rec.alice_pair[1]
 
+    def test_record_reads_only_its_row(self):
+        log = run_session(SessionConfig(n=2, rounds=300, channel="z_flip:0.3", seed=5)).log
+        sifted = log.sifted
+        assert sifted.any() and not sifted.all()
+
+        class NoSiftedColumn(protocol.RoundLog):
+            @property
+            def sifted(self):
+                raise AssertionError("record must not build the whole sifted column")
+
+        cols = ("alice_i", "alice_j", "alice_s", "bob_i", "bob_j", "outcome", "bob_bit", "offset")
+        lean = NoSiftedColumn(*(getattr(log, c) for c in cols))
+        for r in range(len(log)):
+            rec = lean.record(r)
+            assert rec.sifted == bool(sifted[r])
+            assert rec.alice_pair == (log.alice_i[r], log.alice_j[r])
+            assert rec.bob_pair == (log.bob_i[r], log.bob_j[r])
+            assert rec.outcome == log.outcome[r]
+
     def test_estimate_ec_empty_log_rejected(self):
         out = run_session(SessionConfig(n=2, rounds=10, seed=0))
         with pytest.raises(ValueError):
@@ -350,7 +369,7 @@ class TestStages:
         "channel",
         TestEngineEquivalence.CHANNELS + ["custom:[(1/2,a=1,f=0x6),(1/2,a=3,f=0x9)]"],
     )
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
     def test_transmit_matches_apply_term_on_mixed_kets(self, n, channel):
         spec = field_spec(n)
         model = resolve_channel(channel, spec)
@@ -369,6 +388,14 @@ class TestStages:
                 assert sig[r] == 0
             assert SparseKet(spec, tuple(terms_got)) == want, r
             assert terms[r] == model.sample_term_index(draws[r, 0])
+
+    def test_transmit_matches_apply_term_on_high_mask_bits(self):
+        # n = 8 masks are 32 bytes wide: one sets every byte, one only bits
+        # at 64 and above
+        dense = int("a5" * 32, 16)
+        high = (1 << 255) | (1 << 129) | (1 << 64)
+        channel = f"custom:[(1/3,a=5,f={dense:#x}),(2/3,a=200,f={high:#x})]"
+        self.test_transmit_matches_apply_term_on_mixed_kets(8, channel)
 
     def test_measure_matches_draw_bob_round_on_mixed_kets(self):
         spec = field_spec(3)
