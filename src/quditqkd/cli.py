@@ -16,9 +16,10 @@ verification mismatch.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -46,9 +47,16 @@ EXIT_ERROR = 1
 EXIT_EXPECTED_FAIL = 2
 
 
-def _defaults(cls) -> dict:
-    """Field name -> default of a dataclass, the one source of built-ins."""
-    return {f.name: f.default for f in fields(cls)}
+def _defaults(source, *names: str) -> dict:
+    """Name -> default of a dataclass's fields or a function's parameters.
+
+    The one source of built-ins; ``names`` picks some of them, in order.
+    """
+    if is_dataclass(source):
+        found = {f.name: f.default for f in fields(source)}
+    else:
+        found = {p.name: p.default for p in inspect.signature(source).parameters.values()}
+    return {name: found[name] for name in names} if names else found
 
 
 def _from_merged(cls, merged: dict):
@@ -58,13 +66,12 @@ def _from_merged(cls, merged: dict):
 
 SESSION_DEFAULTS = _defaults(SessionConfig)
 
-ANALYZE_DEFAULTS = {"n": 2, "channel": "identity", "modulus": None}
+ANALYZE_DEFAULTS = _defaults(SessionConfig, "n", "channel", "modulus")
 
 DISTILL_DEFAULTS = {
     "matrix": None,
     "channel": None,
-    "n": 2,
-    "modulus": None,
+    **_defaults(SessionConfig, "n", "modulus"),
     "auto_params": False,
     "k": None,
     "r": None,
@@ -73,9 +80,12 @@ DISTILL_DEFAULTS = {
     "seed": 0,
 }
 
-THRESHOLD_DEFAULTS = {"n": 2, "grid": 2000, "ec_samples": 64}
+THRESHOLD_DEFAULTS = {
+    **_defaults(SessionConfig, "n"),
+    **_defaults(e_max_scan, "grid", "ec_samples"),
+}
 
-VERIFY_DEFAULTS = {"samples": 2000, "seed": 0}
+VERIFY_DEFAULTS = _defaults(verify_mod.run_all)
 
 NETRUN_DEFAULTS = dict(
     SESSION_DEFAULTS,

@@ -385,10 +385,7 @@ class DistillationReport:
 
     @property
     def out_tallies(self) -> dict[tuple[int, int], int]:
-        tallies: dict[tuple[int, int], int] = {}
-        for xb, zb in zip(self.out_x.tolist(), self.out_z.tolist()):
-            tallies[(xb, zb)] = tallies.get((xb, zb), 0) + 1
-        return tallies
+        return _label_tallies(self.out_x, self.out_z)
 
     def to_json_dict(self) -> dict:
         return {
@@ -411,11 +408,9 @@ class DistillationReport:
 
 
 def _label_tallies(x: np.ndarray, z: np.ndarray) -> dict[tuple[int, int], int]:
-    tallies: dict[tuple[int, int], int] = {}
-    code = x.astype(np.int64) * 2 + z
-    for c, k in zip(*np.unique(code, return_counts=True)):
-        tallies[(int(c) // 2, int(c) % 2)] = int(k)
-    return tallies
+    """Count of each (x, z) label pair present; empty labels give {}."""
+    code = np.asarray(x, np.int64) * 2 + z
+    return {(c // 2, c % 2): int(k) for c, k in enumerate(np.bincount(code)) if k}
 
 
 def expected_stage_lengths(m, k: int, initial_length: int) -> tuple[float, ...]:
@@ -498,7 +493,7 @@ def simulate_distillation(
         x = x[kept_first] ^ x[kept_second]
         z = z[kept_first]
     survivors = len(bits)
-    tallies = _label_tallies(x, z) if survivors else {}
+    tallies = _label_tallies(x, z)
     r = params.r
     n_blocks = survivors // r
     used = n_blocks * r

@@ -17,15 +17,17 @@ irreducible polynomials:
 
 Any other irreducible polynomial of the right degree may be supplied;
 irreducibility is verified at construction by exhaustive trial division.
-A ``FieldSpec`` is immutable after construction and safe to share across
-threads.  Its multiplication and inverse tables are exposed as numpy
-arrays for vectorised callers.
+A ``FieldSpec`` is a frozen value, safe to share across threads.  Its
+multiplication table is built with array operations, one shift-and-add
+over every (a, b) pair at once, and the inverse of each a is the column
+where row a of that table holds 1; both are read-only uint8 numpy arrays
+for vectorised callers.  ``field_spec`` is the cached constructor: it
+returns one shared spec per (n, modulus).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,15 +71,25 @@ def smallest_irreducible(n: int) -> int:
     raise AssertionError("no irreducible polynomial of degree %d" % n)
 
 
+@dataclass(frozen=True)
 class FieldSpec:
     """An instance of GF(2^n) with a fixed reduction modulus.
 
-    Provides raw integer arithmetic (``add``, ``mul``, ``inv``, ``pow``,
-    ``norm``) plus table views for vectorised code.  Use ``el`` to wrap
-    values in :class:`FieldElement` for operator syntax.
+    Provides raw integer arithmetic (``mul``, ``inv``, ``pow``, ``norm``)
+    plus the read-only tables ``mul_table`` (N, N) and ``inv_table``
+    (length N, entry 0 unused) for vectorised code.  Use ``el`` to wrap
+    values in :class:`FieldElement` for operator syntax.  Two specs are
+    equal when their degree and resolved modulus are.
     """
 
-    def __init__(self, n: int, modulus: int | None = None):
+    n: int
+    modulus: int | None = None
+    order: int = field(init=False, compare=False, repr=False)
+    mul_table: np.ndarray = field(init=False, compare=False, repr=False)
+    inv_table: np.ndarray = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n, modulus = self.n, self.modulus
         if not MIN_N <= n <= MAX_N:
             raise ValueError(f"n must be in [{MIN_N}, {MAX_N}], got {n}")
         if modulus is None:
@@ -88,98 +100,39 @@ class FieldSpec:
             )
         if not is_irreducible(modulus):
             raise ValueError(f"modulus {modulus:#x} is reducible")
-        self._n = n
-        self._modulus = modulus
-        self._order = 1 << n
-        self._mul_table = self._build_mul_table()
-        self._inv_table = self._build_inv_table()
-
-    # -- construction helpers -------------------------------------------------
-
-    _cache: dict[tuple[int, int | None], "FieldSpec"] = {}
-
-    @classmethod
-    def get(cls, n: int, modulus: int | None = None) -> "FieldSpec":
-        """Shared cached instance for (n, modulus)."""
-        key = (n, modulus)
-        spec = cls._cache.get(key)
-        if spec is None:
-            spec = cls._cache[key] = cls(n, modulus)
-        return spec
-
-    def _build_mul_table(self) -> np.ndarray:
-        N = self._order
-        t = np.zeros((N, N), dtype=np.uint8 if N <= 256 else np.uint16)
-        for a in range(N):
-            for b in range(a, N):
-                v = self._mul_raw(a, b)
-                t[a, b] = v
-                t[b, a] = v
-        t.setflags(write=False)
-        return t
-
-    def _build_inv_table(self) -> np.ndarray:
-        N = self._order
-        inv = np.zeros(N, dtype=self._mul_table.dtype)
-        row = self._mul_table
-        for a in range(1, N):
-            inv[a] = int(np.nonzero(row[a] == 1)[0][0])
-        inv.setflags(write=False)
-        return inv
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        n, mod, r = self._n, self._modulus, 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> n) & 1:
-                a ^= mod
-        return r
-
-    # -- properties -----------------------------------------------------------
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def order(self) -> int:
-        """Number of field elements N = 2^n."""
-        return self._order
-
-    @property
-    def modulus(self) -> int:
-        return self._modulus
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        """Read-only (N, N) multiplication table."""
-        return self._mul_table
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        """Read-only length-N inverse table (entry 0 is unused)."""
-        return self._inv_table
+        order = 1 << n
+        # shift-and-add over every (a, b) at once: ``row`` holds a * x^k
+        # mod the modulus for every a, added wherever bit k of b is set
+        b = np.arange(order)
+        row = b.copy()
+        mul = np.zeros((order, order), np.int64)
+        for k in range(n):
+            mul ^= row[:, None] * ((b >> k) & 1)
+            row <<= 1
+            row ^= modulus * (row >> n)
+        mul_table = mul.astype(np.uint8)
+        inv_table = np.argmax(mul_table == 1, axis=1).astype(np.uint8)
+        mul_table.setflags(write=False)
+        inv_table.setflags(write=False)
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "mul_table", mul_table)
+        object.__setattr__(self, "inv_table", inv_table)
 
     # -- raw integer arithmetic ----------------------------------------------
 
     def check(self, value: int) -> int:
-        if not 0 <= value < self._order:
-            raise ValueError(f"value {value} out of range for GF(2^{self._n})")
+        if not 0 <= value < self.order:
+            raise ValueError(f"value {value} out of range for GF(2^{self.n})")
         return value
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
-        return int(self._mul_table[a, b])
+        return int(self.mul_table[a, b])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self._inv_table[a])
+        return int(self.inv_table[a])
 
     def pow(self, a: int, k: int) -> int:
         if k < 0:
@@ -199,34 +152,22 @@ class FieldSpec:
         """
         return 0 if a == 0 else 1
 
-    # -- element wrappers -----------------------------------------------------
-
     def el(self, value: int) -> "FieldElement":
         return FieldElement(self, self.check(value))
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for v in range(self._order):
-            yield FieldElement(self, v)
-
-    # -- identity -------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, FieldSpec)
-            and self._n == other._n
-            and self._modulus == other._modulus
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._n, self._modulus))
-
     def __repr__(self) -> str:
-        return f"FieldSpec(n={self._n}, modulus={self._modulus:#x})"
+        return f"FieldSpec(n={self.n}, modulus={self.modulus:#x})"
+
+
+_SPECS: dict[tuple[int, int | None], FieldSpec] = {}
 
 
 def field_spec(n: int, modulus: int | None = None) -> FieldSpec:
-    """Cached constructor for :class:`FieldSpec`."""
-    return FieldSpec.get(n, modulus)
+    """The cached constructor: one shared :class:`FieldSpec` per (n, modulus)."""
+    spec = _SPECS.get((n, modulus))
+    if spec is None:
+        spec = _SPECS[n, modulus] = FieldSpec(n, modulus)
+    return spec
 
 
 @dataclass(frozen=True)

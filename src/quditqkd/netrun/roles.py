@@ -33,7 +33,7 @@ import numpy as np
 
 from ..channels import resolve_channel
 from ..distill import DistillParams, block_parities, draw_stage_seeds, pair_stage
-from ..field import FieldSpec
+from ..field import FieldSpec, field_spec
 from ..protocol import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -143,7 +143,7 @@ class RoleReport:
 
 def handshake_facts(cfg: RoleConfig) -> dict:
     """The parameters alice and bob must hold identically."""
-    spec = FieldSpec.get(cfg.session.n, cfg.session.modulus)
+    spec = field_spec(cfg.session.n, cfg.session.modulus)
     return {
         "n": cfg.session.n,
         "modulus": spec.modulus,
@@ -313,7 +313,7 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
     link = Link(sock)
     report = RoleReport(role=role)
     session = cfg.session
-    spec = FieldSpec.get(session.n, session.modulus)
+    spec = field_spec(session.n, session.modulus)
     table = pair_table(spec)
     streams = spawn_streams(session.seed)
     rounds = session.rounds
@@ -403,7 +403,7 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     session equal to :func:`quditqkd.protocol.run_session`.
     """
     session = cfg.session
-    spec = FieldSpec.get(session.n, session.modulus)
+    spec = field_spec(session.n, session.modulus)
     model = resolve_channel(session.channel, spec)
     rng = spawn_streams(session.seed)[STREAM_CHANNEL]
     la = Link(sock_alice)
@@ -419,7 +419,9 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             while True:
                 ftype, payload = src.recv()
                 dst.send(ftype, rewrite(ftype, payload))
-        except PeerDisconnect:
+        except (PeerDisconnect, BrokenPipeError, ConnectionResetError):
+            # the receiver may close first after the mutual aborts of a
+            # failed session: either way the pipe is finished
             pass
         except ProtocolViolation as exc:
             errors.append(str(exc))
@@ -428,8 +430,7 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
         except TimeoutError as exc:
             timeouts.append(str(exc))
         except OSError as exc:
-            # receiver gone while a frame was in flight: the pipe is
-            # simply finished (mutual aborts close both ends at once)
+            # any other socket failure ends this direction and is reported
             io_notes.append(str(exc))
         finally:
             dst.close_write()

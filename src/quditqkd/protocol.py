@@ -37,7 +37,7 @@ import numpy as np
 
 from .channels import KIND_DEPHASE, KIND_INTERCEPT, ChannelModel, resolve_channel
 from .channels import transmit as transmit_ket
-from .field import FieldSpec
+from .field import FieldSpec, field_spec
 from .qstates import Outcome, PairState, SparseKet, decide_outcome, probabilities
 
 # Two-sided 99% normal quantile, hardcoded to avoid a scipy dependency.
@@ -525,17 +525,9 @@ def estimate_ec(log: RoundLog, mode: str = "in_pair", z: float = Z_99) -> RateEs
 
 
 def _outcome_counts(log: RoundLog) -> dict[tuple[int, int], int]:
-    counts: dict[tuple[int, int], int] = {}
-    on = log.offset >= 0
-    if on.any():
-        code = log.offset[on].astype(np.int64) * 3 + log.outcome[on]
-        for c, k in zip(*np.unique(code, return_counts=True)):
-            counts[(int(c) // 3, int(c) % 3)] = int(k)
-    off = ~on
-    if off.any():
-        for o, k in zip(*np.unique(log.outcome[off], return_counts=True)):
-            counts[(-1, int(o))] = int(k)
-    return counts
+    """Rounds per (line offset, outcome); offset -1 is off Alice's line."""
+    code = (log.offset.astype(np.int64) + 1) * 3 + log.outcome
+    return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(np.bincount(code)) if k}
 
 
 def run_session(cfg: SessionConfig) -> SessionOutput:
@@ -545,7 +537,7 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     per-round helpers above, so a scalar replay with the same master
     seed (as the networked runner performs) produces identical output.
     """
-    spec = FieldSpec.get(cfg.n, cfg.modulus)
+    spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
     streams = spawn_streams(cfg.seed)
     table = pair_table(spec)
@@ -606,7 +598,7 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
     invariance.  The post-round stages are shared with
     :func:`run_session`.
     """
-    spec = FieldSpec.get(cfg.n, cfg.modulus)
+    spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
     streams = spawn_streams(cfg.seed)
     table = pair_table(spec)

@@ -159,14 +159,6 @@ class PairState:
         if self.s not in (0, 1):
             raise ValueError("sign bit must be 0 or 1")
 
-    @classmethod
-    def make(cls, spec: FieldSpec, i: int, j: int, s: int) -> "PairState":
-        if i == j:
-            raise ValueError("pair state requires distinct indices")
-        if i > j:
-            i, j = j, i
-        return cls(spec, i, j, s)
-
     def ket(self) -> SparseKet:
         return SparseKet.pair(self.spec, self.i, self.j, self.s)
 
@@ -206,29 +198,6 @@ class BellIndex:
     def __post_init__(self) -> None:
         if self.ell not in (0, 1):
             raise ValueError("ell must be 0 or 1")
-
-
-def apply_L(lam: FieldElement, beta: FieldElement, ket: SparseKet) -> SparseKet:
-    """Relabel basis states by the affine map c -> lam*c + beta (lam != 0)."""
-    _check_same_spec(ket.spec, lam, beta)
-    if lam.value == 0:
-        raise ValueError("lam must be nonzero")
-    spec = ket.spec
-    return SparseKet.from_terms(
-        spec, [(spec.mul(lam.value, i) ^ beta.value, s) for i, s in ket.terms]
-    )
-
-
-def apply_L_inverse(lam: FieldElement, beta: FieldElement, ket: SparseKet) -> SparseKet:
-    """Inverse of :func:`apply_L` for the same (lam, beta)."""
-    _check_same_spec(ket.spec, lam, beta)
-    if lam.value == 0:
-        raise ValueError("lam must be nonzero")
-    spec = ket.spec
-    li = spec.inv(lam.value)
-    return SparseKet.from_terms(
-        spec, [(spec.mul(li, i ^ beta.value), s) for i, s in ket.terms]
-    )
 
 
 def apply_error(a: FieldElement, phase: DiagonalPhase, ket: SparseKet) -> SparseKet:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quditqkd.distill as distill
 from quditqkd.analysis import ErrorMatrix
 from quditqkd.distill import (
     DistillBudget,
@@ -353,6 +355,34 @@ class TestPipeline:
         b = pair_stage_permutation(100, 42)
         assert np.array_equal(a, b)
         assert sorted(a.tolist()) == list(range(100))
+
+
+def counter_tallies(x, z) -> dict[tuple[int, int], int]:
+    """Reference tally of (x, z) label pairs, one label at a time."""
+    return dict(Counter(zip(np.asarray(x).tolist(), np.asarray(z).tolist())))
+
+
+class TestTallies:
+    @pytest.mark.parametrize("length", [0, 1, 2, 7, 5000])
+    def test_label_tallies_match_counter(self, length):
+        rng = np.random.default_rng(length)
+        x = rng.integers(0, 2, length).astype(np.uint8)
+        z = rng.integers(0, 2, length).astype(np.uint8)
+        tallies = distill._label_tallies(x, z)
+        assert tallies == counter_tallies(x, z)
+        assert all(type(a) is int and type(b) is int for a, b in tallies)
+
+    # the last case keeps too few survivors for one block: empty outputs
+    @pytest.mark.parametrize(
+        "k, r, count", [(0, 1, 300), (1, 3, 4096), (2, 5, 20000), (2, 51, 204)]
+    )
+    def test_report_tallies_match_counter(self, k, r, count):
+        key = sample_labeled_key(REF, count, np.random.default_rng(count))
+        report = simulate_distillation(key, DistillParams(k, r), np.random.default_rng(k))
+        assert report.out_tallies == counter_tallies(report.out_x, report.out_z)
+        assert sum(report.survivor_tallies.values()) == report.survivor_count
+        if k == 0:
+            assert report.survivor_tallies == counter_tallies(key.x, key.z)
 
 
 class TestParamsValidation:

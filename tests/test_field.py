@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -66,14 +68,6 @@ def test_fermat_power(n):
         assert spec.pow(a, 0) == 1
 
 
-def test_addition_is_xor_and_self_inverse():
-    spec = field_spec(3)
-    for a in range(8):
-        for b in range(8):
-            assert spec.add(a, b) == a ^ b
-        assert spec.add(a, a) == 0
-
-
 @settings(max_examples=200)
 @given(
     n=st.integers(2, 8),
@@ -130,18 +124,35 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 0b101)
 
 
-def test_custom_irreducible_modulus_accepted():
-    # x^4 + x^3 + 1 is irreducible; tables must still satisfy the axioms
-    spec = FieldSpec(4, 0b11001)
-    for a in range(16):
-        for b in range(16):
-            assert spec.mul(a, b) == slow_gf_mul(a, b, 0b11001, 4)
+@pytest.mark.parametrize(
+    "n, modulus",
+    [
+        (n, p)
+        for n in range(2, 7)
+        for p in range(1 << n, 1 << (n + 1))
+        if is_irreducible(p)
+    ],
+)
+def test_custom_irreducible_modulus_accepted(n, modulus):
+    # every irreducible modulus of the degree gives tables satisfying the axioms
+    spec = FieldSpec(n, modulus)
+    assert spec.modulus == modulus
+    for a in range(spec.order):
+        for b in range(spec.order):
+            assert spec.mul(a, b) == slow_gf_mul(a, b, modulus, n)
+        if a:
+            assert spec.mul(a, spec.inv(a)) == 1
 
 
 def test_spec_cache_and_equality():
     assert field_spec(3) is field_spec(3)
+    assert field_spec(3) is field_spec(n=3)
     assert field_spec(3) == field_spec(3, 0b1011)
+    assert hash(field_spec(3)) == hash(FieldSpec(3, 0b1011))
     assert field_spec(3) != field_spec(4)
+    spec = field_spec(3)
+    with pytest.raises(FrozenInstanceError):
+        spec.n = 4
 
 
 def test_tables_are_read_only_views():

@@ -432,6 +432,22 @@ class TestAbortPaths:
             assert not rep.shared["condition_pass"]
         assert rep_e.status == "pass"
 
+    def test_eve_report_is_reproducible(self):
+        # after the mutual condition aborts one receiver may close before
+        # eve's last frame reaches it; that ends the pipe like a disconnect
+        session = SessionConfig(n=3, rounds=5000, seed=5003)
+        eve_session = SessionConfig(n=3, rounds=5000, seed=5003, channel="full_dephase")
+        blobs = []
+        for _ in range(10):
+            _, _, rep_e = _run_triple(
+                _role_cfg("alice", session),
+                _role_cfg("bob", session),
+                _role_cfg("eve", eve_session),
+            )
+            assert rep_e.extra["io_notes"] == []
+            blobs.append(json.dumps(rep_e.to_json_dict(), sort_keys=True))
+        assert len(set(blobs)) == 1
+
     def test_insufficient_key(self):
         session = SessionConfig(n=2, rounds=200, seed=3)
         rep_a, rep_b = _run_pair(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import csv
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,11 @@ from quditqkd.protocol import (
 from quditqkd.qstates import Outcome, SparseKet
 
 from oracles import wilson_reference
+
+
+def counter_outcomes(log) -> dict[tuple[int, int], int]:
+    """Reference tally of (line offset, outcome) pairs, one round at a time."""
+    return dict(Counter(zip(log.offset.tolist(), log.outcome.tolist())))
 
 
 class TestWilson:
@@ -262,6 +268,16 @@ class TestSessionStatistics:
     def test_outcome_counts_cover_all_rounds(self):
         out = run_session(SessionConfig(n=2, rounds=3000, channel="z_flip:0.3", seed=4))
         assert sum(out.stats.counts.values()) == 3000
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("channel", ["z_flip:0.3", "partial_intercept:0.4"])
+    def test_outcome_counts_match_counter(self, n, channel):
+        log = run_session(SessionConfig(n=n, rounds=3000, channel=channel, seed=n)).log
+        counts = protocol._outcome_counts(log)
+        assert counts == counter_outcomes(log)
+        assert all(type(a) is int and type(o) is int for a, o in counts)
+        assert any(a == -1 for a, _ in counts)
+        assert any(o == Outcome.OUTSIDE for _, o in counts)
 
     def test_stats_json_round_trip(self):
         import json

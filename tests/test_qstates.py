@@ -17,8 +17,6 @@ from quditqkd.qstates import (
     Outcome,
     PairState,
     SparseKet,
-    apply_L,
-    apply_L_inverse,
     apply_error,
     conjugate_bell,
     conjugate_bell_mask,
@@ -101,11 +99,6 @@ class TestPairState:
             PairState(spec, 2, 1, 0)
         with pytest.raises(ValueError):
             PairState(spec, 1, 1, 0)
-
-    def test_make_swaps_to_canonical(self):
-        spec = field_spec(2)
-        state = PairState.make(spec, 3, 1, 1)
-        assert (state.i, state.j, state.s) == (1, 3, 1)
 
     def test_ket_terms(self):
         spec = field_spec(2)
@@ -205,28 +198,6 @@ def test_measure_frequencies_match_born_weights():
 
 
 class TestLineMaps:
-    @settings(max_examples=150)
-    @given(
-        n=st.integers(2, 4),
-        lam=st.integers(1, 15),
-        beta=st.integers(0, 15),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_inverse_composition_is_identity(self, n, lam, beta, seed):
-        spec = field_spec(n)
-        lam_el = F(spec, 1 + lam % (spec.order - 1))
-        beta_el = F(spec, beta % spec.order)
-        ket = random_ket(spec, np.random.default_rng(seed))
-        assert apply_L_inverse(lam_el, beta_el, apply_L(lam_el, beta_el, ket)) == ket
-        assert apply_L(lam_el, beta_el, apply_L_inverse(lam_el, beta_el, ket)) == ket
-
-    def test_forward_action_on_indices(self):
-        spec = field_spec(2)
-        ket = SparseKet.pair(spec, 0, 1, 0)
-        moved = apply_L(F(spec, 2), F(spec, 1), ket)
-        # 2*0 + 1 = 1 and 2*1 + 1 = 3
-        assert moved.indices == (1, 3)
-
     def test_error_action_shifts_and_signs(self):
         spec = field_spec(2)
         phase = DiagonalPhase.norm_mask(spec)
