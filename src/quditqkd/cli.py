@@ -19,7 +19,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 
 import numpy as np
 
@@ -48,14 +48,11 @@ EXIT_EXPECTED_FAIL = 2
 
 
 def _defaults(source, *names: str) -> dict:
-    """Name -> default of a dataclass's fields or a function's parameters.
+    """Name -> default of a function's or a dataclass's ``__init__`` parameters.
 
     The one source of built-ins; ``names`` picks some of them, in order.
     """
-    if is_dataclass(source):
-        found = {f.name: f.default for f in fields(source)}
-    else:
-        found = {p.name: p.default for p in inspect.signature(source).parameters.values()}
+    found = {p.name: p.default for p in inspect.signature(source).parameters.values()}
     return {name: found[name] for name in names} if names else found
 
 

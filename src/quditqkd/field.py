@@ -84,9 +84,9 @@ class FieldSpec:
 
     n: int
     modulus: int | None = None
-    order: int = field(init=False, compare=False, repr=False)
-    mul_table: np.ndarray = field(init=False, compare=False, repr=False)
-    inv_table: np.ndarray = field(init=False, compare=False, repr=False)
+    order: int = field(init=False, compare=False)
+    mul_table: np.ndarray = field(init=False, compare=False)
+    inv_table: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
         n, modulus = self.n, self.modulus

@@ -421,7 +421,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
                 dst.send(ftype, rewrite(ftype, payload))
         except (PeerDisconnect, BrokenPipeError, ConnectionResetError):
             # the receiver may close first after the mutual aborts of a
-            # failed session: either way the pipe is finished
+            # failed session: either way the pipe is finished.  A peer that
+            # resets mid-session is therefore not noted in io_notes either
             pass
         except ProtocolViolation as exc:
             errors.append(str(exc))
