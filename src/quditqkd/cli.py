@@ -79,7 +79,7 @@ DISTILL_DEFAULTS = {
 
 THRESHOLD_DEFAULTS = {
     **_defaults(SessionConfig, "n"),
-    **_defaults(e_max_scan, "grid", "ec_samples"),
+    **_defaults(e_max_scan, "grid"),
 }
 
 VERIFY_DEFAULTS = _defaults(verify_mod.run_all)
@@ -289,23 +289,22 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     merged = _layer(args, THRESHOLD_DEFAULTS)
-    result = e_max_scan(merged["n"], grid=merged["grid"], ec_samples=merged["ec_samples"])
+    result = e_max_scan(merged["n"], grid=merged["grid"])
+    report = result.to_json_dict()
     quiet = args.json == "-"
     if not quiet:
         print(
             f"n={result.n} grid={result.grid}: e_max = {result.e_max:.6f}"
             f"  (resolution {result.resolution:.6g})"
         )
-        statuses: dict[str, int] = {}
-        for row in result.rows:
-            statuses[row.status] = statuses.get(row.status, 0) + 1
+        statuses = report["statuses"]
         for status in sorted(statuses):
             print(f"  {status}: {statuses[status]} slices")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             result.to_csv(fh)
     if args.json:
-        _dump_json(result.to_json_dict(), args.json)
+        _dump_json(report, args.json)
     return EXIT_PASS
 
 
@@ -425,7 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("threshold", help="feasibility frontier scan")
     p.add_argument("--n", type=int)
     p.add_argument("--grid", type=int)
-    p.add_argument("--ec-samples", dest="ec_samples", type=int)
     p.add_argument("--csv", help="write per-slice rows here")
     p.add_argument("--config", help="JSON file with flag defaults")
     p.add_argument("--json", help="write the JSON report here ('-' for stdout)")

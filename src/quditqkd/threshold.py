@@ -5,28 +5,44 @@ The figure of merit
     f(e_b, e_c, e_11) = [1 - e_b e_c - N(1-e_c)/(N-2) + 2 e_11]^2
                         - e_b (1 - e_b) e_c^2
 
-is scanned over the region R = {e_b e_c + (N-1)(1-e_c)/(N-2) < 1/2}.
+is decided over the region R = {e_b e_c + (N-1)(1-e_c)/(N-2) < 1/2}.
 For fixed e_b the region's e_c slice is the open interval
-(ec_star(e_b), 1], and ec_star is also where f attains its infimum on
-the slice closure, so certifying f > 0 needs only samples accumulating
-toward that endpoint.  Since f is nondecreasing in e_11 wherever the
-square bracket is nonnegative at e_11 = 0 (the scan certifies this at
-every sample), the e_11 = 0 plane suffices.
+(ec_star(e_b), 1], empty once ec_star >= 1.  Write B for the square
+bracket at e_11 = 0, linear in e_c with slope B' = N/(N-2) - e_b, and
+d = N - 1 - (N-2) e_b.  On a nonempty slice (e_b <= 1/2) the infimum
+of f sits at the edge ec_star:
 
-All evaluation is duck-typed: Fraction inputs give exact rationals,
-which the tests use to decide boundary cases the float path cannot.
+* f is convex in e_c: f'' = 2(B'^2 - e_b(1-e_b)), with B' > 1/2 and
+  e_b(1-e_b) <= 1/4.
+* f rises from the edge: with a = N - 2,
+  f'(ec_star) = g(e_b) / (a d),
+  g(x) = 2a^2 x^2 - (3a^2 + 2a - 4) x + a(a + 2).
+  For a >= 2 the vertex of g lies at x >= 1/2, so on [0, 1/2]
+  g >= g(1/2) = a + 2 > 0.
+* The e_11 = 0 plane is the worst case: on the edge
+  B = ((N-2) - (N-4) e_b) / (2d) > 0, and B grows along the slice, so
+  f is increasing in e_11 >= 0 everywhere on it.
+
+On the grid e_b = k/G, with D = (N-1)G - (N-2)k, that infimum is
+
+    f* = (G - 2k) (2(N-2)^2 G - ((N-4)^2 + N^2) k) / (8 D^2),
+
+whose second factor exceeds G N(N-4) >= 0 when 2k < G.  A slice is
+therefore feasible when 2k < G, the single point e_c = 1 with f = 0
+when 2k = G, and empty when 2k > G (ec_star > 1 exactly there): the
+scan decides on integers and needs no sampling and no float tolerance.
+
+f_value, bracket_value and ec_star are duck-typed: Fraction inputs
+give exact rationals, which the tests use to check the closed form.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-
-from .protocol import pm_condition_lhs
-
-GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -59,11 +75,6 @@ def bracket_value(p: FeasibilityPoint):
     return 1 - p.e_b * p.e_c - order * (1 - p.e_c) / (order - 2) + 2 * p.e_11
 
 
-def in_region(p: FeasibilityPoint) -> bool:
-    """Strict membership in the continuation region R."""
-    return pm_condition_lhs(p.e_b, p.e_c, p.n) < 0.5
-
-
 def ec_star(e_b, n: int):
     """Lower e_c edge of R's slice at e_b; also f's slice minimizer.
 
@@ -79,7 +90,6 @@ def ec_star(e_b, n: int):
 
 
 STATUS_FEASIBLE = "feasible"
-STATUS_REJECTED = "rejected"
 STATUS_BOUNDARY = "boundary (f = 0)"
 STATUS_UNREACHABLE = "unreachable"
 
@@ -91,8 +101,6 @@ class ScanRow:
     e_b: float
     min_f: float | None
     status: str
-    witness: FeasibilityPoint | None = None
-    witness_f: float | None = None
 
     @property
     def feasible(self) -> bool:
@@ -105,18 +113,12 @@ class ScanResult:
 
     n: int
     grid: int
-    ec_samples: int
-    guard: float
     rows: tuple[ScanRow, ...]
     e_max: float
     resolution: float
 
-    @property
-    def witnesses(self) -> dict[float, FeasibilityPoint]:
-        return {r.e_b: r.witness for r in self.rows if r.witness is not None}
-
     def to_csv(self, fileobj) -> None:
-        """Rows (e_b, min-over-slice f, feasible flag) for frontier plots."""
+        """Rows (e_b, slice infimum of f, feasible flag) for frontier plots."""
         writer = csv.writer(fileobj)
         writer.writerow(["e_b", "min_f", "feasible"])
         for row in self.rows:
@@ -125,82 +127,48 @@ class ScanResult:
             )
 
     def to_json_dict(self) -> dict:
-        counts: dict[str, int] = {}
-        for row in self.rows:
-            counts[row.status] = counts.get(row.status, 0) + 1
         return {
             "n": self.n,
             "grid": self.grid,
-            "ec_samples": self.ec_samples,
-            "guard": self.guard,
             "e_max": self.e_max,
             "resolution": self.resolution,
-            "statuses": counts,
-            "witnesses": [
-                {"e_b": r.e_b, "e_c": r.witness.e_c, "f": r.witness_f}
-                for r in self.rows
-                if r.witness is not None
-            ],
+            "statuses": dict(Counter(row.status for row in self.rows)),
         }
 
 
-def _scan_slice(e_b: float, n: int, ec_samples: int, guard: float) -> ScanRow:
-    order = 1 << n
-    star = ec_star(e_b, n)
-    if star > 1.0:
-        return ScanRow(e_b, None, STATUS_UNREACHABLE)
-    if star == 1.0:
-        # Slice is the single boundary point e_c = 1 where f vanishes.
-        return ScanRow(e_b, 0.0, STATUS_BOUNDARY)
-    # Sample e_c accumulating geometrically toward the slice edge; the
-    # guard band drops samples float rounding puts on the boundary.
-    t = np.geomspace(1e-6, 1.0, ec_samples)
-    ec = star + t * (1.0 - star)
-    lhs = e_b * ec + (order - 1) * (1.0 - ec) / (order - 2)
-    valid = lhs < 0.5 - guard
-    if not valid.any():
-        return ScanRow(e_b, None, STATUS_UNREACHABLE)
-    ec = ec[valid]
-    bracket = 1.0 - e_b * ec - order * (1.0 - ec) / (order - 2)
-    f0 = bracket * bracket - e_b * (1.0 - e_b) * ec * ec
-    min_f = float(f0.min())
-    # bracket >= 0 underwrites the e_11 reduction at these samples.
-    bad = (f0 <= guard) | (bracket < 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        wit = FeasibilityPoint(e_b, float(ec[i]), 0.0, n)
-        return ScanRow(e_b, min_f, STATUS_REJECTED, wit, float(f0[i]))
-    return ScanRow(e_b, min_f, STATUS_FEASIBLE)
+def e_max_scan(n: int, grid: int = 2000) -> ScanResult:
+    """Largest grid e_b whose whole region slice has f > 0.
 
-
-def e_max_scan(
-    n: int, grid: int = 2000, ec_samples: int = 64, guard: float = GUARD
-) -> ScanResult:
-    """Largest grid e_b whose whole region slice certifies f > 0.
-
-    The e_b axis is linspace(0, 1, grid+1); each slice is checked at
-    ``ec_samples`` in-region points.  The estimate is resolution
-    limited: the true frontier lies within 1/grid above it.  Slices at
-    e_b > 1/2 have no in-region e_c and report "unreachable"; an even
-    grid hits e_b = 1/2 exactly, whose degenerate slice reports
-    "boundary (f = 0)" rather than infeasible.
+    The e_b axis is linspace(0, 1, grid+1); slice k is decided by the
+    sign of 2k - grid and reports f* as ``min_f`` (see the module
+    docstring).  The estimate is resolution limited: the true frontier
+    1/2 lies within 1/grid above it.  Slices at e_b > 1/2 have no
+    in-region e_c and report "unreachable"; an even grid hits e_b = 1/2
+    exactly, whose degenerate slice reports "boundary (f = 0)" rather
+    than infeasible.
     """
     if n < 2:
         raise ValueError("need n >= 2 (order >= 4)")
     if grid < 1000:
         raise ValueError("grid must be >= 1000 points")
-    rows = [
-        _scan_slice(float(e_b), n, ec_samples, guard)
-        for e_b in np.linspace(0.0, 1.0, grid + 1)
-    ]
-    feasible = [r.e_b for r in rows if r.feasible]
-    e_max = max(feasible) if feasible else 0.0
+    order = 1 << n
+    e_b = np.linspace(0.0, 1.0, grid + 1).tolist()
+    last = (grid - 1) // 2  # largest k with 2k < grid
+    # Each factor is an integer, exact in float64 at any grid that fits
+    # in memory; min_f then carries a few ulps of rounding.
+    k = np.arange(last + 1, dtype=np.float64)
+    lead = grid - 2 * k
+    tail = 2 * (order - 2) ** 2 * grid - ((order - 4) ** 2 + order**2) * k
+    denom = (order - 1) * grid - (order - 2) * k
+    min_f = (lead * tail / (8 * denom * denom)).tolist()
+    rows = [ScanRow(b, f, STATUS_FEASIBLE) for b, f in zip(e_b, min_f)]
+    if grid % 2 == 0:
+        rows.append(ScanRow(e_b[grid // 2], 0.0, STATUS_BOUNDARY))
+    rows.extend(ScanRow(b, None, STATUS_UNREACHABLE) for b in e_b[grid // 2 + 1 :])
     return ScanResult(
         n=n,
         grid=grid,
-        ec_samples=ec_samples,
-        guard=guard,
         rows=tuple(rows),
-        e_max=e_max,
+        e_max=e_b[last],
         resolution=1.0 / grid,
     )

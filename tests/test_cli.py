@@ -155,6 +155,19 @@ class TestThreshold:
         code = run_cli("threshold", "--grid", "10")
         assert code == 1
 
+    def test_json_report_keys(self, capsys):
+        code = run_cli("threshold", "--grid", "1000", "--json", "-")
+        blob = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert set(blob) == {"n", "grid", "e_max", "resolution", "statuses"}
+
+    def test_sampling_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"ec_samples": 64}))
+        code = run_cli("threshold", "--config", str(cfg))
+        assert code == 1
+        assert "unknown config keys" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_all_suites_pass(self, capsys):
@@ -242,3 +255,20 @@ class TestConfigLayering:
         cfg.write_text("{oops")
         code = run_cli("simulate", "--config", str(cfg))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            ("simulate", cli.SESSION_DEFAULTS),
+            ("analyze", cli.ANALYZE_DEFAULTS),
+            ("distill", cli.DISTILL_DEFAULTS),
+            ("threshold", cli.THRESHOLD_DEFAULTS),
+            ("verify", cli.VERIFY_DEFAULTS),
+            ("netrun", cli.NETRUN_DEFAULTS),
+        ],
+    )
+    def test_flags_match_defaults(self, command, defaults):
+        """Every setting flag has a built-in default and every default a flag."""
+        dests = set(vars(cli.build_parser().parse_args([command])))
+        outputs = {"command", "func", "config", "json", "csv", "round_log", "report"}
+        assert dests - outputs == set(defaults)

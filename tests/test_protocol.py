@@ -91,6 +91,8 @@ class TestContinuationCondition:
     def test_noiseless_passes(self):
         assert check_pm_condition(0, 1, 2)
         assert pm_condition_lhs(0, 1, 2) == 0
+        # so does a noisy point inside the region
+        assert check_pm_condition(0.3, 0.9, 2)
 
     def test_full_leakage_fails(self):
         assert not check_pm_condition(0, 0, 2)

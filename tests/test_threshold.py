@@ -6,6 +6,7 @@ import io
 import csv
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from quditqkd.threshold import (
@@ -17,8 +18,47 @@ from quditqkd.threshold import (
     e_max_scan,
     ec_star,
     f_value,
-    in_region,
 )
+
+DEGREES = range(2, 9)
+
+# The sampled scan the closed form replaced, kept as the differential
+# reference: 64 geometric e_c samples per slice toward its edge, a 1e-9
+# guard band, and a "rejected" verdict wherever a sample fails.
+SAMPLE_T = np.geomspace(1e-6, 1.0, 64)
+GUARD = 1e-9
+STATUS_REJECTED = "rejected"
+
+
+def sampled_slice(e_b: float, n: int) -> tuple[float | None, str]:
+    order = 1 << n
+    star = ec_star(e_b, n)
+    if star > 1.0:
+        return None, STATUS_UNREACHABLE
+    if star == 1.0:
+        return 0.0, STATUS_BOUNDARY
+    ec = star + SAMPLE_T * (1.0 - star)
+    lhs = e_b * ec + (order - 1) * (1.0 - ec) / (order - 2)
+    valid = lhs < 0.5 - GUARD
+    if not valid.any():
+        return None, STATUS_UNREACHABLE
+    ec = ec[valid]
+    bracket = 1.0 - e_b * ec - order * (1.0 - ec) / (order - 2)
+    f0 = bracket * bracket - e_b * (1.0 - e_b) * ec * ec
+    min_f = float(f0.min())
+    if ((f0 <= GUARD) | (bracket < 0.0)).any():
+        return min_f, STATUS_REJECTED
+    return min_f, STATUS_FEASIBLE
+
+
+def sampled_scan(n: int, grid: int) -> tuple[list, float]:
+    """Rows (e_b, min_f, status) and e_max of the sampled scan."""
+    rows = [
+        (e_b, *sampled_slice(e_b, n))
+        for e_b in np.linspace(0.0, 1.0, grid + 1).tolist()
+    ]
+    feasible = [e_b for e_b, _, status in rows if status == STATUS_FEASIBLE]
+    return rows, max(feasible) if feasible else 0.0
 
 
 class TestEcStar:
@@ -84,15 +124,6 @@ class TestFValue:
         with pytest.raises(ValueError):
             FeasibilityPoint(0.5, 0.5, 0.0, 1)
 
-    def test_in_region(self):
-        assert in_region(FeasibilityPoint(0.0, 1.0, 0.0, 2))
-        # the boundary point must be probed with exact rationals: in
-        # floats its lhs rounds to just under 1/2
-        boundary = FeasibilityPoint(Fraction(3, 10), Fraction(5, 6), Fraction(0), 2)
-        assert not in_region(boundary)
-        assert in_region(FeasibilityPoint(0.3, 5 / 6, 0.0, 2))
-        assert in_region(FeasibilityPoint(0.3, 0.9, 0.0, 2))
-
 
 class TestScan:
     def test_grid_1000_frontier(self):
@@ -115,10 +146,10 @@ class TestScan:
         assert set(first_block) == {STATUS_FEASIBLE}
         assert all(s == STATUS_UNREACHABLE for s in statuses[statuses.index(STATUS_BOUNDARY) + 1 :])
 
-    def test_no_rejections_and_no_witnesses(self):
-        scan = e_max_scan(2, grid=1000)
-        assert scan.witnesses == {}
-        assert all(r.witness is None for r in scan.rows)
+    def test_every_slice_is_decided(self):
+        decided = {STATUS_FEASIBLE, STATUS_BOUNDARY, STATUS_UNREACHABLE}
+        for n in DEGREES:
+            assert {r.status for r in e_max_scan(n, grid=1000).rows} <= decided
 
     def test_min_f_positive_on_feasible_rows(self):
         scan = e_max_scan(3, grid=1000)
@@ -153,3 +184,51 @@ class TestScan:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             e_max_scan(1)
+
+
+class TestAgainstSampledScan:
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_statuses_e_b_and_e_max_match(self, n):
+        for grid in (1000, 1001, 1999, 2000):
+            scan = e_max_scan(n, grid=grid)
+            ref_rows, ref_e_max = sampled_scan(n, grid)
+            assert scan.e_max == ref_e_max
+            assert [r.e_b.hex() for r in scan.rows] == [e.hex() for e, _, _ in ref_rows]
+            assert [r.status for r in scan.rows] == [s for _, _, s in ref_rows]
+            for row, (_, ref_f, _) in zip(scan.rows, ref_rows):
+                if row.feasible:
+                    # samples stay inside the slice, so they sit above f*
+                    assert 0 <= ref_f - row.min_f <= 1e-6
+
+
+class TestExactDecision:
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_integer_rule_is_the_exact_sign(self, n):
+        for grid in (1000, 1001):
+            for k, row in enumerate(e_max_scan(n, grid=grid).rows):
+                e_b = Fraction(k, grid)
+                star = ec_star(e_b, n)
+                if star > 1:
+                    assert row.status == STATUS_UNREACHABLE
+                    continue
+                f = f_value(FeasibilityPoint(e_b, star, Fraction(0), n))
+                if f > 0:
+                    assert row.status == STATUS_FEASIBLE
+                    assert row.min_f == pytest.approx(float(f), rel=1e-12, abs=0)
+                else:
+                    assert f == 0
+                    assert row.status == STATUS_BOUNDARY and row.min_f == 0.0
+
+    @pytest.mark.parametrize("n", DEGREES)
+    def test_f_convex_and_rising_from_the_edge(self, n):
+        """The infimum lemma: f'' > 0 and f'(ec_star) > 0 with B > 0."""
+        order = 1 << n
+        for grid in (1000, 1001):
+            for k in range(grid // 2 + 1):
+                e_b = Fraction(k, grid)
+                p = FeasibilityPoint(e_b, ec_star(e_b, n), Fraction(0), n)
+                bracket = bracket_value(p)
+                slope = Fraction(order, order - 2) - e_b
+                assert bracket > 0
+                assert slope * slope > e_b * (1 - e_b)
+                assert bracket * slope - e_b * (1 - e_b) * p.e_c > 0
