@@ -146,10 +146,13 @@ class TestScan:
         assert set(first_block) == {STATUS_FEASIBLE}
         assert all(s == STATUS_UNREACHABLE for s in statuses[statuses.index(STATUS_BOUNDARY) + 1 :])
 
-    def test_every_slice_is_decided(self):
+    def test_no_rejections_and_no_witnesses(self):
         decided = {STATUS_FEASIBLE, STATUS_BOUNDARY, STATUS_UNREACHABLE}
         for n in DEGREES:
-            assert {r.status for r in e_max_scan(n, grid=1000).rows} <= decided
+            scan = e_max_scan(n, grid=1000)
+            assert {r.status for r in scan.rows} <= decided
+            assert not hasattr(scan, "witnesses")
+            assert not any(hasattr(r, "witness") for r in scan.rows)
 
     def test_min_f_positive_on_feasible_rows(self):
         scan = e_max_scan(3, grid=1000)
