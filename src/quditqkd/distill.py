@@ -28,6 +28,8 @@ import numpy as np
 from .analysis import ErrorMatrix
 
 _SEED_BOUND = 1 << 63
+# rows of uniforms per sample_labeled_key draw, as protocol._ENGINE_CHUNK
+_LABEL_CHUNK = 1 << 17
 
 
 class InsufficientKeyError(ValueError):
@@ -90,7 +92,9 @@ class LabeledKey:
         if not (len(self.bits) == len(self.x) == len(self.z)):
             raise ValueError("bits, x, z must have equal length")
         for arr in (self.bits, self.x, self.z):
-            if len(arr) and int(arr.max(initial=0)) > 1:
+            # unsigned and bool entries cannot be negative: one pass for them
+            unsigned = arr.dtype.kind in "ub"
+            if not (arr.max(initial=0) <= 1 if unsigned else ((arr == 0) | (arr == 1)).all()):
                 raise ValueError("entries must be bits")
 
     def __len__(self) -> int:
@@ -110,17 +114,25 @@ def _coerce_matrix(m) -> ErrorMatrix:
 def sample_labeled_key(m, count: int, rng: np.random.Generator) -> LabeledKey:
     """i.i.d. labels from an error matrix plus uniform key bits.
 
-    Consumes a (count, 2) uniform block: column 0 picks the label
-    category (identity, x, y, z cumulative order), column 1 the bit.
+    Consumes a (count, 2) uniform block, drawn _LABEL_CHUNK rows at a
+    time: column 0 picks the label category (identity, x, y, z
+    cumulative order), column 1 the bit.
     """
+    if count < 0:
+        raise ValueError("count must be >= 0")
     m = _coerce_matrix(m)
-    draws = rng.random((count, 2))
     cum = np.cumsum([float(m.p_i), float(m.p_x), float(m.p_y), float(m.p_z)])
-    cum[-1] = 1.0
-    cat = np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), 3)
-    x = ((cat == 1) | (cat == 2)).astype(np.uint8)
-    z = ((cat == 2) | (cat == 3)).astype(np.uint8)
-    bits = (draws[:, 1] >= 0.5).astype(np.uint8)
+    bits, x, z = (np.empty(count, np.uint8) for _ in range(3))
+    draws = np.empty((min(count, _LABEL_CHUNK), 2))
+    for lo in range(0, count, _LABEL_CHUNK):
+        hi = min(lo + _LABEL_CHUNK, count)
+        block = rng.random(out=draws[: hi - lo])
+        u, xs = block[:, 0], x[lo:hi]
+        # category = #{j: cum[j] <= u}: x for 1 and 2, z for 2 and 3 (u < 1)
+        np.less(u, cum[2], out=xs)
+        xs &= u >= cum[0]
+        np.greater_equal(u, cum[1], out=z[lo:hi])
+        np.greater_equal(block[:, 1], 0.5, out=bits[lo:hi])
     return LabeledKey(bits, x, z)
 
 
@@ -477,22 +489,20 @@ def simulate_distillation(
         raise InsufficientKeyError(
             f"need at least 2**k * r = {params.min_length} labeled bits, got {length}"
         )
-    bits = keys.bits.astype(np.uint8)
-    x = keys.x.astype(np.uint8)
-    z = keys.z.astype(np.uint8)
+    # one packed label per position: bit | x << 1 | z << 2
+    lab = keys.bits.astype(np.uint8) | keys.x.astype(np.uint8) << 1 | keys.z.astype(np.uint8) << 2
     seeds = draw_stage_seeds(params.k, rng)
     stages: list[StageRecord] = []
     for t in range(params.k):
-        cur = len(bits)
+        cur = len(lab)
         first, second = pair_stage(cur, int(seeds[t]))
-        keep = (z[first] ^ z[second]) == 0
+        a, b = lab[first], lab[second]
+        keep = ((a ^ b) & 4) == 0
         stages.append(StageRecord(t, int(seeds[t]), cur, len(first), int(np.count_nonzero(keep))))
-        kept_first = first[keep]
-        kept_second = second[keep]
-        bits = bits[kept_first]
-        x = x[kept_first] ^ x[kept_second]
-        z = z[kept_first]
-    survivors = len(bits)
+        a ^= b & 2
+        lab = a[keep]
+    bits, x, z = lab & 1, (lab >> 1) & 1, lab >> 2
+    survivors = len(lab)
     tallies = _label_tallies(x, z)
     r = params.r
     n_blocks = survivors // r

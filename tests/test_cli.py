@@ -133,6 +133,13 @@ class TestDistill:
         assert blob["run"]["input_length"] == 2000
         assert blob["manual"]["k"] == 1
 
+    def test_negative_count_rejected(self, capsys):
+        code = run_cli(
+            "distill", "--channel", "z_flip:0.3", "--auto-params", "--count", "-5"
+        )
+        assert code == 1
+        assert "count must be >= 0" in capsys.readouterr().err
+
 
 class TestThreshold:
     def test_scan_with_files(self, tmp_path, capsys):

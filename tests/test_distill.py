@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import quditqkd.distill as distill
-from quditqkd.analysis import ErrorMatrix
+from quditqkd.analysis import ErrorMatrix, bell_distribution, error_matrix
+from quditqkd.channels import resolve_channel
 from quditqkd.distill import (
     DistillBudget,
     DistillParams,
@@ -29,6 +30,7 @@ from quditqkd.distill import (
     simulate_distillation,
     toeplitz_compress,
 )
+from quditqkd.field import field_spec
 
 from oracles import iterate_pumping, majority_fail_exact, parity_fail_exact
 
@@ -225,6 +227,21 @@ class TestLabeledKey:
             LabeledKey(np.zeros(3, np.uint8), np.zeros(2, np.uint8), np.zeros(3, np.uint8))
         with pytest.raises(ValueError):
             LabeledKey(np.array([2]), np.array([0]), np.array([0]))
+        for bad in (
+            np.array([-1], np.int8),
+            np.array([-1]),
+            np.array([0.5]),
+            np.array([np.nan]),
+            np.array([0, 1, -1], np.int64),
+        ):
+            others = np.zeros(len(bad), np.uint8)
+            for fields in ((bad, others, others), (others, bad, others), (others, others, bad)):
+                with pytest.raises(ValueError):
+                    LabeledKey(*fields)
+        with pytest.raises(ValueError):
+            LabeledKey(np.array([-1], np.int8), np.array([0.5]), np.zeros(1, np.uint8))
+        for good in (np.array([0, 1], bool), np.array([0, 1]), np.array([0.0, 1.0])):
+            assert len(LabeledKey(good, good, good)) == 2
 
     def test_sample_frequencies(self):
         rng = np.random.default_rng(31)
@@ -422,3 +439,181 @@ class TestToeplitz:
         with pytest.raises(ValueError):
             toeplitz_compress(bits, 1.5, np.random.default_rng(0))
         assert len(toeplitz_compress(bits, 0.05, np.random.default_rng(0))) == 0
+
+
+def reference_sample_labeled_key(m, count, rng):
+    """The one-block sampler: a (count, 2) draw and a searchsorted category."""
+    draws = rng.random((count, 2))
+    cum = np.cumsum([float(m.p_i), float(m.p_x), float(m.p_y), float(m.p_z)])
+    cum[-1] = 1.0
+    cat = np.minimum(np.searchsorted(cum, draws[:, 0], side="right"), 3)
+    x = ((cat == 1) | (cat == 2)).astype(np.uint8)
+    z = ((cat == 2) | (cat == 3)).astype(np.uint8)
+    bits = (draws[:, 1] >= 0.5).astype(np.uint8)
+    return LabeledKey(bits, x, z)
+
+
+def reference_simulate_distillation(keys, params, rng, matrix=None):
+    """The unpacked pipeline: separate bits, x and z arrays through every stage."""
+    length = len(keys)
+    bits = keys.bits.astype(np.uint8)
+    x = keys.x.astype(np.uint8)
+    z = keys.z.astype(np.uint8)
+    seeds = draw_stage_seeds(params.k, rng)
+    stages = []
+    for t in range(params.k):
+        cur = len(bits)
+        first, second = distill.pair_stage(cur, int(seeds[t]))
+        keep = (z[first] ^ z[second]) == 0
+        stages.append(
+            distill.StageRecord(t, int(seeds[t]), cur, len(first), int(np.count_nonzero(keep)))
+        )
+        kept_first = first[keep]
+        kept_second = second[keep]
+        bits = bits[kept_first]
+        x = x[kept_first] ^ x[kept_second]
+        z = z[kept_first]
+    survivors = len(bits)
+    r = params.r
+    n_blocks = survivors // r
+    used = n_blocks * r
+    alice_out = block_parities(bits, r)
+    z_out = block_parities(z, r)
+    x_out = (
+        (x[:used].reshape(n_blocks, r).astype(np.int64).sum(axis=1) * 2 > r).astype(np.uint8)
+        if n_blocks
+        else np.zeros(0, np.uint8)
+    )
+    return distill.DistillationReport(
+        params=params,
+        input_length=length,
+        stages=tuple(stages),
+        survivor_count=survivors,
+        survivor_tallies=distill._label_tallies(x, z),
+        n_blocks=n_blocks,
+        alice_out=alice_out,
+        bob_out=alice_out ^ z_out,
+        out_x=x_out,
+        out_z=z_out,
+        disagreement_count=int(z_out.astype(np.int64).sum()),
+        expected_lengths=(
+            expected_stage_lengths(matrix, params.k, length) if matrix is not None else None
+        ),
+    )
+
+
+CHUNK = distill._LABEL_CHUNK
+DIFF_MATRICES = {
+    "ref": REF,
+    "no-x": ErrorMatrix(0.7, 0.0, 0.1, 0.2),
+    "no-y": ErrorMatrix(0.7, 0.1, 0.0, 0.2),
+    "all-i": ErrorMatrix(1, 0, 0, 0),
+    "all-x": ErrorMatrix(0, 1, 0, 0),
+    "all-y": ErrorMatrix(0, 0, 1, 0),
+    "all-z": ErrorMatrix(0, 0, 0, 1),
+}
+
+
+class ScriptedUniforms:
+    """Stands in for a Generator whose random() yields fixed doubles in order."""
+
+    def __init__(self, values):
+        self.values = np.ravel(values)
+        self.pos = 0
+
+    def random(self, size=None, out=None):
+        n = out.size if out is not None else int(np.prod(size))
+        chunk = self.values[self.pos : self.pos + n]
+        self.pos += n
+        if out is None:
+            return chunk.reshape(size)
+        out[...] = chunk.reshape(out.shape)
+        return out
+
+
+def assert_same_state(rng_a, rng_b):
+    assert rng_a.bit_generator.state == rng_b.bit_generator.state
+
+
+def assert_same_report(got, want):
+    for name in ("alice_out", "bob_out", "out_x", "out_z"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    for name in (
+        "params", "input_length", "stages", "survivor_count", "survivor_tallies",
+        "n_blocks", "disagreement_count", "expected_lengths",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def sample_both(m, count, seed):
+    """(chunked, reference) keys from one seed, generator states checked equal."""
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_labeled_key(m, count, rng)
+    want = reference_sample_labeled_key(m, count, ref_rng)
+    assert_same_state(rng, ref_rng)
+    return got, want, rng, ref_rng
+
+
+class TestChunkedKernelsMatchReference:
+    """The chunked sampler and the packed pump against their one-block originals."""
+
+    @pytest.mark.parametrize("name", sorted(DIFF_MATRICES))
+    @pytest.mark.parametrize(
+        "count", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5]
+    )
+    def test_sample(self, name, count):
+        got, want, _, _ = sample_both(DIFF_MATRICES[name], count, count + 1)
+        for field in ("bits", "x", "z"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype == np.uint8 and np.array_equal(a, b), field
+
+    @pytest.mark.parametrize("name", sorted(DIFF_MATRICES))
+    @pytest.mark.parametrize("k", range(5))
+    @pytest.mark.parametrize("r", [1, 3, 7])
+    def test_pipeline(self, name, k, r):
+        m = DIFF_MATRICES[name]
+        keys, _, rng, ref_rng = sample_both(m, 3000, 100 * k + r)
+        got = simulate_distillation(keys, DistillParams(k, r), rng, matrix=m)
+        want = reference_simulate_distillation(keys, DistillParams(k, r), ref_rng, matrix=m)
+        assert_same_state(rng, ref_rng)
+        assert_same_report(got, want)
+
+    def test_ties_at_category_edges(self, monkeypatch):
+        """Uniforms exactly on a cumulative edge, across chunk boundaries."""
+        m = ErrorMatrix(0.5, 0.25, 0.125, 0.125)  # dyadic: cum is exact
+        edges = [0.0, 0.5, 0.75, 0.875]
+        u = edges + [np.nextafter(e, 0.0) for e in edges[1:]] + [np.nextafter(1.0, 0.0)]
+        v = [0.5, np.nextafter(0.5, 0.0)] * 4
+        monkeypatch.setattr(distill, "_LABEL_CHUNK", 3)
+        got = sample_labeled_key(m, len(u), ScriptedUniforms(np.column_stack([u, v[: len(u)]])))
+        want = reference_sample_labeled_key(
+            m, len(u), ScriptedUniforms(np.column_stack([u, v[: len(u)]]))
+        )
+        for field in ("bits", "x", "z"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+    def test_wider_input_dtypes(self):
+        keys = sample_labeled_key(REF, 5000, np.random.default_rng(8))
+        for dtype in (bool, np.int64):
+            wide = LabeledKey(*(a.astype(dtype) for a in (keys.bits, keys.x, keys.z)))
+            got = simulate_distillation(wide, DistillParams(2, 3), np.random.default_rng(9))
+            want = reference_simulate_distillation(
+                wide, DistillParams(2, 3), np.random.default_rng(9)
+            )
+            assert_same_report(got, want)
+
+    def test_keygen_bulk_case(self):
+        """z_flip:0.3 at its selected k=3, r=5315 on 10^6 labels."""
+        m = error_matrix(bell_distribution(resolve_channel("z_flip:0.3", field_spec(2))))
+        params = select_params(ep_recursion(m, 0)).params
+        assert params == DistillParams(3, 5315)
+        keys, want_keys, rng, ref_rng = sample_both(m, 10**6, 12)
+        for field in ("bits", "x", "z"):
+            assert np.array_equal(getattr(keys, field), getattr(want_keys, field)), field
+        got = simulate_distillation(keys, params, rng, matrix=m)
+        want = reference_simulate_distillation(want_keys, params, ref_rng, matrix=m)
+        assert_same_state(rng, ref_rng)
+        assert_same_report(got, want)
+        assert got.n_blocks > 0
