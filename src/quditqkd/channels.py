@@ -16,8 +16,8 @@ arrays: ``kind`` (one of KIND_UNITARY, KIND_DEPHASE, KIND_INTERCEPT),
 ``shift``, ``sign_bits`` (bit y of each term's mask for every index
 y < N, zero for non-unitary terms) and ``weight_id`` into the distinct
 probabilities ``weights``.  The session engine and the closed-form
-analysis read these arrays by term index; ``apply_term`` and
-``transmit`` below stay as the per-ket scalar reference.
+analysis read these arrays by term index; the per-ket scalar reference
+that applies one action to one ``SparseKet`` is kept in tests/reference.py.
 
 Channel specs can also be given as strings, e.g. ``"z_flip:0.3"``,
 ``"shift_noise:0.2"``, ``"partial_intercept:0.4"``, ``"full_dephase"``,
@@ -35,7 +35,7 @@ from numbers import Rational
 import numpy as np
 
 from .field import FieldSpec
-from .qstates import DiagonalPhase, SparseKet, apply_error
+from .qstates import DiagonalPhase
 
 FULL_DEPHASE_ENUM_MAX_N = 4  # explicit 2^N mask mixture up to this n
 
@@ -205,6 +205,8 @@ def custom(spec: FieldSpec, triples) -> ChannelModel:
 _CUSTOM_TERM = re.compile(
     r"\(\s*([^,()]+)\s*,\s*a\s*=\s*(\d+)\s*,\s*f\s*=\s*(0x[0-9a-fA-F]+|\d+)\s*\)"
 )
+_TERM = _CUSTOM_TERM.pattern
+_CUSTOM_LIST = re.compile(rf"\[\s*{_TERM}(?:\s*,\s*{_TERM})*\s*\]")
 
 
 def parse_channel_spec(text: str, spec: FieldSpec) -> ChannelModel:
@@ -224,13 +226,13 @@ def parse_channel_spec(text: str, spec: FieldSpec) -> ChannelModel:
         return partial_intercept(spec, arg)
     if name == "custom":
         body = arg.strip()
-        if not (body.startswith("[") and body.endswith("]")):
-            raise ValueError(f"custom spec needs a [...] term list: {text!r}")
+        if not _CUSTOM_LIST.fullmatch(body):
+            raise ValueError(
+                f"custom spec needs a [...] list of (p,a=A,f=F) terms: {text!r}"
+            )
         triples = [
             (p, int(a), int(m, 0)) for p, a, m in _CUSTOM_TERM.findall(body)
         ]
-        if not triples:
-            raise ValueError(f"no terms parsed from custom spec {text!r}")
         return custom(spec, triples)
     raise ValueError(f"unknown channel spec {text!r}")
 
@@ -243,41 +245,3 @@ def resolve_channel(channel, spec: FieldSpec) -> ChannelModel:
         return channel
     return parse_channel_spec(channel, spec)
 
-
-# -- transmission -------------------------------------------------------------
-
-
-def apply_term(
-    action: Action, ket: SparseKet, aux_u: float, spec: FieldSpec
-) -> SparseKet:
-    """Apply one sampled action.  ``aux_u`` feeds the branchy actions.
-
-    Every round consumes exactly one auxiliary uniform whether or not the
-    action uses it, keeping draw order identical across implementations.
-    """
-    if isinstance(action, UnitaryTerm):
-        return apply_error(
-            spec.el(action.shift), DiagonalPhase(spec, action.mask), ket
-        )
-    if isinstance(action, RandomDephase):
-        if len(ket.terms) == 2 and aux_u < 0.5:
-            (i, si), (j, sj) = ket.terms
-            return SparseKet.from_terms(spec, [(i, si), (j, -sj)])
-        return ket
-    # Intercept-resend: Born weights on a 1-2 term ket are uniform over
-    # the support, so one fair choice over the canonical ordering works.
-    idx = ket.indices
-    pick = idx[0] if aux_u < 0.5 or len(idx) == 1 else idx[1]
-    return SparseKet.single(spec, pick)
-
-
-def transmit(
-    model: ChannelModel, ket: SparseKet, rng: np.random.Generator
-) -> SparseKet:
-    """Send one ket through the channel (always two uniform draws)."""
-    if ket.spec != model.spec:
-        raise ValueError("ket spec does not match channel spec")
-    term_u = rng.random()
-    aux_u = rng.random()
-    _, action = model.terms[model.sample_term_index(term_u)]
-    return apply_term(action, ket, aux_u, model.spec)

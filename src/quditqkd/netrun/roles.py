@@ -92,6 +92,8 @@ ABORT_INSUFFICIENT_KEY = "insufficient-key"
 WINDOW = 4096
 # Seconds a role waits for its peer's next bytes before ending the session.
 PEER_TIMEOUT = 60.0
+# SIFT_ACCEPT and SAMPLE_REVEAL carry round indices as u32.
+_MAX_ROUNDS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,10 @@ class RoleConfig:
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}")
+        if self.session.rounds > _MAX_ROUNDS:
+            raise ValueError(
+                f"rounds must be <= {_MAX_ROUNDS}: wire round indices are u32"
+            )
 
 
 @dataclass

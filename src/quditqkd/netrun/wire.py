@@ -7,7 +7,8 @@ window, in round order.  Payload layouts:
 
     QUDIT            (u16 i | u8 sign | u16 j | u8 sign) kets in canonical
                      form: leading sign 0, i < j; a single-term ket has
-                     j = 0xFFFF and sign 0 (its one term serialized, padded)
+                     j = 0xFFFF and sign 0 (tests/reference.py keeps the
+                     per-ket and per-record encoders these records equal)
     OUTCOME_ANNOUNCE (u16 u | u16 v | u8 category) entries, u < v,
                      category 0 in-pair, 1 outside
     PAIR_ANNOUNCE    (u16 i | u16 j) entries, i < j
@@ -103,34 +104,6 @@ def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
     if bits[count:].any():
         raise ProtocolViolation("nonzero padding bits in bitmap")
     return bits[:count]
-
-
-def encode_pair(i: int, j: int) -> bytes:
-    return struct.pack(">HH", i, j)
-
-
-def decode_pair(payload: bytes, order: int) -> tuple[int, int]:
-    if len(payload) != 4:
-        raise ProtocolViolation("pair announcement must be 4 bytes")
-    i, j = struct.unpack(">HH", payload)
-    if not i < j < order:
-        raise ProtocolViolation(f"invalid pair ({i}, {j}) for order {order}")
-    return i, j
-
-
-def encode_outcome_announce(u: int, v: int, category: int) -> bytes:
-    return struct.pack(">HHB", u, v, category)
-
-
-def decode_outcome_announce(payload: bytes, order: int) -> tuple[int, int, int]:
-    if len(payload) != 5:
-        raise ProtocolViolation("outcome announcement must be 5 bytes")
-    u, v, category = struct.unpack(">HHB", payload)
-    if not u < v < order:
-        raise ProtocolViolation(f"invalid pair ({u}, {v}) for order {order}")
-    if category not in (0, 1):
-        raise ProtocolViolation(f"invalid outcome category {category}")
-    return u, v, category
 
 
 _NO_INDEX = 0xFFFF

@@ -36,9 +36,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KIND_DEPHASE, KIND_INTERCEPT, ChannelModel, resolve_channel
-from .channels import transmit as transmit_ket
 from .field import FieldSpec, field_spec
-from .qstates import Outcome, PairState, SparseKet, decide_outcome, probabilities
+from .qstates import Outcome
 
 # Two-sided 99% normal quantile, hardcoded to avoid a scipy dependency.
 Z_99 = 2.5758293035489004
@@ -75,24 +74,6 @@ def pair_table(spec: FieldSpec) -> np.ndarray:
     return np.array(
         [(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int16
     )
-
-
-def pick_pair_index(u: float, count: int) -> int:
-    """Uniform table row from one uniform draw (top edge clamped)."""
-    return min(int(u * count), count - 1)
-
-
-def pair_offset(spec: FieldSpec, i: int, j: int, u: int, v: int) -> int:
-    """Line offset of Bob's pair {u, v} relative to Alice's {i, j}.
-
-    Returns the field factor a with u = i + a*(i+j) when both pairs share
-    the same index difference, else -1 (off the line).  Offsets a and a^1
-    name the same unordered pair, so class membership is a & ~1.
-    """
-    delta = i ^ j
-    if (u ^ v) != delta:
-        return -1
-    return spec.mul(u ^ i, spec.inv(delta))
 
 
 def pm_condition_lhs(e_b, e_c, n: int):
@@ -205,19 +186,6 @@ class SessionConfig:
             raise ValueError(f"ec_mode must be one of {EC_MODES}")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """One row of the round log (decoded view)."""
-
-    round_index: int
-    alice_pair: tuple[int, int]
-    alice_bit: int
-    bob_pair: tuple[int, int]
-    outcome: Outcome
-    sifted: bool
-    offset: int | None
-
-
 # Column dtypes of a RoundLog, in constructor order.
 _LOG_DTYPES = (np.int16, np.int16, np.int8, np.int16, np.int16, np.int8, np.int8, np.int16)
 
@@ -252,42 +220,27 @@ class RoundLog:
     def clicked(self) -> np.ndarray:
         return self.outcome != int(Outcome.OUTSIDE)
 
-    def record(self, idx: int) -> RoundRecord:
-        off = int(self.offset[idx])
-        alice = (int(self.alice_i[idx]), int(self.alice_j[idx]))
-        bob = (int(self.bob_i[idx]), int(self.bob_j[idx]))
-        return RoundRecord(
-            idx,
-            alice,
-            int(self.alice_s[idx]),
-            bob,
-            Outcome(int(self.outcome[idx])),
-            alice == bob,
-            None if off < 0 else off,
-        )
-
     def to_csv(self, fileobj) -> None:
         """Write the log as CSV: round,i,j,s,i_prime,j_prime,outcome,sifted,offset."""
         writer = csv.writer(fileobj)
         writer.writerow(
             ["round", "i", "j", "s", "i_prime", "j_prime", "outcome", "sifted", "offset"]
         )
-        names = {0: "plus", 1: "minus", 2: "outside"}
-        sift = self.sifted
-        for r in range(len(self)):
-            off = int(self.offset[r])
-            writer.writerow(
-                [
-                    r,
-                    int(self.alice_i[r]),
-                    int(self.alice_j[r]),
-                    int(self.alice_s[r]),
-                    int(self.bob_i[r]),
-                    int(self.bob_j[r]),
-                    names[int(self.outcome[r])],
-                    int(sift[r]),
-                    "" if off < 0 else off,
-                ]
+        names = np.array(["plus", "minus", "outside"])
+        sift = self.sifted.view(np.int8)
+        cols = (self.alice_i, self.alice_j, self.alice_s, self.bob_i, self.bob_j)
+        # bounded chunks keep the Python objects of each .tolist() few
+        for lo in range(0, len(self), _ENGINE_CHUNK):
+            part = slice(lo, lo + _ENGINE_CHUNK)
+            off = self.offset[part]
+            writer.writerows(
+                zip(
+                    range(lo, lo + len(off)),
+                    *(col[part].tolist() for col in cols),
+                    names[self.outcome[part]].tolist(),
+                    sift[part].tolist(),
+                    np.where(off < 0, None, off).tolist(),
+                )
             )
 
 
@@ -339,43 +292,17 @@ class SessionOutput(NamedTuple):
     log: RoundLog
 
 
-def draw_alice_round(spec: FieldSpec, table: np.ndarray, rng) -> PairState:
-    """Alice's per-round preparation: two uniforms (pair, sign bit)."""
-    row = pick_pair_index(rng.random(), len(table))
-    s = int(rng.random() >= 0.5)
-    return PairState(spec, int(table[row, 0]), int(table[row, 1]), s)
-
-
-def draw_bob_round(spec: FieldSpec, table: np.ndarray, ket: SparseKet, rng):
-    """Bob's per-round measurement: three uniforms (pair, outcome, noise).
-
-    Returns ((u, v), outcome, noise_bit).  The noise bit is drawn every
-    round whether or not it is needed, keeping the draw count fixed.
-    """
-    row = pick_pair_index(rng.random(), len(table))
-    u, v = int(table[row, 0]), int(table[row, 1])
-    p_plus, p_minus, _ = probabilities(ket, spec.el(u), spec.el(v))
-    outcome = decide_outcome(float(p_plus), float(p_minus), rng.random())
-    noise = int(rng.random() >= 0.5)
-    return (u, v), outcome, noise
-
-
-def decode_bob_bit(outcome: Outcome, noise_bit: int) -> int:
-    """Plus -> 0, Minus -> 1, Outside -> the provided random bit."""
-    return int(outcome) if outcome != Outcome.OUTSIDE else noise_bit
-
-
 # -- vectorised stages ----------------------------------------------------------
 #
 # Each stage works on column arrays of any number of rounds and draws its
-# own uniforms row-major, exactly as the scalar helpers above draw them
-# round by round.  A batch of kets is three columns: the support k1 < k2
-# (k2 = -1 for a collapsed single-term ket) and the relative sign bit
-# sigma (0 for a single-term ket).
+# own uniforms row-major, exactly as the round-at-a-time reference in
+# tests/reference.py draws them one round at a time.  A batch of kets is
+# three columns: the support k1 < k2 (k2 = -1 for a collapsed single-term
+# ket) and the relative sign bit sigma (0 for a single-term ket).
 
 
 def pick_pairs(table: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vector form of :func:`pick_pair_index`: the table pair of each uniform."""
+    """The table pair of each uniform (row floor(u * C), top edge clamped)."""
     pairs = len(table)
     row = np.minimum((u * pairs).astype(np.int64), pairs - 1)
     return table[row, 0], table[row, 1]
@@ -425,7 +352,7 @@ def measure(table: np.ndarray, k1, k2, sigma, rng):
 
     Draws three uniforms per ket (pair, outcome, noise) and returns the
     columns (u, v, outcome, bit): outcome holds :class:`Outcome` values,
-    bit is :func:`decode_bob_bit` of the outcome and the noise draw.
+    bit is 0 for Plus, 1 for Minus and the noise draw for Outside.
     """
     draw = rng.random((len(k1), 3))
     u, v = pick_pairs(table, draw[:, 0])
@@ -444,7 +371,13 @@ def measure(table: np.ndarray, k1, k2, sigma, rng):
 
 
 def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
-    """Vector form of :func:`pair_offset` (-1 where Bob is off Alice's line)."""
+    """Line offset of each Bob pair {u, v} relative to Alice's {i, j}.
+
+    The offset is the field factor a with u = i + a*(i+j) when both pairs
+    share the same index difference, else -1 (off Alice's line).  Offsets
+    a and a^1 name the same unordered pair, so class membership is a & ~1.
+    The per-round form is the scalar reference in tests/reference.py.
+    """
     delta = ai ^ aj
     on = (bi ^ bj) == delta
     off = np.full(len(ai), -1, np.int16)
@@ -455,8 +388,9 @@ def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
 # -- post-round stages ------------------------------------------------------
 #
 # Sift, sample, estimate: the steps after the quantum rounds, over the
-# announced and revealed columns.  The in-process engine, its scalar
-# replay and both networked endpoints call these same functions.
+# announced and revealed columns.  The in-process engine, both networked
+# endpoints and the scalar replay in tests/reference.py call these same
+# functions.
 
 
 def sift_rounds(ai, aj, bi, bj) -> np.ndarray:
@@ -517,13 +451,6 @@ def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
     )
 
 
-def estimate_ec(log: RoundLog, mode: str = "in_pair", z: float = Z_99) -> RateEstimate:
-    """:func:`accepted_rate` of a round log."""
-    if len(log) == 0:
-        raise ValueError("empty round log")
-    return accepted_rate(log.offset, log.clicked, mode, z)
-
-
 def _outcome_counts(log: RoundLog) -> dict[tuple[int, int], int]:
     """Rounds per (line offset, outcome); offset -1 is off Alice's line."""
     code = (log.offset.astype(np.int64) + 1) * 3 + log.outcome
@@ -533,9 +460,9 @@ def _outcome_counts(log: RoundLog) -> dict[tuple[int, int], int]:
 def run_session(cfg: SessionConfig) -> SessionOutput:
     """Run a full session and estimate its statistics.
 
-    Vectorised over rounds; consumes randomness exactly as the scalar
-    per-round helpers above, so a scalar replay with the same master
-    seed (as the networked runner performs) produces identical output.
+    Vectorised over rounds; any chunking of the rounds, including the
+    networked runner's windows, consumes randomness identically, so a
+    replay with the same master seed produces identical output.
     """
     spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
@@ -589,27 +516,3 @@ def _finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOut
     alice_key = log.alice_s[keep].astype(np.uint8)
     return SessionOutput(alice_key, log.bob_bit[keep].astype(np.uint8), stats, log)
 
-
-def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
-    """Round-at-a-time reference implementation of :func:`run_session`.
-
-    Draws every round through the scalar per-round helpers; tests
-    compare it with the vectorised stages to pin the batching
-    invariance.  The post-round stages are shared with
-    :func:`run_session`.
-    """
-    spec = field_spec(cfg.n, cfg.modulus)
-    model = resolve_channel(cfg.channel, spec)
-    streams = spawn_streams(cfg.seed)
-    table = pair_table(spec)
-    rows = []
-    for _ in range(cfg.rounds):
-        prep = draw_alice_round(spec, table, streams[STREAM_ALICE])
-        ket = transmit_ket(model, prep.ket(), streams[STREAM_CHANNEL])
-        (u, v), out, noise = draw_bob_round(spec, table, ket, streams[STREAM_BOB])
-        bit = decode_bob_bit(out, noise)
-        off = pair_offset(spec, prep.i, prep.j, u, v)
-        rows.append((prep.i, prep.j, prep.s, u, v, int(out), bit, off))
-    cols = np.array(rows, np.int64).T
-    log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
-    return _finish_session(cfg, log, streams[STREAM_SAMPLE])

@@ -24,7 +24,6 @@ f(lam*b + beta) != f(lam*(b+1) + beta).
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -114,28 +113,6 @@ class SparseKet:
             r *= s
         return r
 
-    # Wire form: per term a big-endian u16 index followed by one sign byte
-    # (0x00 for +, 0x01 for -), terms in canonical order.
-    def serialize(self) -> bytes:
-        return b"".join(
-            struct.pack(">HB", i, 0 if s == 1 else 1) for i, s in self.terms
-        )
-
-    @classmethod
-    def deserialize(cls, spec: FieldSpec, payload: bytes) -> "SparseKet":
-        if len(payload) % 3 or not 3 <= len(payload) <= 6:
-            raise ValueError(f"bad ket payload length {len(payload)}")
-        terms = []
-        for off in range(0, len(payload), 3):
-            idx, sbyte = struct.unpack(">HB", payload[off : off + 3])
-            if sbyte not in (0, 1):
-                raise ValueError(f"bad sign byte {sbyte:#x}")
-            terms.append((spec.check(idx), 1 if sbyte == 0 else -1))
-        ket = cls.from_terms(spec, terms)
-        if ket.serialize() != payload:
-            raise ValueError("ket payload not in canonical form")
-        return ket
-
 
 @dataclass(frozen=True)
 class PairState:
@@ -198,17 +175,6 @@ class BellIndex:
     def __post_init__(self) -> None:
         if self.ell not in (0, 1):
             raise ValueError("ell must be 0 or 1")
-
-
-def apply_error(a: FieldElement, phase: DiagonalPhase, ket: SparseKet) -> SparseKet:
-    """Apply the error operator X_a . phase: signs first, then index shift."""
-    _check_same_spec(ket.spec, a)
-    if phase.spec != ket.spec:
-        raise FieldMismatchError("phase mask spec does not match ket spec")
-    return SparseKet.from_terms(
-        ket.spec,
-        [(i ^ a.value, -s if phase(i) else s) for i, s in ket.terms],
-    )
 
 
 def conjugate_bell_mask(

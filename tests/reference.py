@@ -1,0 +1,214 @@
+"""Round-at-a-time reference path of the session engine.
+
+The package runs each session through its vectorised stages
+(``prepare``, ``transmit``, ``measure``, ``line_offsets``) and writes
+wire records in batches.  This module keeps the scalar path those
+stages replaced: per-round draws on ``SparseKet`` objects, per-ket
+channel actions, per-record wire encoders and the per-row round-log
+writer.  Differential tests compare the fast paths against it.
+
+Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
+replay reuses the engine's post-round stages (``_finish_session``), so
+a differential test pins only the per-round stages.
+"""
+
+from __future__ import annotations
+
+import csv
+import struct
+
+import numpy as np
+
+from quditqkd.channels import (
+    Action,
+    ChannelModel,
+    RandomDephase,
+    UnitaryTerm,
+    resolve_channel,
+)
+from quditqkd.field import FieldElement, FieldMismatchError, FieldSpec, field_spec
+from quditqkd.protocol import (
+    _LOG_DTYPES,
+    STREAM_ALICE,
+    STREAM_BOB,
+    STREAM_CHANNEL,
+    STREAM_SAMPLE,
+    RoundLog,
+    SessionConfig,
+    SessionOutput,
+    _finish_session,
+    pair_table,
+    spawn_streams,
+)
+from quditqkd.qstates import (
+    DiagonalPhase,
+    Outcome,
+    PairState,
+    SparseKet,
+    _check_same_spec,
+    decide_outcome,
+    probabilities,
+)
+
+# -- kets and channel actions ---------------------------------------------------
+
+
+def apply_error(a: FieldElement, phase: DiagonalPhase, ket: SparseKet) -> SparseKet:
+    """Apply the error operator X_a . phase: signs first, then index shift."""
+    _check_same_spec(ket.spec, a)
+    if phase.spec != ket.spec:
+        raise FieldMismatchError("phase mask spec does not match ket spec")
+    return SparseKet.from_terms(
+        ket.spec,
+        [(i ^ a.value, -s if phase(i) else s) for i, s in ket.terms],
+    )
+
+
+def apply_term(
+    action: Action, ket: SparseKet, aux_u: float, spec: FieldSpec
+) -> SparseKet:
+    """Apply one sampled action.  ``aux_u`` feeds the branchy actions.
+
+    Every round consumes exactly one auxiliary uniform whether or not the
+    action uses it, keeping draw order identical across implementations.
+    """
+    if isinstance(action, UnitaryTerm):
+        return apply_error(
+            spec.el(action.shift), DiagonalPhase(spec, action.mask), ket
+        )
+    if isinstance(action, RandomDephase):
+        if len(ket.terms) == 2 and aux_u < 0.5:
+            (i, si), (j, sj) = ket.terms
+            return SparseKet.from_terms(spec, [(i, si), (j, -sj)])
+        return ket
+    # Intercept-resend: Born weights on a 1-2 term ket are uniform over
+    # the support, so one fair choice over the canonical ordering works.
+    idx = ket.indices
+    pick = idx[0] if aux_u < 0.5 or len(idx) == 1 else idx[1]
+    return SparseKet.single(spec, pick)
+
+
+def transmit(
+    model: ChannelModel, ket: SparseKet, rng: np.random.Generator
+) -> SparseKet:
+    """Send one ket through the channel (always two uniform draws)."""
+    if ket.spec != model.spec:
+        raise ValueError("ket spec does not match channel spec")
+    term_u = rng.random()
+    aux_u = rng.random()
+    _, action = model.terms[model.sample_term_index(term_u)]
+    return apply_term(action, ket, aux_u, model.spec)
+
+
+# -- per-round draws and the scalar replay ------------------------------------
+
+
+def pick_pair_index(u: float, count: int) -> int:
+    """Uniform table row from one uniform draw (top edge clamped)."""
+    return min(int(u * count), count - 1)
+
+
+def pair_offset(spec: FieldSpec, i: int, j: int, u: int, v: int) -> int:
+    """Line offset of Bob's pair {u, v} relative to Alice's {i, j}.
+
+    Returns the field factor a with u = i + a*(i+j) when both pairs share
+    the same index difference, else -1 (off the line).  Offsets a and a^1
+    name the same unordered pair, so class membership is a & ~1.
+    """
+    delta = i ^ j
+    if (u ^ v) != delta:
+        return -1
+    return spec.mul(u ^ i, spec.inv(delta))
+
+
+def draw_alice_round(spec: FieldSpec, table: np.ndarray, rng) -> PairState:
+    """Alice's per-round preparation: two uniforms (pair, sign bit)."""
+    row = pick_pair_index(rng.random(), len(table))
+    s = int(rng.random() >= 0.5)
+    return PairState(spec, int(table[row, 0]), int(table[row, 1]), s)
+
+
+def draw_bob_round(spec: FieldSpec, table: np.ndarray, ket: SparseKet, rng):
+    """Bob's per-round measurement: three uniforms (pair, outcome, noise).
+
+    Returns ((u, v), outcome, noise_bit).  The noise bit is drawn every
+    round whether or not it is needed, keeping the draw count fixed.
+    """
+    row = pick_pair_index(rng.random(), len(table))
+    u, v = int(table[row, 0]), int(table[row, 1])
+    p_plus, p_minus, _ = probabilities(ket, spec.el(u), spec.el(v))
+    outcome = decide_outcome(float(p_plus), float(p_minus), rng.random())
+    noise = int(rng.random() >= 0.5)
+    return (u, v), outcome, noise
+
+
+def decode_bob_bit(outcome: Outcome, noise_bit: int) -> int:
+    """Plus -> 0, Minus -> 1, Outside -> the provided random bit."""
+    return int(outcome) if outcome != Outcome.OUTSIDE else noise_bit
+
+
+def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
+    """Round-at-a-time reference implementation of ``run_session``.
+
+    Draws every round through the scalar per-round helpers above; the
+    post-round stages are the engine's own.
+    """
+    spec = field_spec(cfg.n, cfg.modulus)
+    model = resolve_channel(cfg.channel, spec)
+    streams = spawn_streams(cfg.seed)
+    table = pair_table(spec)
+    rows = []
+    for _ in range(cfg.rounds):
+        prep = draw_alice_round(spec, table, streams[STREAM_ALICE])
+        ket = transmit(model, prep.ket(), streams[STREAM_CHANNEL])
+        (u, v), out, noise = draw_bob_round(spec, table, ket, streams[STREAM_BOB])
+        bit = decode_bob_bit(out, noise)
+        off = pair_offset(spec, prep.i, prep.j, u, v)
+        rows.append((prep.i, prep.j, prep.s, u, v, int(out), bit, off))
+    cols = np.array(rows, np.int64).T
+    log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
+    return _finish_session(cfg, log, streams[STREAM_SAMPLE])
+
+
+# -- per-record wire encodings ------------------------------------------------
+
+
+def serialize_ket(ket: SparseKet) -> bytes:
+    """Per term a big-endian u16 index and one sign byte (0x00 +, 0x01 -)."""
+    return b"".join(struct.pack(">HB", i, 0 if s == 1 else 1) for i, s in ket.terms)
+
+
+def encode_pair(i: int, j: int) -> bytes:
+    return struct.pack(">HH", i, j)
+
+
+def encode_outcome_announce(u: int, v: int, category: int) -> bytes:
+    return struct.pack(">HHB", u, v, category)
+
+
+# -- round log ----------------------------------------------------------------
+
+
+def round_log_csv(log: RoundLog, fileobj) -> None:
+    """Per-row writer of the round-log CSV (``RoundLog.to_csv`` format)."""
+    writer = csv.writer(fileobj)
+    writer.writerow(
+        ["round", "i", "j", "s", "i_prime", "j_prime", "outcome", "sifted", "offset"]
+    )
+    names = {0: "plus", 1: "minus", 2: "outside"}
+    sift = log.sifted
+    for r in range(len(log)):
+        off = int(log.offset[r])
+        writer.writerow(
+            [
+                r,
+                int(log.alice_i[r]),
+                int(log.alice_j[r]),
+                int(log.alice_s[r]),
+                int(log.bob_i[r]),
+                int(log.bob_j[r]),
+                names[int(log.outcome[r])],
+                int(sift[r]),
+                "" if off < 0 else off,
+            ]
+        )

@@ -17,7 +17,6 @@ from quditqkd.channels import (
     InterceptResend,
     RandomDephase,
     UnitaryTerm,
-    apply_term,
     as_probability,
     custom,
     full_dephase,
@@ -26,11 +25,12 @@ from quditqkd.channels import (
     partial_intercept,
     resolve_channel,
     shift_noise,
-    transmit,
     z_flip,
 )
 from quditqkd.field import field_spec
-from quditqkd.qstates import DiagonalPhase, SparseKet, apply_error
+from quditqkd.qstates import DiagonalPhase, SparseKet
+
+from reference import apply_error, apply_term, transmit
 
 
 class TestAsProbability:
@@ -208,12 +208,18 @@ class TestParsing:
             parse_channel_spec("bogus", field_spec(2))
 
     def test_bad_argument_rejected(self):
-        with pytest.raises(ValueError):
-            parse_channel_spec("z_flip:2.0", field_spec(2))
-        with pytest.raises(ValueError):
-            parse_channel_spec("custom:[]", field_spec(2))
-        with pytest.raises(ValueError):
-            parse_channel_spec("custom:(0.9,a=0,f=0)", field_spec(2))
+        for text in (
+            "z_flip:2.0",
+            "custom:[]",
+            "custom:(0.9,a=0,f=0)",
+            # the term list must be exactly comma-separated terms
+            "custom:[(1/2,a=0,f=0),(1/2,a=1,f=0x6),(0.3,a=1,f=0xZZ)]",
+            "custom:[(1,a=0,f=0),garbage]",
+            "custom:[(1,a=0,f=0)(0,a=1,f=0)]",
+            "custom:[(1,a=0,f=0),]",
+        ):
+            with pytest.raises(ValueError):
+                parse_channel_spec(text, field_spec(2))
 
     def test_resolve_passthrough_and_spec_check(self):
         spec = field_spec(2)

@@ -14,21 +14,15 @@ from hypothesis import strategies as st
 
 import quditqkd.protocol as protocol
 from quditqkd.channels import resolve_channel
-from quditqkd.channels import transmit as transmit_ket
 from quditqkd.field import field_spec
 from quditqkd.protocol import (
     RateEstimate,
     SessionConfig,
+    accepted_rate,
     check_pm_condition,
     condition_verdict,
-    decode_bob_bit,
-    draw_bob_round,
-    estimate_ec,
-    pair_offset,
     pair_table,
-    pick_pair_index,
     pm_condition_lhs,
-    replay_session_scalar,
     run_session,
     spawn_streams,
     wilson_interval,
@@ -36,6 +30,15 @@ from quditqkd.protocol import (
 from quditqkd.qstates import Outcome, SparseKet
 
 from oracles import wilson_reference
+from reference import (
+    decode_bob_bit,
+    draw_bob_round,
+    pair_offset,
+    pick_pair_index,
+    replay_session_scalar,
+    round_log_csv,
+)
+from reference import transmit as transmit_ket
 
 
 def counter_outcomes(log) -> dict[tuple[int, int], int]:
@@ -302,43 +305,41 @@ class TestRoundLog:
             "round", "i", "j", "s", "i_prime", "j_prime", "outcome", "sifted", "offset",
         ]
         assert len(body) == 50
+        log = out.log
+        names = ("plus", "minus", "outside")
         for r, row in enumerate(body):
             assert int(row[0]) == r
-            assert row[6] in ("plus", "minus", "outside")
-            rec = out.log.record(r)
-            assert (int(row[1]), int(row[2])) == rec.alice_pair
-            assert bool(int(row[7])) == rec.sifted
-            assert (row[8] == "") == (rec.offset is None)
+            assert [int(x) for x in row[1:6]] == [
+                log.alice_i[r], log.alice_j[r], log.alice_s[r], log.bob_i[r], log.bob_j[r],
+            ]
+            assert row[6] == names[log.outcome[r]]
+            assert int(row[7]) == int(log.sifted[r])
+            want = "" if log.offset[r] < 0 else str(log.offset[r])
+            assert row[8] == want
 
-    def test_record_decodes_types(self):
-        out = run_session(SessionConfig(n=2, rounds=10, seed=6))
-        rec = out.log.record(0)
-        assert isinstance(rec.outcome, Outcome)
-        assert rec.alice_pair[0] < rec.alice_pair[1]
+    @pytest.mark.parametrize("n, channel", [(3, "partial_intercept:0.4"), (2, "z_flip:0.3")])
+    def test_csv_bytes_match_row_writer(self, monkeypatch, n, channel):
+        log = run_session(SessionConfig(n=n, rounds=3000, channel=channel, seed=n)).log
+        # off-line rounds (empty offset cell), Outside outcomes, sifted rows
+        assert (log.offset < 0).any() and (log.offset >= 0).any()
+        assert (log.outcome == Outcome.OUTSIDE).any() and log.sifted.any()
+        want = io.StringIO()
+        round_log_csv(log, want)
+        want_rows = want.getvalue().split("\n")
+        for chunk in (protocol._ENGINE_CHUNK, 7, 1):
+            monkeypatch.setattr(protocol, "_ENGINE_CHUNK", chunk)
+            got = io.StringIO()
+            log.to_csv(got)
+            # row by row (line ends kept), so a failure names its row
+            got_rows = got.getvalue().split("\n")
+            assert len(got_rows) == len(want_rows)
+            for r, (a, b) in enumerate(zip(got_rows, want_rows)):
+                assert a == b, (chunk, r)
 
-    def test_record_reads_only_its_row(self):
-        log = run_session(SessionConfig(n=2, rounds=300, channel="z_flip:0.3", seed=5)).log
-        sifted = log.sifted
-        assert sifted.any() and not sifted.all()
-
-        class NoSiftedColumn(protocol.RoundLog):
-            @property
-            def sifted(self):
-                raise AssertionError("record must not build the whole sifted column")
-
-        cols = ("alice_i", "alice_j", "alice_s", "bob_i", "bob_j", "outcome", "bob_bit", "offset")
-        lean = NoSiftedColumn(*(getattr(log, c) for c in cols))
-        for r in range(len(log)):
-            rec = lean.record(r)
-            assert rec.sifted == bool(sifted[r])
-            assert rec.alice_pair == (log.alice_i[r], log.alice_j[r])
-            assert rec.bob_pair == (log.bob_i[r], log.bob_j[r])
-            assert rec.outcome == log.outcome[r]
-
-    def test_estimate_ec_empty_log_rejected(self):
+    def test_unknown_ec_mode_rejected(self):
         out = run_session(SessionConfig(n=2, rounds=10, seed=0))
         with pytest.raises(ValueError):
-            estimate_ec(out.log, "bogus")
+            accepted_rate(out.log.offset, out.log.clicked, "bogus")
 
 
 class TestDecoding:

@@ -1,0 +1,110 @@
+"""The package's exported names, and the scalar reference kept out of it."""
+
+from __future__ import annotations
+
+import pytest
+
+import quditqkd
+import quditqkd.channels as channels
+import quditqkd.netrun.wire as wire
+import quditqkd.protocol as protocol
+import quditqkd.qstates as qstates
+from quditqkd.qstates import SparseKet
+
+EXPORTED = [
+    "BellDistribution",
+    "BellIndex",
+    "ChannelModel",
+    "DistillBudget",
+    "DistillParams",
+    "DistillationReport",
+    "EdVerdict",
+    "ErrorMatrix",
+    "FeasibilityPoint",
+    "FieldElement",
+    "FieldMismatchError",
+    "FieldSpec",
+    "InsufficientKeyError",
+    "LabeledKey",
+    "ObservablePrediction",
+    "Outcome",
+    "PairState",
+    "RateEstimate",
+    "ScanResult",
+    "SelectionOutcome",
+    "SessionConfig",
+    "SessionOutput",
+    "SessionStats",
+    "SparseKet",
+    "UnsupportedModelError",
+    "analysis_report",
+    "bell_distribution",
+    "check_ed_condition",
+    "check_pm_condition",
+    "check_secure_condition",
+    "conjugate_bell",
+    "e_max_scan",
+    "ec_star",
+    "ep_recursion",
+    "error_matrix",
+    "f_value",
+    "field_spec",
+    "full_dephase",
+    "identity",
+    "intercept_distribution",
+    "majority_stage",
+    "measure",
+    "parse_channel_spec",
+    "partial_intercept",
+    "pm_condition_lhs",
+    "predict_observables",
+    "probabilities",
+    "resolve_channel",
+    "run_session",
+    "sample_labeled_key",
+    "select_params",
+    "shift_noise",
+    "simulate_distillation",
+    "wilson_interval",
+    "z_flip",
+]
+
+
+def test_all_is_pinned_and_resolves():
+    assert quditqkd.__all__ == EXPORTED
+    for name in quditqkd.__all__:
+        assert getattr(quditqkd, name) is not None, name
+
+
+# The round-at-a-time path lives in tests/reference.py; the per-record
+# decoders, SparseKet.deserialize, estimate_ec and RoundLog.record are gone.
+GONE = [
+    (protocol, "replay_session_scalar"),
+    (protocol, "draw_alice_round"),
+    (protocol, "draw_bob_round"),
+    (protocol, "decode_bob_bit"),
+    (protocol, "pick_pair_index"),
+    (protocol, "pair_offset"),
+    (protocol, "estimate_ec"),
+    (protocol, "RoundRecord"),
+    (protocol.RoundLog, "record"),
+    (channels, "apply_term"),
+    (channels, "apply_error"),
+    (channels, "transmit"),
+    (qstates, "apply_error"),
+    (SparseKet, "serialize"),
+    (SparseKet, "deserialize"),
+    (wire, "encode_pair"),
+    (wire, "decode_pair"),
+    (wire, "encode_outcome_announce"),
+    (wire, "decode_outcome_announce"),
+]
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    GONE,
+    ids=[f"{owner.__name__.rpartition('.')[2]}-{name}" for owner, name in GONE],
+)
+def test_scalar_reference_not_shipped(owner, name):
+    assert not hasattr(owner, name)
