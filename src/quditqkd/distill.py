@@ -21,7 +21,7 @@ non-cryptographic stand-in for key compression.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -240,18 +240,6 @@ class KTrial:
     cond2_rhs: float
     status: str
 
-    def to_json_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "x_rate": self.x_rate,
-            "z_rate": self.z_rate,
-            "r": self.r,
-            "cond1_value": self.cond1_value,
-            "cond2_lhs": self.cond2_lhs,
-            "cond2_rhs": self.cond2_rhs,
-            "status": self.status,
-        }
-
 
 @dataclass(frozen=True)
 class SelectionOutcome:
@@ -273,14 +261,8 @@ class SelectionOutcome:
             "x_fail": self.x_fail,
             "z_fail": self.z_fail,
             "meets_target": self.meets_target,
-            "budget": {
-                "k_max": self.budget.k_max,
-                "r_max": self.budget.r_max,
-                "css_target": self.budget.css_target,
-                "z_budget": self.budget.z_budget,
-                "margin": self.budget.margin,
-            },
-            "trail": [t.to_json_dict() for t in self.trail],
+            "budget": asdict(self.budget),
+            "trail": [asdict(t) for t in self.trail],
         }
 
 
@@ -364,15 +346,6 @@ class StageRecord:
     paired: int
     kept: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "seed": self.seed,
-            "input_length": self.input_length,
-            "paired": self.paired,
-            "kept": self.kept,
-        }
-
 
 @dataclass(frozen=True)
 class DistillationReport:
@@ -404,7 +377,7 @@ class DistillationReport:
             "k": self.params.k,
             "r": self.params.r,
             "input_length": self.input_length,
-            "stages": [s.to_json_dict() for s in self.stages],
+            "stages": [asdict(s) for s in self.stages],
             "survivors": self.survivor_count,
             "survivor_tallies": {
                 f"{x},{z}": c for (x, z), c in sorted(self.survivor_tallies.items())

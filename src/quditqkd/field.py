@@ -148,9 +148,10 @@ class FieldSpec:
     def norm(self, a: int) -> int:
         """Field norm onto GF(2): 0 for the zero element, 1 otherwise.
 
-        Equals a^(N-1) by Lagrange, computed directly from the zero test.
+        Equals a^(N-1) by Lagrange, computed directly from the zero test,
+        elementwise when ``a`` is an array.
         """
-        return 0 if a == 0 else 1
+        return (a != 0) * 1
 
     def el(self, value: int) -> "FieldElement":
         return FieldElement(self, self.check(value))

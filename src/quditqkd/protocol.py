@@ -347,6 +347,21 @@ def transmit(model: ChannelModel, k1, k2, sigma, rng):
     return m1, m2, sig, t
 
 
+def born_weights(u, v, k1, k2, sigma):
+    """Plus and minus weights of each ket in its pair basis {u, v}.
+
+    The ket is (|k1> + (-1)^sigma |k2>) / sqrt(2), or |k1> when k2 < 0;
+    the basis states are (|u> +- |v>) / sqrt(2).  Arguments broadcast.
+    """
+    sign2 = 1 - 2 * sigma.astype(np.int64)
+    c_u = (u == k1) * 1 + (u == k2) * sign2
+    c_v = (v == k1) * 1 + (v == k2) * sign2
+    # Squared projections are dyadic rationals, exact in float64, so
+    # the threshold comparisons match the scalar Fraction path.
+    width = np.where(k2 < 0, 2.0, 4.0)
+    return (c_u + c_v) ** 2 / width, (c_u - c_v) ** 2 / width
+
+
 def measure(table: np.ndarray, k1, k2, sigma, rng):
     """Bob's stage: pair, outcome and decoded key bit of each ket.
 
@@ -356,14 +371,7 @@ def measure(table: np.ndarray, k1, k2, sigma, rng):
     """
     draw = rng.random((len(k1), 3))
     u, v = pick_pairs(table, draw[:, 0])
-    sign2 = 1 - 2 * sigma.astype(np.int64)
-    c_u = (u == k1) * 1 + (u == k2) * sign2
-    c_v = (v == k1) * 1 + (v == k2) * sign2
-    # Squared projections are dyadic rationals, exact in float64, so
-    # the threshold comparisons match the scalar Fraction path.
-    width = np.where(k2 < 0, 2.0, 4.0)
-    p_plus = (c_u + c_v) ** 2 / width
-    p_minus = (c_u - c_v) ** 2 / width
+    p_plus, p_minus = born_weights(u, v, k1, k2, sigma)
     u_out = draw[:, 1]
     out = np.where(u_out < p_plus, 0, np.where(u_out < p_plus + p_minus, 1, 2))
     noise = (draw[:, 2] >= 0.5).astype(np.int8)

@@ -249,8 +249,9 @@ def probabilities(
 def decide_outcome(p_plus: float, p_minus: float, u: float) -> Outcome:
     """Map one uniform draw to an outcome given the two projection weights.
 
-    Shared by the sequential measurement path and the vectorised session
-    engine so both consume randomness identically.
+    The scalar threshold of :func:`measure` and of the round-at-a-time
+    replay in tests/reference.py.  The session engine makes the same
+    comparisons on arrays, with its weights from ``protocol.born_weights``.
     """
     if u < p_plus:
         return Outcome.PLUS

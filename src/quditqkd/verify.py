@@ -1,21 +1,29 @@
 """Built-in consistency suites behind the ``verify`` CLI subcommand.
 
-Each suite recomputes expected behaviour along an independent path
-(bitwise polynomial arithmetic, dense matrix algebra, exact fraction
-sums) and tallies agreements against the fast implementations, so a
-table or sign regression cannot pass silently.
+Each suite holds code the package runs to an independent path and
+tallies agreements, so a table or sign regression cannot pass silently:
+
+- field tables: ``mul_table`` against bitwise polynomial arithmetic,
+  ``inv_table`` by multiplying back to 1, and ``norm`` against the
+  Lagrange power a^(N-1);
+- born completeness: the engine's ``protocol.born_weights`` against
+  dense integer amplitudes, for every ket and pair basis;
+- conjugation: the exported ``conjugate_bell`` rule against a dense
+  matrix action on the two-register frame.
+
+The field and Born suites are one array comparison per degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
+from . import protocol
 from .field import FieldElement, FieldSpec, field_spec
-from .qstates import SparseKet, conjugate_bell, probabilities
+from .qstates import conjugate_bell
 
 __all__ = [
     "SuiteResult",
@@ -47,60 +55,63 @@ class SuiteResult:
         return f"{self.label}: {self.ok}/{self.total} {word}"
 
 
-def _slow_mul(a: int, b: int, modulus: int, n: int) -> int:
+def _slow_mul(a, b, modulus: int, n: int):
     # carry-less multiply then modulus reduction, no lookup tables
-    acc = 0
+    acc = np.zeros(np.broadcast(a, b).shape, np.int64)
     for bit in range(n):
-        if (b >> bit) & 1:
-            acc ^= a << bit
+        acc ^= (a << bit) * ((b >> bit) & 1)
     for bit in range(2 * n - 2, n - 1, -1):
-        if (acc >> bit) & 1:
-            acc ^= modulus << (bit - n)
+        acc ^= (modulus << (bit - n)) * ((acc >> bit) & 1)
     return acc
 
 
 def check_field_tables(n: int) -> SuiteResult:
-    """Products, inverses and the zero-indicator norm for one degree."""
+    """Products, inverses and the norm for one degree.
+
+    ``mul_table`` against bitwise polynomial arithmetic, ``inv_table``
+    against ``mul_table``, and ``norm`` against the Lagrange identity
+    norm(a) = a^(N-1), raised by repeated squaring through the table.
+    """
     spec = field_spec(n)
-    order = spec.order
-    ok = total = 0
-    for a in range(order):
-        for b in range(order):
-            total += 1
-            ok += spec.mul(a, b) == _slow_mul(a, b, spec.modulus, n)
-    for a in range(1, order):
-        total += 1
-        ok += spec.mul(a, spec.inv(a)) == 1
-    for a in range(order):
-        total += 1
-        ok += spec.norm(a) == (0 if a == 0 else 1)
-    return SuiteResult(f"field tables (n={n})", ok, total)
-
-
-def _all_kets(spec: FieldSpec):
-    for i in range(spec.order):
-        yield SparseKet.single(spec, i)
-    for i, j in itertools.combinations(range(spec.order), 2):
-        for s in (0, 1):
-            yield SparseKet.pair(spec, i, j, s)
+    el = np.arange(spec.order)
+    mul = spec.mul_table
+    products = mul == _slow_mul(el[:, None], el[None, :], spec.modulus, n)
+    inverses = mul[el[1:], spec.inv_table[1:]] == 1
+    # a^(N-1) = a * a^2 * a^4 * ... * a^(N/2)
+    power = square = el
+    for _ in range(n - 1):
+        square = mul[square, square]
+        power = mul[power, square]
+    good = np.concatenate([products.ravel(), inverses, spec.norm(el) == power])
+    return SuiteResult(f"field tables (n={n})", int(good.sum()), good.size)
 
 
 def check_born_completeness(n: int) -> SuiteResult:
-    """Exact outcome distributions sum to one for every ket and basis."""
+    """The engine's Born weights for every ket and pair basis.
+
+    ``protocol.born_weights`` over all single-index and signed pair
+    kets against dense integer amplitudes, (amp[u] +- amp[v])^2 /
+    (2 |amp|^2), with the two weights summing to at most one.
+    """
     spec = field_spec(n)
-    ok = total = 0
-    pairs = [
-        (FieldElement(spec, i), FieldElement(spec, j))
-        for i, j in itertools.combinations(range(spec.order), 2)
-    ]
-    for ket in _all_kets(spec):
-        for ip, jp in pairs:
-            total += 1
-            p_plus, p_minus, p_out = probabilities(ket, ip, jp)
-            good = p_plus + p_minus + p_out == Fraction(1)
-            good = good and all(0 <= p <= 1 for p in (p_plus, p_minus, p_out))
-            ok += bool(good)
-    return SuiteResult(f"born completeness (n={n})", ok, total)
+    order = spec.order
+    pairs = protocol.pair_table(spec)
+    u, v = pairs[:, 0], pairs[:, 1]
+    # kets: every |i>, then (|i> + (-1)^s |j>) / sqrt(2) per pair and sign
+    k1 = np.concatenate([np.arange(order), np.repeat(u, 2)])
+    k2 = np.concatenate([np.full(order, -1), np.repeat(v, 2)])
+    sigma = np.concatenate([np.zeros(order, np.int8), np.tile([0, 1], len(pairs))])
+    amp = np.zeros((len(k1), order), np.int64)
+    amp[np.arange(len(k1)), k1] = 1
+    amp[np.arange(order, len(k1)), k2[order:]] = 1 - 2 * sigma[order:]
+    scale = 2 * (amp**2).sum(axis=1, keepdims=True)
+    want_plus = (amp[:, u] + amp[:, v]) ** 2 / scale
+    want_minus = (amp[:, u] - amp[:, v]) ** 2 / scale
+    p_plus, p_minus = protocol.born_weights(
+        u, v, k1[:, None], k2[:, None], sigma[:, None]
+    )
+    good = (p_plus == want_plus) & (p_minus == want_minus) & (p_plus + p_minus <= 1)
+    return SuiteResult(f"born completeness (n={n})", int(good.sum()), good.size)
 
 
 def _frame_vector(spec: FieldSpec, lam: int, beta: int, b: int, kappa: int):
@@ -142,7 +153,8 @@ def check_conjugation(
     """Frame-index arithmetic against a dense matrix action.
 
     ``samples=None`` walks the whole tuple space (lam, beta, a, ell, b,
-    kappa) with lam nonzero; otherwise that many uniform draws.
+    kappa) with lam nonzero; otherwise that many uniform draws, at
+    least one.
     """
     spec = field_spec(n)
     order = spec.order
@@ -152,6 +164,8 @@ def check_conjugation(
             range(1, order), range(order), range(order), (0, 1), range(order), (0, 1)
         )
         label = "conjugation" if n == 2 else f"conjugation (n={n})"
+    elif samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     else:
         rng = np.random.default_rng(seed)
         space = (

@@ -176,13 +176,37 @@ class TestThreshold:
         assert "unknown config keys" in capsys.readouterr().err
 
 
+VERIFY_SAMPLES_30 = """\
+field tables (n=2): 23/23 ok
+field tables (n=3): 79/79 ok
+field tables (n=4): 287/287 ok
+field tables (n=5): 1087/1087 ok
+field tables (n=6): 4223/4223 ok
+field tables (n=7): 16639/16639 ok
+field tables (n=8): 66047/66047 ok
+born completeness (n=2): 96/96 ok
+born completeness (n=3): 1792/1792 ok
+born completeness (n=4): 30720/30720 ok
+conjugation: 768/768 ok
+conjugation sampled (n=3): 30/30 ok
+conjugation sampled (n=4): 30/30 ok
+all checks passed
+"""
+
+
 class TestVerify:
     def test_all_suites_pass(self, capsys):
         code = run_cli("verify", "--samples", "30")
-        out = capsys.readouterr().out
         assert code == 0
-        assert "conjugation: 768/768 ok" in out
-        assert "all checks passed" in out
+        assert capsys.readouterr().out == VERIFY_SAMPLES_30
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_rejected(self, samples, capsys):
+        code = run_cli("verify", "--samples", samples)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "samples must be >= 1" in captured.err
 
 
 class TestNetrunWiring:
