@@ -123,7 +123,8 @@ class ChannelModel:
         masks = b"".join(getattr(a, "mask", 0).to_bytes(width, "little") for a in acts)
         raw = np.frombuffer(masks, np.uint8).reshape(len(acts), width)
         bits = np.unpackbits(raw, axis=1, bitorder="little")
-        self.sign_bits = bits[:, : spec.order].view(np.int8)
+        # contiguous, so the engine's flat gathers read it without a copy
+        self.sign_bits = np.ascontiguousarray(bits[:, : spec.order]).view(np.int8)
         ids: dict[Fraction, int] = {}
         self.weight_id = np.array([ids.setdefault(p, len(ids)) for p, _ in self.terms])
         self.weights = tuple(ids)

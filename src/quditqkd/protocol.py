@@ -304,15 +304,16 @@ class SessionOutput(NamedTuple):
 def pick_pairs(table: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The table pair of each uniform (row floor(u * C), top edge clamped)."""
     pairs = len(table)
-    row = np.minimum((u * pairs).astype(np.int64), pairs - 1)
-    return table[row, 0], table[row, 1]
+    row = (u * pairs).astype(np.intp)
+    np.minimum(row, pairs - 1, out=row)
+    return table[:, 0][row], table[:, 1][row]
 
 
 def prepare(table: np.ndarray, rng, count: int):
     """Alice's stage: pairs i < j and sign bits s of ``count`` rounds."""
     draw = rng.random((count, 2))
     i, j = pick_pairs(table, draw[:, 0])
-    return i, j, (draw[:, 1] >= 0.5).astype(np.int8)
+    return i, j, (draw[:, 1] >= 0.5).view(np.int8)
 
 
 def transmit(model: ChannelModel, k1, k2, sigma, rng):
@@ -331,8 +332,10 @@ def transmit(model: ChannelModel, k1, k2, sigma, rng):
     # restores its canonical form (no second index, sign +).
     collapse = k2 < 0
     k2 = np.where(collapse, k1, k2)
-    bits = model.sign_bits
-    sig = sigma ^ bits[t, k1] ^ bits[t, k2] ^ (heads & (kind == KIND_DEPHASE))
+    # bit y of term t's mask sits at t*N + y of the flattened sign bits
+    row = t * model.spec.order
+    bits = model.sign_bits.reshape(-1)
+    sig = sigma ^ bits[row + k1] ^ bits[row + k2] ^ (heads & (kind == KIND_DEPHASE))
     shift = model.shift[t]
     x1 = k1 ^ shift
     x2 = k2 ^ shift
@@ -352,6 +355,8 @@ def born_weights(u, v, k1, k2, sigma):
 
     The ket is (|k1> + (-1)^sigma |k2>) / sqrt(2), or |k1> when k2 < 0;
     the basis states are (|u> +- |v>) / sqrt(2).  Arguments broadcast.
+    :func:`measure` reads its outcome thresholds from these weights,
+    tabulated per case of :func:`_born_case`.
     """
     sign2 = 1 - 2 * sigma.astype(np.int64)
     c_u = (u == k1) * 1 + (u == k2) * sign2
@@ -362,20 +367,67 @@ def born_weights(u, v, k1, k2, sigma):
     return (c_u + c_v) ** 2 / width, (c_u - c_v) ** 2 / width
 
 
+# The weights depend on a ket only through its case: the coefficients
+# c_u, c_v in {-1, 0, 1} of born_weights and whether it has one term.
+_BORN_CASES = 18
+
+
+def _born_case(u, v, k1, k2, sigma) -> np.ndarray:
+    """Index in [0, _BORN_CASES) of each ket's (c_u, c_v, single-term) case."""
+    sign2 = 1 - 2 * sigma
+    c_u = (u == k1).view(np.int8) + (u == k2) * sign2
+    c_v = (v == k1).view(np.int8) + (v == k2) * sign2
+    return (6 * c_u + 2 * c_v + (k2 < 0) + 8).astype(np.intp)
+
+
+def _case_kets() -> np.ndarray:
+    """Columns (u, v, k1, k2, sigma) of one ket per case a canonical ket reaches.
+
+    Every ket against every pair basis over four indices reaches them all.
+    """
+    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    kets = [(k, -1, 0) for k in range(4)] + [(i, j, s) for i, j in pairs for s in (0, 1)]
+    cols = np.array([p + k for p in pairs for k in kets], np.int16).T
+    _, first = np.unique(_born_case(*cols), return_index=True)
+    return cols[:, first]
+
+
+_CASE_KETS = _case_kets()
+
+
+def _outcome_thresholds() -> tuple[np.ndarray, np.ndarray]:
+    """Per case, the outcome uniform's lowest Minus and lowest Outside value.
+
+    p_plus and p_plus + p_minus from :func:`born_weights`; the cases no
+    canonical ket reaches read Outside.
+    """
+    p_plus, p_minus = born_weights(*_CASE_KETS)
+    case = _born_case(*_CASE_KETS)
+    minus = np.zeros(_BORN_CASES)
+    outside = np.zeros(_BORN_CASES)
+    minus[case] = p_plus
+    outside[case] = p_plus + p_minus
+    return minus, outside
+
+
 def measure(table: np.ndarray, k1, k2, sigma, rng):
     """Bob's stage: pair, outcome and decoded key bit of each ket.
 
     Draws three uniforms per ket (pair, outcome, noise) and returns the
     columns (u, v, outcome, bit): outcome holds :class:`Outcome` values,
-    bit is 0 for Plus, 1 for Minus and the noise draw for Outside.
+    bit is 0 for Plus, 1 for Minus and the noise draw for Outside.  The
+    outcome counts the thresholds p_plus and p_plus + p_minus that the
+    outcome uniform reaches, which is ``qstates.decide_outcome``'s rule.
     """
     draw = rng.random((len(k1), 3))
     u, v = pick_pairs(table, draw[:, 0])
-    p_plus, p_minus = born_weights(u, v, k1, k2, sigma)
-    u_out = draw[:, 1]
-    out = np.where(u_out < p_plus, 0, np.where(u_out < p_plus + p_minus, 1, 2))
-    noise = (draw[:, 2] >= 0.5).astype(np.int8)
-    return u, v, out, np.where(out < 2, out, noise)
+    minus, outside = _outcome_thresholds()
+    case = _born_case(u, v, k1, k2, sigma)
+    x = draw[:, 1]
+    out = (x >= minus[case]).view(np.int8) + (x >= outside[case]).view(np.int8)
+    noise = (draw[:, 2] >= 0.5).view(np.int8)
+    # Plus and Minus keep their outcome bit, Outside (out = 2) takes noise
+    return u, v, out, (out & 1) | ((out >> 1) & noise)
 
 
 def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
@@ -387,10 +439,12 @@ def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
     The per-round form is the scalar reference in tests/reference.py.
     """
     delta = ai ^ aj
-    on = (bi ^ bj) == delta
-    off = np.full(len(ai), -1, np.int16)
-    off[on] = spec.mul_table[(bi ^ ai)[on], spec.inv_table[delta[on]]]
-    return off
+    # product (u ^ i) * inv(delta) sits at (u ^ i)*N + inv(delta) of the
+    # flattened table; rows off the line read a product that is unused
+    cell = (bi ^ ai).astype(np.intp) * spec.order + spec.inv_table[delta]
+    on = ((bi ^ bj) == delta).view(np.int8)
+    # rows on the line keep their product, the others read 0 - 1 = -1
+    return spec.mul_table.reshape(-1)[cell] * on + (on - 1)
 
 
 # -- post-round stages ------------------------------------------------------

@@ -250,8 +250,11 @@ def decide_outcome(p_plus: float, p_minus: float, u: float) -> Outcome:
     """Map one uniform draw to an outcome given the two projection weights.
 
     The scalar threshold of :func:`measure` and of the round-at-a-time
-    replay in tests/reference.py.  The session engine makes the same
-    comparisons on arrays, with its weights from ``protocol.born_weights``.
+    replay in tests/reference.py.  The session engine's
+    ``protocol.measure`` counts the thresholds p_plus and
+    p_plus + p_minus that u reaches (u >= threshold), which picks the
+    same outcome since p_minus >= 0; its thresholds are
+    ``protocol.born_weights`` tabulated per ket case.
     """
     if u < p_plus:
         return Outcome.PLUS

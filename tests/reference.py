@@ -1,11 +1,14 @@
-"""Round-at-a-time reference path of the session engine.
+"""Reference paths of the session engine.
 
 The package runs each session through its vectorised stages
 (``prepare``, ``transmit``, ``measure``, ``line_offsets``) and writes
 wire records in batches.  This module keeps the scalar path those
 stages replaced: per-round draws on ``SparseKet`` objects, per-ket
 channel actions, per-record wire encoders and the per-row round-log
-writer.  Differential tests compare the fast paths against it.
+writer.  It also keeps the earlier vectorised stage bodies (2-D
+fancy-index gathers, Bob's weights computed per round and nested
+``np.where`` thresholds) as ``reference_*``.  Differential tests compare
+the fast paths against both.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
 replay reuses the engine's post-round stages (``_finish_session``), so
@@ -20,6 +23,8 @@ import struct
 import numpy as np
 
 from quditqkd.channels import (
+    KIND_DEPHASE,
+    KIND_INTERCEPT,
     Action,
     ChannelModel,
     RandomDephase,
@@ -168,6 +173,65 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
     return _finish_session(cfg, log, streams[STREAM_SAMPLE])
+
+
+# -- earlier vectorised stage bodies --------------------------------------------
+
+
+def reference_pick_pairs(table: np.ndarray, u: np.ndarray):
+    pairs = len(table)
+    row = np.minimum((u * pairs).astype(np.int64), pairs - 1)
+    return table[row, 0], table[row, 1]
+
+
+def reference_prepare(table: np.ndarray, rng, count: int):
+    draw = rng.random((count, 2))
+    i, j = reference_pick_pairs(table, draw[:, 0])
+    return i, j, (draw[:, 1] >= 0.5).astype(np.int8)
+
+
+def reference_transmit(model: ChannelModel, k1, k2, sigma, rng):
+    draw = rng.random((len(k1), 2))
+    t = model.sample_term_index(draw[:, 0])
+    heads = draw[:, 1] < 0.5
+    kind = model.kind[t]
+    collapse = k2 < 0
+    k2 = np.where(collapse, k1, k2)
+    bits = model.sign_bits
+    sig = sigma ^ bits[t, k1] ^ bits[t, k2] ^ (heads & (kind == KIND_DEPHASE))
+    shift = model.shift[t]
+    x1 = k1 ^ shift
+    x2 = k2 ^ shift
+    m1 = np.minimum(x1, x2)
+    m2 = np.maximum(x1, x2)
+    intercept = kind == KIND_INTERCEPT
+    m1 = np.where(intercept & ~heads, m2, m1)
+    collapse |= intercept
+    m2[collapse] = -1
+    sig[collapse] = 0
+    return m1, m2, sig, t
+
+
+def reference_measure(table: np.ndarray, k1, k2, sigma, rng):
+    draw = rng.random((len(k1), 3))
+    u, v = reference_pick_pairs(table, draw[:, 0])
+    sign2 = 1 - 2 * sigma.astype(np.int64)
+    c_u = (u == k1) * 1 + (u == k2) * sign2
+    c_v = (v == k1) * 1 + (v == k2) * sign2
+    width = np.where(k2 < 0, 2.0, 4.0)
+    p_plus, p_minus = (c_u + c_v) ** 2 / width, (c_u - c_v) ** 2 / width
+    u_out = draw[:, 1]
+    out = np.where(u_out < p_plus, 0, np.where(u_out < p_plus + p_minus, 1, 2))
+    noise = (draw[:, 2] >= 0.5).astype(np.int8)
+    return u, v, out, np.where(out < 2, out, noise)
+
+
+def reference_line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
+    delta = ai ^ aj
+    on = (bi ^ bj) == delta
+    off = np.full(len(ai), -1, np.int16)
+    off[on] = spec.mul_table[(bi ^ ai)[on], spec.inv_table[delta[on]]]
+    return off
 
 
 # -- per-record wire encodings ------------------------------------------------

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import quditqkd.protocol as protocol
 from quditqkd.channels import resolve_channel
 from quditqkd.field import field_spec
+from quditqkd.netrun.wire import decode_qudit_batch, encode_qudit_batch
 from quditqkd.protocol import (
     RateEstimate,
     SessionConfig,
@@ -35,6 +36,10 @@ from reference import (
     draw_bob_round,
     pair_offset,
     pick_pair_index,
+    reference_line_offsets,
+    reference_measure,
+    reference_prepare,
+    reference_transmit,
     replay_session_scalar,
     round_log_csv,
 )
@@ -176,12 +181,22 @@ class TestStreams:
         assert len(draws) == 5
 
 
+LOG_COLUMNS = (
+    "alice_i", "alice_j", "alice_s", "bob_i", "bob_j", "outcome", "bob_bit", "offset",
+)
+
+
 def _compare_outputs(vec, ref):
+    # np.array_equal ignores dtype, so a widened or narrowed column is
+    # caught by the dtype checks alone
     assert vec.stats == ref.stats
+    for out in (vec, ref):
+        assert out.alice_key.dtype == out.bob_key.dtype == np.uint8
+        for name, dtype in zip(LOG_COLUMNS, protocol._LOG_DTYPES):
+            assert getattr(out.log, name).dtype == dtype, name
     assert np.array_equal(vec.alice_key, ref.alice_key)
     assert np.array_equal(vec.bob_key, ref.bob_key)
-    for name in ("alice_i", "alice_j", "alice_s", "bob_i", "bob_j",
-                 "outcome", "bob_bit", "offset"):
+    for name in LOG_COLUMNS:
         assert np.array_equal(getattr(vec.log, name), getattr(ref.log, name))
 
 
@@ -195,17 +210,20 @@ class TestEngineEquivalence:
     ]
 
     @pytest.mark.parametrize("channel", CHANNELS)
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
     def test_vectorised_matches_scalar(self, n, channel):
         cfg = SessionConfig(n=n, rounds=2000, channel=channel, seed=97)
         _compare_outputs(run_session(cfg), replay_session_scalar(cfg))
 
     def test_chunking_invariance(self, monkeypatch):
-        cfg = SessionConfig(n=2, rounds=1037, channel="z_flip:0.3", seed=5)
-        whole = run_session(cfg)
-        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
-        chunked = run_session(cfg)
-        _compare_outputs(chunked, whole)
+        for n, channel in [
+            (2, "z_flip:0.3"), (8, "shift_noise:0.2"), (5, "partial_intercept:0.4"),
+        ]:
+            cfg = SessionConfig(n=n, rounds=1037, channel=channel, seed=5)
+            monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 1 << 17)
+            whole = run_session(cfg)
+            monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
+            _compare_outputs(run_session(cfg), whole)
 
     def test_seed_determinism(self):
         cfg = SessionConfig(n=2, rounds=500, channel="shift_noise:0.2", seed=11)
@@ -366,18 +384,24 @@ class TestConfigValidation:
             SessionConfig(ec_mode="wrong")
 
 
+def _ket_columns(order, rng, count):
+    """Mixed 1- and 2-term canonical ket columns (k1, k2, sigma), int16/int8."""
+    a = rng.integers(order, size=count)
+    b = (a + rng.integers(1, order, size=count)) % order
+    single = rng.random(count) < 0.3
+    k1 = np.where(single, a, np.minimum(a, b)).astype(np.int16)
+    k2 = np.where(single, -1, np.maximum(a, b)).astype(np.int16)
+    sigma = np.where(single, 0, rng.integers(2, size=count)).astype(np.int8)
+    return k1, k2, sigma
+
+
 def _random_kets(spec, rng, count):
     """Mixed 1- and 2-term canonical kets as objects and as ket columns."""
-    kets = []
-    for _ in range(count):
-        if rng.random() < 0.3:
-            kets.append(SparseKet.single(spec, int(rng.integers(spec.order))))
-        else:
-            i, j = sorted(rng.choice(spec.order, 2, replace=False).tolist())
-            kets.append(SparseKet.pair(spec, i, j, int(rng.integers(2))))
-    k1 = np.array([k.terms[0][0] for k in kets], np.int16)
-    k2 = np.array([k.terms[1][0] if len(k.terms) == 2 else -1 for k in kets], np.int16)
-    sigma = np.array([int(k.relative_sign() == -1) for k in kets], np.int8)
+    k1, k2, sigma = _ket_columns(spec.order, rng, count)
+    kets = [
+        SparseKet.single(spec, i) if j < 0 else SparseKet.pair(spec, i, j, s)
+        for i, j, s in zip(k1.tolist(), k2.tolist(), sigma.tolist())
+    ]
     return kets, k1, k2, sigma
 
 
@@ -417,22 +441,113 @@ class TestStages:
         self.test_transmit_matches_apply_term_on_mixed_kets(8, channel)
 
     def test_measure_matches_draw_bob_round_on_mixed_kets(self):
-        spec = field_spec(3)
-        table = pair_table(spec)
-        kets, k1, k2, sigma = _random_kets(spec, np.random.default_rng(3), 600)
-        u, v, out, bit = protocol.measure(table, k1, k2, sigma, np.random.default_rng(5))
-        scalar = np.random.default_rng(5)
-        for r, ket in enumerate(kets):
-            (su, sv), s_out, noise = draw_bob_round(spec, table, ket, scalar)
-            want = (su, sv, s_out, decode_bob_bit(s_out, noise))
-            assert (u[r], v[r], out[r], bit[r]) == want
+        for n in (2, 3, 5, 8):
+            spec = field_spec(n)
+            table = pair_table(spec)
+            kets, k1, k2, sigma = _random_kets(spec, np.random.default_rng(n), 600)
+            u, v, out, bit = protocol.measure(table, k1, k2, sigma, np.random.default_rng(5))
+            scalar = np.random.default_rng(5)
+            for r, ket in enumerate(kets):
+                (su, sv), s_out, noise = draw_bob_round(spec, table, ket, scalar)
+                want = (su, sv, s_out, decode_bob_bit(s_out, noise))
+                assert (u[r], v[r], out[r], bit[r]) == want, (n, r)
 
     def test_line_offsets_match_pair_offset(self):
-        spec = field_spec(3)
+        for n in (2, 3, 5):
+            spec = field_spec(n)
+            table = pair_table(spec)
+            rows = np.arange(len(table))
+            ai, aj = np.repeat(table[:, 0], len(rows)), np.repeat(table[:, 1], len(rows))
+            bi, bj = np.tile(table[:, 0], len(rows)), np.tile(table[:, 1], len(rows))
+            got = protocol.line_offsets(spec, ai, aj, bi, bj)
+            want = [pair_offset(spec, *map(int, q)) for q in zip(ai, aj, bi, bj)]
+            assert got.tolist() == want, n
+
+
+def _assert_same_columns(got, want, same_dtypes=True):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+        assert g.dtype == w.dtype or not same_dtypes
+
+
+class TestStagesAgainstReference:
+    """The stages against their earlier vectorised bodies in reference.py."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_stages_match_reference(self, n):
+        spec = field_spec(n)
         table = pair_table(spec)
-        rows = np.arange(len(table))
-        ai, aj = np.repeat(table[:, 0], len(rows)), np.repeat(table[:, 1], len(rows))
-        bi, bj = np.tile(table[:, 0], len(rows)), np.tile(table[:, 1], len(rows))
+        count = 10**5
+        _assert_same_columns(
+            protocol.prepare(table, np.random.default_rng(n), count),
+            reference_prepare(table, np.random.default_rng(n), count),
+        )
+        kets = _ket_columns(spec.order, np.random.default_rng(10 + n), count)
+        # as the engine passes them, and as bob decodes them off the wire
+        wire = decode_qudit_batch(encode_qudit_batch(*kets), count, spec.order)
+        for k1, k2, sigma in (kets, wire):
+            for channel in TestEngineEquivalence.CHANNELS:
+                model = resolve_channel(channel, spec)
+                _assert_same_columns(
+                    protocol.transmit(model, k1, k2, sigma, np.random.default_rng(n)),
+                    reference_transmit(model, k1, k2, sigma, np.random.default_rng(n)),
+                )
+            # the outcome and bit columns were int64 and are now int8
+            _assert_same_columns(
+                protocol.measure(table, k1, k2, sigma, np.random.default_rng(n)),
+                reference_measure(table, k1, k2, sigma, np.random.default_rng(n)),
+                same_dtypes=False,
+            )
+        rng = np.random.default_rng(20 + n)
+        ai, aj, _ = protocol.prepare(table, rng, count)
+        bi, bj, _ = protocol.prepare(table, rng, count)
+        # half the Bob pairs moved onto Alice's line, at a random offset
+        u = ai ^ rng.integers(spec.order, size=count).astype(np.int16)
+        v = u ^ ai ^ aj
+        on = rng.random(count) < 0.5
+        bi = np.where(on, np.minimum(u, v), bi)
+        bj = np.where(on, np.maximum(u, v), bj)
         got = protocol.line_offsets(spec, ai, aj, bi, bj)
-        want = [pair_offset(spec, *map(int, q)) for q in zip(ai, aj, bi, bj)]
-        assert got.tolist() == want
+        assert got.dtype == np.int16
+        assert (got >= 0).any() and (got < 0).any()
+        assert np.array_equal(got, reference_line_offsets(spec, ai, aj, bi, bj))
+
+    def test_measure_thresholds_on_planted_edges(self):
+        """Uniforms exactly on every pair-row edge and every Born threshold."""
+        for n in (2, 3):
+            spec = field_spec(n)
+            table = pair_table(spec)
+            pairs = len(table)
+            kets = [(k, -1, 0) for k in range(spec.order)]
+            kets += [(i, j, s) for i, j in table.tolist() for s in (0, 1)]
+            edges = np.arange(pairs + 1) / pairs
+            outcome = np.array([0.0, 0.25, 0.5, 0.75, 1 - 2.0**-53])
+            noise = np.array([0.5, 0.5 - 2.0**-53])
+            grid = np.array(
+                [
+                    (*ket, e, x, z)
+                    for ket in kets for e in edges for x in outcome for z in noise
+                ]
+            )
+            k1 = grid[:, 0].astype(np.int16)
+            k2 = grid[:, 1].astype(np.int16)
+            sigma = grid[:, 2].astype(np.int8)
+            draws = _PlantedDraws(grid[:, 3:])
+            got = protocol.measure(table, k1, k2, sigma, draws)
+            want = reference_measure(table, k1, k2, sigma, draws)
+            _assert_same_columns(got, want, same_dtypes=False)
+            # every outcome occurs, Outside with both noise bits
+            assert set(got[2].tolist()) == {0, 1, 2}
+            assert set(got[3][got[2] == 2].tolist()) == {0, 1}
+
+
+class _PlantedDraws:
+    """A generator stand-in whose ``random`` returns fixed rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def random(self, shape):
+        assert shape == self.rows.shape
+        return self.rows.copy()
