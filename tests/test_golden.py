@@ -1,0 +1,136 @@
+"""Golden digests of seeded sessions and closed-form reports.
+
+Each case hashes, with SHA-256, everything a seeded ``run_session``
+returns: the stats JSON, both keys and all eight round-log columns with
+their dtypes.  The unitary cases also hash their ``analysis_report``
+JSON.  The digests were recorded before the guide-table term search,
+the array-built pair table and the packed mask dedupe went in, so any
+change to a draw, a key or a report shows up here.
+
+To re-record after an intended change of outputs, print
+``{case: digest}`` from :func:`session_digest` and
+:func:`report_digest` over ``CASES`` and paste it below.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+import pytest
+
+from quditqkd.analysis import analysis_report
+from quditqkd.channels import parse_channel_spec
+from quditqkd.field import field_spec
+from quditqkd.protocol import SessionConfig, run_session
+
+ROUNDS = 3000
+CHANNELS = ("identity", "z_flip:0.3", "shift_noise:0.2", "full_dephase", "partial_intercept:0.4")
+UNITARY = CHANNELS[:4]
+CASES = [(n, ch, seed) for n in (2, 3, 5, 8) for ch in CHANNELS for seed in (1, 2)]
+
+
+def _hash_arrays(h, arrays) -> None:
+    for arr in arrays:
+        h.update(str(arr.dtype).encode())
+        h.update(arr.tobytes())
+
+
+def session_digest(n: int, channel: str, seed: int) -> str:
+    out = run_session(SessionConfig(n=n, rounds=ROUNDS, channel=channel, seed=seed))
+    h = hashlib.sha256(json.dumps(out.stats.to_json_dict(), sort_keys=True).encode())
+    log = out.log
+    _hash_arrays(
+        h,
+        (
+            out.alice_key,
+            out.bob_key,
+            log.alice_i,
+            log.alice_j,
+            log.alice_s,
+            log.bob_i,
+            log.bob_j,
+            log.outcome,
+            log.bob_bit,
+            log.offset,
+        ),
+    )
+    return h.hexdigest()
+
+
+def report_digest(n: int, channel: str) -> str:
+    report = analysis_report(parse_channel_spec(channel, field_spec(n)))
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+SESSION_DIGESTS = {
+    "2/identity/1": "5e2b3fd77f897e9d5936c9ad80d572e5b3e51e0035cb8b452cb82d61c195745b",
+    "2/identity/2": "61d732283bfdc880dddcbd5ce53dcac5b59e83737f05076be473a22bdbd090a4",
+    "2/z_flip:0.3/1": "1c6342a2aa417931a2e688d97e4b02ebc8ce9f11b33b1ef1389f6e2a1299d34e",
+    "2/z_flip:0.3/2": "d80f795526cce4cbbc8e499fd214c218c0b6e84fafaf75935ae154c9cfab5336",
+    "2/shift_noise:0.2/1": "26f8401a63099e853541fedf4829ebfbc8989ff06d30c0eb63fc46598b2214b3",
+    "2/shift_noise:0.2/2": "575e56249ab8a6b69047fbb898fcdca35c5f9a5b8a897453996094f87c4bd66e",
+    "2/full_dephase/1": "188c2db408353996cebf86638283b57523df77332b7ff4db474f4507fbaa2277",
+    "2/full_dephase/2": "7aab8e6182acdfc888702b790ae28876aaed6baeaade6522e4eb785bf37e0274",
+    "2/partial_intercept:0.4/1": "7a57511fc72634f6e9fd5b009d0534c2d49ada820a811ba93932802940eee585",
+    "2/partial_intercept:0.4/2": "730530d149361002ceb7822d5c130cc4dd8c2a65ca78374c07977501b74e38ee",
+    "3/identity/1": "574da69056e49c327b38cd43c62079e8f8a23d368d71eec6db6854db517a15af",
+    "3/identity/2": "b0e94a7e9ec96937c2e7a52d376f1de80e5f6f9504c355a7cb798862d2db33c2",
+    "3/z_flip:0.3/1": "3f3b43cde0e409bdf3614793ad7e0b665eb78df98b9dab9064f46b57f440b5cc",
+    "3/z_flip:0.3/2": "593792ab7abd2868befceb66203a4dcfc10a03c70691090c60b66c4c0bfc4e93",
+    "3/shift_noise:0.2/1": "803dfeba676ba4883278c3144c7d80cdfe7099cecb82823d10b1cf7467a0e87f",
+    "3/shift_noise:0.2/2": "447d10d3df14a35035d2c5592c48d1ec4123d595493efdc309043f9628c6236c",
+    "3/full_dephase/1": "9bc4488e47e7f7dec9ff88e263de4f4c4b559683967f94a83925f30f59c7b926",
+    "3/full_dephase/2": "d817ae59ad16cb55670987aec5915dbd30913fc094cbd93041c004641458fde2",
+    "3/partial_intercept:0.4/1": "201c41a8959454a5f5b5626ab1dd69779b612a02e5e010a5edd63571c2c22153",
+    "3/partial_intercept:0.4/2": "1d5faa9f5a59afe21f490db863c30348aa5df23ea49ffa48844e6eb6889a4d35",
+    "5/identity/1": "d5584eb37bb69b0806151526ff11fccfce3cca9cf1380fb4e05537d2ec5b98c8",
+    "5/identity/2": "05b3859a53bc13eda870024da8bdbeb1918f1e4b5caf18e3bb5536c255fedc05",
+    "5/z_flip:0.3/1": "d5584eb37bb69b0806151526ff11fccfce3cca9cf1380fb4e05537d2ec5b98c8",
+    "5/z_flip:0.3/2": "05b3859a53bc13eda870024da8bdbeb1918f1e4b5caf18e3bb5536c255fedc05",
+    "5/shift_noise:0.2/1": "de9ed8c66ac8978ba9e4fe03db58122f593a359437a0829457d41e5e8175beb0",
+    "5/shift_noise:0.2/2": "4b8a1b137f287e8f405ea292d63ef7e1415efe9c0a68875ffdfc5e9b2ba478a2",
+    "5/full_dephase/1": "090a5969fd0710036898bbfc7af9cf062e8bf75d314862761d489e77c1c640d8",
+    "5/full_dephase/2": "18ae81ddb44f68114d495030df64bd51f76cc063409609952aede94d62c0fb6b",
+    "5/partial_intercept:0.4/1": "d51958e2b13cb8059c5dfa2f905246426e4edff3981d09993f32529a57e969a2",
+    "5/partial_intercept:0.4/2": "fb6a427d678c7108a69aaf8353e170f56866a8e6ee5340b5d7688daad97aef5a",
+    "8/identity/1": "f4bf855d6dda016d65ca13a64d465e422df88135111e5005077e5cdb5dedea21",
+    "8/identity/2": "8be3a4fd898d7ba5fc71a3fa70189ba6d2bd7ce2f62f0df3de6c964b1ab7115f",
+    "8/z_flip:0.3/1": "f4bf855d6dda016d65ca13a64d465e422df88135111e5005077e5cdb5dedea21",
+    "8/z_flip:0.3/2": "8be3a4fd898d7ba5fc71a3fa70189ba6d2bd7ce2f62f0df3de6c964b1ab7115f",
+    "8/shift_noise:0.2/1": "e69b63c775d885899d86cd95e12d248f9e40d070e245a899d46bea3b7e08e56f",
+    "8/shift_noise:0.2/2": "362caecc6256c1beb70f6cf54eccb4e309932b96886ab0c1d395f55a5f7af6d5",
+    "8/full_dephase/1": "f4bf855d6dda016d65ca13a64d465e422df88135111e5005077e5cdb5dedea21",
+    "8/full_dephase/2": "8be3a4fd898d7ba5fc71a3fa70189ba6d2bd7ce2f62f0df3de6c964b1ab7115f",
+    "8/partial_intercept:0.4/1": "fae03022e9d40e75f8bf694c45647aabf80c077477c355bea63f01013c391831",
+    "8/partial_intercept:0.4/2": "32bc2055794d0401a6909565a73b688054f9f3b517e4c5868358193d1c63a631",
+}
+
+REPORT_DIGESTS = {
+    "2/identity": "b4061a12bd5b8c2d0f4575eaab88ff6f3f38fcfca13e3467b730807cbb142165",
+    "2/z_flip:0.3": "052285af36429f19d87acb07893bf7e45671af423a832cab8144582ce05628d5",
+    "2/shift_noise:0.2": "0fda697d0103510489c7bcef17073de0138ca7f5a144f24e64006bfcbafc79ea",
+    "2/full_dephase": "88bae7f2e2325c2bd17acac1e387fc9f04d03cf986ad3ad1add43738201e1db3",
+    "3/identity": "dd7c68005692b3f077451995e97d0086ac5d3147402a546ca85332c5ecdc2f23",
+    "3/z_flip:0.3": "8d57b697a7dac7df1d87870812ed388ade6b9712bf55c52f6a6fa7c0de96b629",
+    "3/shift_noise:0.2": "c039dfbaa0c7cda98bfdc3df6250db39afa50ccd52b50c9976dd27332efb624c",
+    "3/full_dephase": "dca020251aaabb0251731c90471bbd13f3f81b67cc940db53ace8390e916ffe6",
+    "5/identity": "abe8408d0b51e10be650084c669e9b26f09960d55b0cabad1df5f9fbfaf26f45",
+    "5/z_flip:0.3": "f6706046936ca5e70bb211eba57314b90df1564872b47cfe9acb79d4c8c6ccbb",
+    "5/shift_noise:0.2": "26e0f2d81c41237411b240b70736c73fdbd849391c8f6592c8405e6cdb28c4b8",
+    "5/full_dephase": "40f0ad612a4a13bd0ab92b7e1fce9f3590544c672833eba78a084e81ba7d63cf",
+    "8/identity": "1b7f10c85eef35e0f3f69de15713e3da2f08d4f3044ee552b31d84582f02a243",
+    "8/z_flip:0.3": "bc52140bc29fe57bb521625b62c1170b8ce4081ed74157018f8e9a2b77bce33d",
+    "8/shift_noise:0.2": "0511bbe59482b01fc94d1f020f015b25433a1c2f88f661a825849832c58ca63e",
+    "8/full_dephase": "cd3297ebddcf610b7d46a005eff0cc500e597a4fe7801b126bf61fb440d87263",
+}
+
+
+@pytest.mark.parametrize("n,channel,seed", CASES)
+def test_session_digest(n, channel, seed):
+    assert session_digest(n, channel, seed) == SESSION_DIGESTS[f"{n}/{channel}/{seed}"]
+
+
+@pytest.mark.parametrize("n,channel", [(n, ch) for n in (2, 3, 5, 8) for ch in UNITARY])
+def test_report_digest(n, channel):
+    assert report_digest(n, channel) == REPORT_DIGESTS[f"{n}/{channel}"]
