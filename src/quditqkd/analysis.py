@@ -73,6 +73,22 @@ class BellDistribution:
             raise ValueError("per-index sum rule violated")
 
 
+def _distinct_masks(sign_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``sign_bits`` and the row id of each term.
+
+    Rows are deduplicated as their bits packed into uint64 words, one
+    word per 64 indices, which sorts far fewer and wider keys than the
+    bit rows themselves.
+    """
+    packed = np.packbits(sign_bits, axis=1, bitorder="little")
+    words = -(-packed.shape[1] // 8)
+    padded = np.zeros((len(packed), 8 * words), np.uint8)
+    padded[:, : packed.shape[1]] = packed
+    keys = padded.view(np.uint64)
+    _, first, mask_id = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    return sign_bits[first], mask_id
+
+
 def bell_distribution(model: ChannelModel) -> BellDistribution:
     """Exact outcome distribution for a unitary-mixture channel.
 
@@ -92,7 +108,7 @@ def bell_distribution(model: ChannelModel) -> BellDistribution:
     spec = model.spec
     N = spec.order
     lam = np.arange(1, N)
-    masks, mask_id = np.unique(model.sign_bits, axis=0, return_inverse=True)
+    masks, mask_id = _distinct_masks(model.sign_bits)
     flips = (masks[:, None, :] != masks[:, lam[:, None] ^ np.arange(N)]).sum(axis=2)
     flips = np.where((model.kind == KIND_DEPHASE)[:, None], N // 2, flips[mask_id])
     # landing index c/lam of each (term, lam); mul_table is uint8, and the

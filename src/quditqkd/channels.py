@@ -15,9 +15,12 @@ Each model is compiled once, at construction, into read-only term
 arrays: ``kind`` (one of KIND_UNITARY, KIND_DEPHASE, KIND_INTERCEPT),
 ``shift``, ``sign_bits`` (bit y of each term's mask for every index
 y < N, zero for non-unitary terms) and ``weight_id`` into the distinct
-probabilities ``weights``.  The session engine and the closed-form
-analysis read these arrays by term index; the per-ket scalar reference
-that applies one action to one ``SparseKet`` is kept in tests/reference.py.
+probabilities ``weights``, plus the term search's ``cum_weights`` and its
+guide table (Chen and Asau's indexed search: per bucket of [0, 1), the
+first term a uniform there can draw).  The session engine and the
+closed-form analysis read these arrays by term index; the per-ket scalar
+reference that applies one action to one ``SparseKet`` is kept in
+tests/reference.py.
 
 Channel specs can also be given as strings, e.g. ``"z_flip:0.3"``,
 ``"shift_noise:0.2"``, ``"partial_intercept:0.4"``, ``"full_dephase"``,
@@ -38,6 +41,14 @@ from .field import FieldSpec
 from .qstates import DiagonalPhase
 
 FULL_DEPHASE_ENUM_MAX_N = 4  # explicit 2^N mask mixture up to this n
+
+# The guide table's search takes at most this many boundary steps per
+# uniform.  Its bucket count grows from 2^(ceil(log2 T) + 1) by doubling,
+# at most to _GUIDE_GROWTH times that, until no bucket holds more
+# boundaries; rows in a bucket that still does fall back to a binary
+# search over the boundaries.
+_GUIDE_STEPS = 1
+_GUIDE_GROWTH = 8
 
 
 class UnsupportedModelError(ValueError):
@@ -116,6 +127,7 @@ class ChannelModel:
         # cumulative float weights used for term sampling
         self.cum_weights = np.cumsum([float(p) for p, _ in self.terms])
         self.cum_weights[-1] = 1.0
+        self._compile_guide()
         acts = [a for _, a in self.terms]
         self.kind = np.array([_KINDS[type(a)] for a in acts], np.int8)
         self.shift = np.array([getattr(a, "shift", 0) for a in acts], np.int16)
@@ -128,12 +140,72 @@ class ChannelModel:
         ids: dict[Fraction, int] = {}
         self.weight_id = np.array([ids.setdefault(p, len(ids)) for p, _ in self.terms])
         self.weights = tuple(ids)
-        for arr in (self.cum_weights, self.kind, self.shift, self.sign_bits, self.weight_id):
+        for arr in (
+            self.cum_weights, self._bounds, self._guide, self._dense,
+            self.kind, self.shift, self.sign_bits, self.weight_id,
+        ):
             arr.setflags(write=False)
 
+    def _compile_guide(self) -> None:
+        """Build the guide table of :meth:`sample_term_index`.
+
+        ``_bounds`` is ``cum_weights`` with its last entry +inf, so no
+        search runs past the last term.  Bucket b of M covers
+        [b/M, (b+1)/M) and ``_guide[b]`` counts the bounds <= b/M; the
+        extra entry M serves u = 1.0.  Bucket 0 starts at term 0 instead,
+        for u < 0, so it also holds any bound equal to 0.0.  ``_steps`` is
+        the most bounds inside any bucket that is not ``_dense``.
+        """
+        bounds = self.cum_weights.copy()
+        bounds[-1] = np.inf
+        inner = bounds[:-1]
+        first = 1 << ((len(bounds) - 1).bit_length() + 1)
+        buckets = first
+        while True:
+            x = inner * buckets
+            b = np.floor(x)
+            inside = (x > b) | (x == 0)
+            counts = np.bincount(b[inside].astype(np.intp), minlength=buckets + 1)
+            if counts.max() <= _GUIDE_STEPS or buckets == _GUIDE_GROWTH * first:
+                break
+            buckets *= 2
+        dense = counts > _GUIDE_STEPS
+        self._bounds = bounds
+        self._buckets = buckets
+        self._guide = np.searchsorted(bounds, np.arange(buckets + 1) / buckets, "right")
+        self._guide[0] = 0
+        self._steps = int(counts[~dense].max())
+        self._dense = dense if dense.any() else np.zeros(0, bool)
+
     def sample_term_index(self, u):
-        """Term index of a uniform, or of each in an array (top edge clamped)."""
-        return np.minimum(np.searchsorted(self.cum_weights, u, side="right"), len(self.terms) - 1)
+        """Term index of a uniform, or of each in an array.
+
+        The index is the number of ``cum_weights`` entries <= u, at most
+        the last term: ``np.searchsorted``'s, top edge clamped.  So a
+        uniform in [0, 1) draws each term with its float weight.  Any
+        finite u gets that index (u < 0 the first term, u > 1 the last);
+        NaN, an infinity or a u with |u| * M >= 2^63 raises ValueError.
+
+        The search starts at the guide entry of u's bucket floor(u * M)
+        and steps past each bound <= u.  M is a power of two, so u * M
+        and every bucket edge b / M are exact: the start never passes
+        the index and at most ``_steps`` bounds lie between them.  Rows
+        in a ``_dense`` bucket are searched by bisection instead.
+        """
+        x = np.asarray(u, np.float64).reshape(-1)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                bucket = (x * self._buckets).astype(np.intp)
+        except FloatingPointError:
+            raise ValueError("term uniforms must be finite, with |u| * M < 2^63") from None
+        # "clip" reads bucket 0 for u < 0 and the u = 1.0 entry for u > 1
+        idx = self._guide.take(bucket, mode="clip")
+        for _ in range(self._steps):
+            idx += x >= self._bounds.take(idx, mode="clip")
+        if self._dense.size:
+            rows = np.flatnonzero(self._dense.take(bucket, mode="clip"))
+            idx[rows] = np.searchsorted(self._bounds, x[rows], "right")
+        return idx.reshape(np.shape(u))[()]
 
     def has_intercept(self) -> bool:
         return bool((self.kind == KIND_INTERCEPT).any())

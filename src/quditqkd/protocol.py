@@ -70,10 +70,7 @@ def spawn_streams(seed) -> list[np.random.Generator]:
 
 def pair_table(spec: FieldSpec) -> np.ndarray:
     """All unordered index pairs u < v in lexicographic order, shape (C, 2)."""
-    n = spec.order
-    return np.array(
-        [(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int16
-    )
+    return np.stack(np.triu_indices(spec.order, 1), axis=1).astype(np.int16)
 
 
 def pm_condition_lhs(e_b, e_c, n: int):

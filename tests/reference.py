@@ -7,8 +7,9 @@ stages replaced: per-round draws on ``SparseKet`` objects, per-ket
 channel actions, per-record wire encoders and the per-row round-log
 writer.  It also keeps the earlier vectorised stage bodies (2-D
 fancy-index gathers, Bob's weights computed per round and nested
-``np.where`` thresholds) as ``reference_*``.  Differential tests compare
-the fast paths against both.
+``np.where`` thresholds), the binary term search, the list-built pair
+table and the row-wise mask dedupe as ``reference_*``.  Differential
+tests compare the fast paths against both.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
 replay reuses the engine's post-round stages (``_finish_session``), so
@@ -176,6 +177,23 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
 
 
 # -- earlier vectorised stage bodies --------------------------------------------
+
+
+def reference_sample_term_index(model: ChannelModel, u):
+    return np.minimum(
+        np.searchsorted(model.cum_weights, u, side="right"), len(model.terms) - 1
+    )
+
+
+def reference_pair_table(spec: FieldSpec) -> np.ndarray:
+    n = spec.order
+    return np.array(
+        [(u, v) for u in range(n) for v in range(u + 1, n)], dtype=np.int16
+    )
+
+
+def reference_distinct_masks(sign_bits: np.ndarray):
+    return np.unique(sign_bits, axis=0, return_inverse=True)
 
 
 def reference_pick_pairs(table: np.ndarray, u: np.ndarray):

@@ -8,9 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import quditqkd.analysis as analysis
 from quditqkd.analysis import (
     BellDistribution,
     ErrorMatrix,
+    _distinct_masks,
     analysis_report,
     bell_distribution,
     check_ed_condition,
@@ -23,6 +25,7 @@ from quditqkd.channels import (
     custom,
     full_dephase,
     identity,
+    parse_channel_spec,
     partial_intercept,
     shift_noise,
     z_flip,
@@ -31,6 +34,7 @@ from quditqkd.field import field_spec
 from quditqkd.qstates import DiagonalPhase, conjugate_bell_mask
 
 from oracles import exact_distill_lhs, observed_rates, random_exact_distribution
+from reference import reference_distinct_masks
 
 
 class TestBellDistribution:
@@ -150,6 +154,49 @@ class TestBellDistributionDifferential:
     def test_full_dephase_enumeration(self, n):
         model = full_dephase(field_spec(n))
         assert bell_distribution(model).e == _per_term_bell(model)
+
+
+def _dedupe_model(name: str):
+    n, _, channel = name.partition("/")
+    spec = field_spec(int(n))
+    if channel == "custom-repeats":
+        # 40 terms over 5 masks, so many terms share a mask
+        rng = np.random.default_rng(17)
+        masks = rng.integers(0, 1 << spec.order, 5)
+        return custom(
+            spec,
+            [(Fraction(1, 40), int(rng.integers(spec.order)), int(rng.choice(masks))) for _ in range(40)],
+        )
+    if channel == "custom-words":
+        # masks that differ only past the first 64-bit word
+        masks = [1 << 100, (1 << 100) | 1, 1, 1 << 100, 0, (1 << 127) | (1 << 63)]
+        return custom(spec, [(Fraction(1, 6), a, m) for a, m in enumerate(masks)])
+    return parse_channel_spec(channel, spec)
+
+
+_DEDUPE_MODELS = [
+    f"{n}/{ch}"
+    for n in range(2, 9)
+    for ch in ("identity", "z_flip:0.3", "shift_noise:0.2", "full_dephase")
+] + ["3/custom-repeats", "7/custom-words"]
+
+
+class TestPackedMaskDedupe:
+    """The packed-word dedupe against ``np.unique`` over the bit rows."""
+
+    @pytest.mark.parametrize("name", _DEDUPE_MODELS)
+    def test_same_partition_and_report(self, name, monkeypatch):
+        model = _dedupe_model(name)
+        masks, mask_id = _distinct_masks(model.sign_bits)
+        ref = reference_distinct_masks(model.sign_bits)
+        # each term keeps its own row and there are as many rows as distinct masks
+        assert np.array_equal(masks[mask_id], model.sign_bits)
+        assert len(masks) == len(ref[0])
+        d = bell_distribution(model)
+        report = analysis_report(model)
+        monkeypatch.setattr(analysis, "_distinct_masks", lambda sign_bits: ref)
+        assert bell_distribution(model) == d
+        assert analysis_report(model) == report
 
 
 class TestPredictObservables:

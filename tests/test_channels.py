@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditqkd.channels import (
+    _GUIDE_GROWTH,
+    _GUIDE_STEPS,
     KIND_DEPHASE,
     KIND_INTERCEPT,
     KIND_UNITARY,
@@ -30,7 +33,7 @@ from quditqkd.channels import (
 from quditqkd.field import field_spec
 from quditqkd.qstates import DiagonalPhase, SparseKet
 
-from reference import apply_error, apply_term, transmit
+from reference import apply_error, apply_term, reference_sample_term_index, transmit
 
 
 class TestAsProbability:
@@ -230,6 +233,47 @@ class TestParsing:
             resolve_channel(model, field_spec(3))
 
 
+def _clustered(spec):
+    """200 terms of 10^-6 below one large term: their bounds share a bucket."""
+    tiny = Fraction(1, 10**6)
+    return custom(spec, [(tiny, 0, 0)] * 200 + [(1 - 200 * tiny, 1, 0)])
+
+
+def _top_clustered(spec):
+    """One large term below 200 terms of 10^-6, which cluster under 1.0."""
+    tiny = Fraction(1, 10**6)
+    return custom(spec, [(1 - 200 * tiny, 1, 0)] + [(tiny, 0, 0)] * 200)
+
+
+def _float_zero(spec):
+    """Two leading terms whose float weights are 0.0, so two bounds are 0.0."""
+    speck = Fraction(1, 2**1100)
+    return custom(spec, [(speck, 0, 0), (speck, 1, 0), (Fraction(1, 2) - 2 * speck, 2, 0), (Fraction(1, 2), 3, 0)])
+
+
+_SAMPLED_CHANNELS = ("identity", "z_flip:0.3", "shift_noise:0.2", "full_dephase", "partial_intercept:0.4")
+_SAMPLED_MODELS = [f"{n}/{ch}" for n in range(2, 9) for ch in _SAMPLED_CHANNELS] + [
+    f"{n}/{build.__name__}" for n in (2, 8) for build in (_clustered, _top_clustered)
+] + ["2/_float_zero"]
+
+
+@functools.cache
+def _sampled_model(name: str) -> ChannelModel:
+    n, _, channel = name.partition("/")
+    spec = field_spec(int(n))
+    builder = {f.__name__: f for f in (_clustered, _top_clustered, _float_zero)}.get(channel)
+    return builder(spec) if builder else parse_channel_spec(channel, spec)
+
+
+def _term_probes(model: ChannelModel) -> np.ndarray:
+    """Every bound, its float neighbours on both sides, 0, 1 - 2^-53 and 1."""
+    cum = model.cum_weights
+    probes = np.concatenate(
+        [cum, np.nextafter(cum, 0), np.nextafter(cum, 2), [0.0, 1 - 2.0**-53, 1.0]]
+    )
+    return probes[probes <= 1]
+
+
 class TestSampling:
     def test_sample_term_index_edges(self):
         spec = field_spec(2)
@@ -241,11 +285,73 @@ class TestSampling:
         # u == 1.0 cannot run past the last term
         assert model.sample_term_index(1.0) == 1
 
-    @settings(max_examples=50)
-    @given(u=st.floats(0, 1, allow_nan=False))
+    @settings(max_examples=200)
+    @given(u=st.floats(0, 1, allow_nan=False) | st.floats())
     def test_sample_term_index_in_range(self, u):
-        model = shift_noise(field_spec(2), 0.5)
-        assert 0 <= model.sample_term_index(u) < len(model.terms)
+        for name in ("2/shift_noise:0.2", "3/full_dephase", "8/shift_noise:0.2", "2/_clustered"):
+            model = _sampled_model(name)
+            if not abs(u) * model._buckets < 2.0**63:
+                # NaN, an infinity or a u whose bucket overflows int64
+                with pytest.raises(ValueError):
+                    model.sample_term_index(u)
+                continue
+            index = model.sample_term_index(u)
+            assert index == reference_sample_term_index(model, u)
+            assert 0 <= index < len(model.terms)
+
+    @pytest.mark.parametrize("name", _SAMPLED_MODELS)
+    def test_guide_search_matches_bisection(self, name):
+        model = _sampled_model(name)
+        probes = _term_probes(model)
+        assert np.array_equal(
+            model.sample_term_index(probes), reference_sample_term_index(model, probes)
+        )
+        # strided, as transmit passes its term column
+        draws = np.random.default_rng(71).random((1 << 17, 2))[:, 0]
+        assert np.array_equal(
+            model.sample_term_index(draws), reference_sample_term_index(model, draws)
+        )
+
+    @pytest.mark.parametrize("name", _SAMPLED_MODELS)
+    def test_scalar_search_returns_numpy_index(self, name):
+        model = _sampled_model(name)
+        probes = _term_probes(model)
+        for u in probes[:: max(1, len(probes) // 400)]:
+            index = model.sample_term_index(float(u))
+            assert isinstance(index, np.integer)
+            assert index == reference_sample_term_index(model, u)
+            assert model.terms[index] is model.terms[int(index)]
+
+    @pytest.mark.parametrize("name", ["2/z_flip:0.3", "4/full_dephase", "2/_clustered", "2/_float_zero"])
+    @pytest.mark.parametrize("u", [-0.5, -0.0, 1.5, -1e6, 1e6])
+    def test_finite_uniform_outside_unit_interval(self, name, u):
+        model = _sampled_model(name)
+        assert model.sample_term_index(u) == reference_sample_term_index(model, u)
+        batch = np.array([0.5, u, 0.25])
+        assert np.array_equal(
+            model.sample_term_index(batch), reference_sample_term_index(model, batch)
+        )
+
+    @pytest.mark.parametrize("name", ["2/z_flip:0.3", "4/full_dephase", "2/_clustered"])
+    @pytest.mark.parametrize("u", [float("nan"), -np.inf, np.inf, 1e300, -1e300])
+    def test_unbucketable_uniform_raises(self, name, u):
+        model = _sampled_model(name)
+        with pytest.raises(ValueError):
+            model.sample_term_index(u)
+        with pytest.raises(ValueError):
+            model.sample_term_index(np.array([0.5, u, 0.25]))
+
+    @pytest.mark.parametrize("name", _SAMPLED_MODELS)
+    def test_guide_steps_capped(self, name):
+        model = _sampled_model(name)
+        assert model._steps <= _GUIDE_STEPS
+        assert not model._guide.flags.writeable and not model._bounds.flags.writeable
+
+    @pytest.mark.parametrize("name", ["2/_clustered", "8/_clustered", "8/_top_clustered"])
+    def test_clustered_bounds_take_bisection(self, name):
+        model = _sampled_model(name)
+        assert model._dense.any()
+        assert model._buckets == _GUIDE_GROWTH << (len(model.terms) - 1).bit_length() + 1
 
 
 class TestApplyTerm:

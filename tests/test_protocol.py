@@ -38,6 +38,7 @@ from reference import (
     pick_pair_index,
     reference_line_offsets,
     reference_measure,
+    reference_pair_table,
     reference_prepare,
     reference_transmit,
     replay_session_scalar,
@@ -129,16 +130,20 @@ class TestContinuationCondition:
 
 
 class TestPairGeometry:
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", range(2, 9))
     def test_pair_table_shape_and_order(self, n):
         spec = field_spec(n)
         table = pair_table(spec)
         count = spec.order * (spec.order - 1) // 2
         assert table.shape == (count, 2)
         assert table.dtype == np.int16
+        assert table.flags.c_contiguous
         rows = [tuple(r) for r in table]
         assert rows == sorted(rows)
         assert all(u < v for u, v in rows)
+        expected = reference_pair_table(spec)
+        assert table.dtype == expected.dtype and table.shape == expected.shape
+        assert np.array_equal(table, expected)
 
     def test_pick_pair_index_edges(self):
         assert pick_pair_index(0.0, 6) == 0
