@@ -159,14 +159,14 @@ class ChannelModel:
         bounds = self.cum_weights.copy()
         bounds[-1] = np.inf
         inner = bounds[:-1]
-        first = 1 << ((len(bounds) - 1).bit_length() + 1)
-        buckets = first
+        base = 1 << ((len(bounds) - 1).bit_length() + 1)
+        buckets = base
         while True:
             x = inner * buckets
             b = np.floor(x)
             inside = (x > b) | (x == 0)
             counts = np.bincount(b[inside].astype(np.intp), minlength=buckets + 1)
-            if counts.max() <= _GUIDE_STEPS or buckets == _GUIDE_GROWTH * first:
+            if counts.max() <= _GUIDE_STEPS or buckets == _GUIDE_GROWTH * base:
                 break
             buckets *= 2
         dense = counts > _GUIDE_STEPS

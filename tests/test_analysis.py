@@ -163,10 +163,11 @@ def _dedupe_model(name: str):
         # 40 terms over 5 masks, so many terms share a mask
         rng = np.random.default_rng(17)
         masks = rng.integers(0, 1 << spec.order, 5)
-        return custom(
-            spec,
-            [(Fraction(1, 40), int(rng.integers(spec.order)), int(rng.choice(masks))) for _ in range(40)],
-        )
+        triples = [
+            (Fraction(1, 40), int(rng.integers(spec.order)), int(rng.choice(masks)))
+            for _ in range(40)
+        ]
+        return custom(spec, triples)
     if channel == "custom-words":
         # masks that differ only past the first 64-bit word
         masks = [1 << 100, (1 << 100) | 1, 1, 1 << 100, 0, (1 << 127) | (1 << 63)]

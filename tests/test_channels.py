@@ -248,10 +248,13 @@ def _top_clustered(spec):
 def _float_zero(spec):
     """Two leading terms whose float weights are 0.0, so two bounds are 0.0."""
     speck = Fraction(1, 2**1100)
-    return custom(spec, [(speck, 0, 0), (speck, 1, 0), (Fraction(1, 2) - 2 * speck, 2, 0), (Fraction(1, 2), 3, 0)])
+    half = Fraction(1, 2)
+    return custom(spec, [(speck, 0, 0), (speck, 1, 0), (half - 2 * speck, 2, 0), (half, 3, 0)])
 
 
-_SAMPLED_CHANNELS = ("identity", "z_flip:0.3", "shift_noise:0.2", "full_dephase", "partial_intercept:0.4")
+_SAMPLED_CHANNELS = (
+    "identity", "z_flip:0.3", "shift_noise:0.2", "full_dephase", "partial_intercept:0.4",
+)
 _SAMPLED_MODELS = [f"{n}/{ch}" for n in range(2, 9) for ch in _SAMPLED_CHANNELS] + [
     f"{n}/{build.__name__}" for n in (2, 8) for build in (_clustered, _top_clustered)
 ] + ["2/_float_zero"]
@@ -322,7 +325,9 @@ class TestSampling:
             assert index == reference_sample_term_index(model, u)
             assert model.terms[index] is model.terms[int(index)]
 
-    @pytest.mark.parametrize("name", ["2/z_flip:0.3", "4/full_dephase", "2/_clustered", "2/_float_zero"])
+    @pytest.mark.parametrize(
+        "name", ["2/z_flip:0.3", "4/full_dephase", "2/_clustered", "2/_float_zero"]
+    )
     @pytest.mark.parametrize("u", [-0.5, -0.0, 1.5, -1e6, 1e6])
     def test_finite_uniform_outside_unit_interval(self, name, u):
         model = _sampled_model(name)
