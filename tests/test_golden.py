@@ -7,9 +7,18 @@ JSON.  The digests were recorded before the guide-table term search,
 the array-built pair table and the packed mask dedupe went in, so any
 change to a draw, a key or a report shows up here.
 
+At 3000 rounds almost no Bob pair equals Alice's, so a wrong sign draw
+rarely changes a session; each case therefore also hashes the ``prepare``
+and ``transmit`` columns, drawn term index included.  ``LONG_CASES``
+run 3 * 2^17 + 5 rounds, several engine chunks with a partial last one,
+so the digests also pin how the rounds are split into chunks.  Both
+sets were recorded on the serial engine, before its chunks ran on
+several threads.
+
 To re-record after an intended change of outputs, print
-``{case: digest}`` from :func:`session_digest` and
-:func:`report_digest` over ``CASES`` and paste it below.
+``{case: digest}`` from :func:`session_digest`,
+:func:`channel_digest` and :func:`report_digest` over the cases and
+paste it below.
 """
 
 from __future__ import annotations
@@ -22,12 +31,27 @@ import pytest
 from quditqkd.analysis import analysis_report
 from quditqkd.channels import parse_channel_spec
 from quditqkd.field import field_spec
-from quditqkd.protocol import SessionConfig, run_session
+from quditqkd.protocol import (
+    STREAM_ALICE,
+    STREAM_CHANNEL,
+    SessionConfig,
+    pair_table,
+    prepare,
+    run_session,
+    spawn_streams,
+    transmit,
+)
 
 ROUNDS = 3000
+LONG_ROUNDS = 3 * (1 << 17) + 5
 CHANNELS = ("identity", "z_flip:0.3", "shift_noise:0.2", "full_dephase", "partial_intercept:0.4")
 UNITARY = CHANNELS[:4]
 CASES = [(n, ch, seed) for n in (2, 3, 5, 8) for ch in CHANNELS for seed in (1, 2)]
+LONG_CASES = [
+    (n, ch, seed)
+    for n, ch in ((2, "z_flip:0.3"), (3, "full_dephase"), (5, "partial_intercept:0.4"))
+    for seed in (1, 2)
+]
 
 
 def _hash_arrays(h, arrays) -> None:
@@ -36,8 +60,8 @@ def _hash_arrays(h, arrays) -> None:
         h.update(arr.tobytes())
 
 
-def session_digest(n: int, channel: str, seed: int) -> str:
-    out = run_session(SessionConfig(n=n, rounds=ROUNDS, channel=channel, seed=seed))
+def session_digest(n: int, channel: str, seed: int, rounds: int = ROUNDS) -> str:
+    out = run_session(SessionConfig(n=n, rounds=rounds, channel=channel, seed=seed))
     h = hashlib.sha256(json.dumps(out.stats.to_json_dict(), sort_keys=True).encode())
     log = out.log
     _hash_arrays(
@@ -55,6 +79,17 @@ def session_digest(n: int, channel: str, seed: int) -> str:
             log.offset,
         ),
     )
+    return h.hexdigest()
+
+
+def channel_digest(n: int, channel: str, seed: int) -> str:
+    """Digest of Alice's columns and the channel's output and term columns."""
+    spec = field_spec(n)
+    streams = spawn_streams(seed)
+    sent = prepare(pair_table(spec), streams[STREAM_ALICE], ROUNDS)
+    received = transmit(parse_channel_spec(channel, spec), *sent, streams[STREAM_CHANNEL])
+    h = hashlib.sha256()
+    _hash_arrays(h, sent + received)
     return h.hexdigest()
 
 
@@ -106,6 +141,58 @@ SESSION_DIGESTS = {
     "8/partial_intercept:0.4/2": "32bc2055794d0401a6909565a73b688054f9f3b517e4c5868358193d1c63a631",
 }
 
+LONG_SESSION_DIGESTS = {
+    "2/z_flip:0.3/1": "3428396adc71b9a422b75ba9a374a6c611f2fa1bc3f2183eb620f51dbdea0970",
+    "2/z_flip:0.3/2": "f90517c1454683de4c24997c1143fc9d518a28ba4ad390b06e16b94afdf06e19",
+    "3/full_dephase/1": "4c4048923d39690916f0a04e9d1ce62af2d50d2389542fbe63e0c7a47dd10468",
+    "3/full_dephase/2": "28189a875c0379a49a439f8845421a85d711286f6829c2060ef053d7efc3a404",
+    "5/partial_intercept:0.4/1": "d6a7a84d5c65dede66954ae95c4288a69c93155efd929fbee3ed7083c6c1e1c0",
+    "5/partial_intercept:0.4/2": "8576df6187416fe1ef3dc680a64ce6540cc1cb1923efb1013f117406a0c2809a",
+}
+
+CHANNEL_DIGESTS = {
+    "2/identity/1": "70d32f0e468227df00f8000401072c3bf715c25506c57a15c0f2151ec6d281c1",
+    "2/identity/2": "903236fe63dff24b378887e93f697cd3afadb95d68eaa308f1189ceeb973b1e5",
+    "2/z_flip:0.3/1": "c4644cd5fa9eea015df18d197cf64cf970adead8173259d79e58f53718e08a25",
+    "2/z_flip:0.3/2": "93cbb364783103acadf85e4b9f7e11deb3ef9f8962571c31e6c6b526f5074028",
+    "2/shift_noise:0.2/1": "f04d013f92c29f711c01984d7356ebc82eb2c9a85527891126854ea7f410784f",
+    "2/shift_noise:0.2/2": "a2ecf7a4d94d062dbf02220939f75284e411b5921bad735ff06ff88094e16b62",
+    "2/full_dephase/1": "c41a2735057ca6ef9655162a5995635ffdabc20916185da96d4ee83819871e97",
+    "2/full_dephase/2": "24fa2ddf558df588e72f3fe2fefe1af86ea4edc2e58255605b7487ca06a07ab0",
+    "2/partial_intercept:0.4/1": "6ece25d2d791464d9bd77ac325642e3adf5f42ad7bad8daf763d95704ac849d4",
+    "2/partial_intercept:0.4/2": "6c72ec5fc6c66274467758dfdd9e7aeb4f3a57b373b0c17fb1fd255ef7da2c7d",
+    "3/identity/1": "477f42f6c8a0c8098e22e5768e962ba9cafa7688a0c553a968bf672ff17edfcc",
+    "3/identity/2": "ef68c4bf82ac08099854804f7fd0c3559d657118408253bdc0036a26c55452da",
+    "3/z_flip:0.3/1": "e862d94c1f35460d36d7bedbb4fc81cf85eba040b55d70c06eb41296722d275d",
+    "3/z_flip:0.3/2": "f5df65c75d3f350b0e1c1caa495f33f26b325ad67e67e5545ebb370d4611823e",
+    "3/shift_noise:0.2/1": "2626e8236bee8967f95377cad9753b0759ecadc2e9c7565f2e8fbc7dff6377f7",
+    "3/shift_noise:0.2/2": "5800ce5d00796982c0bfa2264d08f2fdbd31e14f57624283bae5e24262899275",
+    "3/full_dephase/1": "076a3512a0a10c4cc3baf99d544813d7627b9aeedc578642a7fd49ead8fb7ab2",
+    "3/full_dephase/2": "95093caee616f15e481ec5be082cddd51ca335b657da394d3ef5fb20362d989a",
+    "3/partial_intercept:0.4/1": "545e06840a5a5ffe8c4c5d6123bfd9e3cc98b68ed911aefa5d7bc035f213cee5",
+    "3/partial_intercept:0.4/2": "f48cb61498a4183962036025e2bd60d140d9fe9eb6d43854bebad22c0010da81",
+    "5/identity/1": "0fda7d876c39ab3b74b8a4b4437bc4941ff908d9f8a54565548f947510e2f0b8",
+    "5/identity/2": "6008633d83a4c4a1524b334aaa1619e017f1f6ce930b1cb5efe29fd87355bc81",
+    "5/z_flip:0.3/1": "be16fb3ac01acea47954a2865011c918709fe37b146fe70ff9e072691c3b8987",
+    "5/z_flip:0.3/2": "f679a5de21059edd681d71ead6286d49156ba3b5ea6f3cf24452276a867e1d51",
+    "5/shift_noise:0.2/1": "6317d0fc3c21f719234fd75c458d308f9d90e4321db756d5c54a590281c58eb3",
+    "5/shift_noise:0.2/2": "653dcb46700579f7d457689e5b9f66586b7eaff725f549d5d7697e481592be5a",
+    "5/full_dephase/1": "b722e9eeefe02a3fafc5ccde813266aedb1af649570002f9308a8333bed2a25b",
+    "5/full_dephase/2": "ac49f4ba95c14496c16d6b84727962062d5c6b759e546102ea03a8b8dac80b1b",
+    "5/partial_intercept:0.4/1": "6fba45cbfbc3e9e0d359f4edc152e5b0aad97b503b6e4654caab5da62eb1e9e5",
+    "5/partial_intercept:0.4/2": "4682b4b7944ba7500e8ff0cd1a81998549699bb437649763194fe10a4c3b1574",
+    "8/identity/1": "537f5711f9fb4d7095607afb865f3212355247d36bc562fda7964fcfaecc2af1",
+    "8/identity/2": "a84ff29ab0ab5bebe3fb699f8ceca3cf770c87c371cb69d438d02e0adf7ebdb1",
+    "8/z_flip:0.3/1": "dda710970eb67a9a0056bece7cdd83c85268cc4d7cbe11ab7698175912da24e8",
+    "8/z_flip:0.3/2": "70f8cae738536a5ca7771c7444085b2152f4f93ec3a6765c165edbce1cbc115a",
+    "8/shift_noise:0.2/1": "f171e867abb17efea312573e0ba4337f926b3ff7bfa5e190467425881c7cb843",
+    "8/shift_noise:0.2/2": "523477136e13a157e73be9c98a0b0f85afb669458fab481d7d253f3154205a20",
+    "8/full_dephase/1": "173b9b2684e3fa1945739c17d2fb87ae8383918195b0e721fdc1936d4b8b37a0",
+    "8/full_dephase/2": "7e18d931aad8272f73a95583fda92c1a81fac5cabc88daeb690a0eee4e7b304d",
+    "8/partial_intercept:0.4/1": "f9f77a36ee348c6a8cdde7309ec329afd0b1691ffae9e744125bdcb91488ebdc",
+    "8/partial_intercept:0.4/2": "6b8d960c5eff2821a0805477a853cd8c57e171285acfb5193e748bf4c8465988",
+}
+
 REPORT_DIGESTS = {
     "2/identity": "b4061a12bd5b8c2d0f4575eaab88ff6f3f38fcfca13e3467b730807cbb142165",
     "2/z_flip:0.3": "052285af36429f19d87acb07893bf7e45671af423a832cab8144582ce05628d5",
@@ -129,6 +216,17 @@ REPORT_DIGESTS = {
 @pytest.mark.parametrize("n,channel,seed", CASES)
 def test_session_digest(n, channel, seed):
     assert session_digest(n, channel, seed) == SESSION_DIGESTS[f"{n}/{channel}/{seed}"]
+
+
+@pytest.mark.parametrize("n,channel,seed", LONG_CASES)
+def test_long_session_digest(n, channel, seed):
+    got = session_digest(n, channel, seed, rounds=LONG_ROUNDS)
+    assert got == LONG_SESSION_DIGESTS[f"{n}/{channel}/{seed}"]
+
+
+@pytest.mark.parametrize("n,channel,seed", CASES)
+def test_channel_digest(n, channel, seed):
+    assert channel_digest(n, channel, seed) == CHANNEL_DIGESTS[f"{n}/{channel}/{seed}"]
 
 
 @pytest.mark.parametrize("n,channel", [(n, ch) for n in (2, 3, 5, 8) for ch in UNITARY])
