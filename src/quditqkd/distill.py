@@ -14,8 +14,7 @@ vote.  ``ep_recursion`` is the i.i.d. closed form of the pumping
 stage, ``majority_stage`` of the blocking stage.
 
 The final error-correcting code itself is out of scope: the pipeline
-ends in a rate verdict, plus :func:`toeplitz_compress`, an explicitly
-non-cryptographic stand-in for key compression.
+ends in a rate verdict.
 """
 
 from __future__ import annotations
@@ -505,21 +504,3 @@ def simulate_distillation(
         disagreement_count=int(z_out.astype(np.int64).sum()),
         expected_lengths=expected,
     )
-
-
-def toeplitz_compress(bits: np.ndarray, output_fraction: float, rng) -> np.ndarray:
-    """Toeplitz-style parity compression of a bit vector.
-
-    NOT a cryptographic privacy-amplification step: a placeholder with
-    the right shape (seeded random binary Toeplitz matrix applied over
-    GF(2)) standing in for the out-of-scope final code.
-    """
-    if not 0 < output_fraction <= 1:
-        raise ValueError("output_fraction must be in (0, 1]")
-    length = len(bits)
-    out_len = int(output_fraction * length)
-    if out_len == 0:
-        return np.zeros(0, np.uint8)
-    diag = rng.integers(0, 2, size=out_len + length - 1, dtype=np.uint8)
-    conv = np.convolve(diag.astype(np.int64), np.asarray(bits, np.int64), mode="valid")
-    return (conv % 2).astype(np.uint8)

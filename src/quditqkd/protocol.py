@@ -22,6 +22,10 @@ alice consumes exactly two uniforms (pair, sign), the channel two
 (term, auxiliary), bob three (pair, outcome, outside-decode noise).
 Batched draws fill row-major, so any chunking of rounds -- including the
 networked runner's windows of rounds -- reproduces identical sessions.
+Each uniform is one 64-bit draw, so the engine starts a span of rounds
+at round lo by advancing copies of the alice, channel and bob streams by
+2*lo, 2*lo and 3*lo draws; spans run side by side on the usable CPUs,
+and outputs do not depend on how many there are.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
@@ -29,7 +33,10 @@ post-processing stage seeds downstream.
 
 from __future__ import annotations
 
+import copy
 import csv
+import os
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -52,7 +59,12 @@ _STREAM_COUNT = 5
 # Chunking leaves results unchanged; 2^17 (not 2^18) keeps transmit's
 # chunk temporaries small enough for glibc to return the heap after a
 # session, which at 2^18 slowed the next small session by up to 40%.
+# Each span's thread allocates its temporaries in its own malloc arena,
+# so a threaded session holds one chunk's temporaries per usable CPU.
 _ENGINE_CHUNK = 1 << 17
+
+# Uniforms each stage draws per round, as the randomness contract fixes.
+_DRAWS_PER_ROUND = ((STREAM_ALICE, 2), (STREAM_CHANNEL, 2), (STREAM_BOB, 3))
 
 EC_MODES = ("in_pair", "announced")
 
@@ -510,10 +522,42 @@ def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
     )
 
 
-def _outcome_counts(log: RoundLog) -> dict[tuple[int, int], int]:
+def _outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int], int]:
     """Rounds per (line offset, outcome); offset -1 is off Alice's line."""
-    code = (log.offset.astype(np.int64) + 1) * 3 + log.outcome
-    return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(np.bincount(code)) if k}
+    total = np.zeros(3 * (order + 1), np.int64)
+    for lo in range(0, len(log), _ENGINE_CHUNK):
+        part = slice(lo, lo + _ENGINE_CHUNK)
+        code = (log.offset[part].astype(np.intp) + 1) * 3 + log.outcome[part]
+        total += np.bincount(code, minlength=len(total))
+    return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(total) if k}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fill_rounds(spec, model, table, cols, streams, lo: int, hi: int) -> None:
+    """Run rounds [lo, hi) into their rows of the round-log columns.
+
+    Works on copies of the alice, channel and bob streams advanced to
+    round lo, so every span draws what a serial run draws for its rounds.
+    """
+    alice, channel, bob = (
+        np.random.Generator(copy.deepcopy(streams[slot].bit_generator).advance(per_round * lo))
+        for slot, per_round in _DRAWS_PER_ROUND
+    )
+    for start in range(lo, hi, _ENGINE_CHUNK):
+        stop = min(start + _ENGINE_CHUNK, hi)
+        ai, aj, s = prepare(table, alice, stop - start)
+        m1, m2, sigma, _ = transmit(model, ai, aj, s, channel)
+        bu, bv, out, bit = measure(table, m1, m2, sigma, bob)
+        chunk = (ai, aj, s, bu, bv, out, bit, line_offsets(spec, ai, aj, bu, bv))
+        for col, part in zip(cols, chunk):
+            col[start:stop] = part
 
 
 def run_session(cfg: SessionConfig) -> SessionOutput:
@@ -521,7 +565,10 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
 
     Vectorised over rounds; any chunking of the rounds, including the
     networked runner's windows, consumes randomness identically, so a
-    replay with the same master seed produces identical output.
+    replay with the same master seed produces identical output.  The
+    engine chunks are split into one contiguous span per usable CPU: the
+    calling thread runs the first, a thread started here each other one,
+    and all are joined before this returns or raises.
     """
     spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
@@ -530,14 +577,29 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     rounds = cfg.rounds
 
     cols = [np.empty(rounds, dtype) for dtype in _LOG_DTYPES]
-    for lo in range(0, rounds, _ENGINE_CHUNK):
-        hi = min(lo + _ENGINE_CHUNK, rounds)
-        ai, aj, s = prepare(table, streams[STREAM_ALICE], hi - lo)
-        m1, m2, sigma, _ = transmit(model, ai, aj, s, streams[STREAM_CHANNEL])
-        bu, bv, out, bit = measure(table, m1, m2, sigma, streams[STREAM_BOB])
-        chunk = (ai, aj, s, bu, bv, out, bit, line_offsets(spec, ai, aj, bu, bv))
-        for col, part in zip(cols, chunk):
-            col[lo:hi] = part
+    chunks = -(-rounds // _ENGINE_CHUNK)
+    spans = min(_usable_cpus(), chunks)
+    edges = [min(k * chunks // spans * _ENGINE_CHUNK, rounds) for k in range(spans + 1)]
+    errors = []
+
+    def fill(lo, hi):
+        # any failure is raised again in the caller: a span left unfilled
+        # would leave np.empty garbage in the log
+        try:
+            _fill_rounds(spec, model, table, cols, streams, lo, hi)
+        except BaseException as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=fill, args=edges[k : k + 2]) for k in range(1, spans)]
+    for worker in workers:
+        worker.start()
+    try:
+        _fill_rounds(spec, model, table, cols, streams, *edges[:2])
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
     return _finish_session(cfg, RoundLog(*cols), streams[STREAM_SAMPLE])
 
 
@@ -568,7 +630,7 @@ def _finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOut
         e_b=e_b,
         e_b_all=e_b_all,
         e_c=e_c,
-        counts=_outcome_counts(log),
+        counts=_outcome_counts(log, 1 << cfg.n),
         condition_lhs=lhs,
         condition_pass=verdict,
     )

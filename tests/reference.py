@@ -9,7 +9,9 @@ writer.  It also keeps the earlier vectorised stage bodies (2-D
 fancy-index gathers, Bob's weights computed per round and nested
 ``np.where`` thresholds), the binary term search, the list-built pair
 table and the row-wise mask dedupe as ``reference_*``.  Differential
-tests compare the fast paths against both.
+tests compare the fast paths against both.  It also keeps
+:func:`toeplitz_compress`, a non-cryptographic stand-in for key
+compression that the package never calls.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
 replay reuses the engine's post-round stages (``_finish_session``), so
@@ -294,3 +296,21 @@ def round_log_csv(log: RoundLog, fileobj) -> None:
                 "" if off < 0 else off,
             ]
         )
+
+
+def toeplitz_compress(bits: np.ndarray, output_fraction: float, rng) -> np.ndarray:
+    """Toeplitz-style parity compression of a bit vector.
+
+    NOT a cryptographic privacy-amplification step: a placeholder with
+    the right shape (seeded random binary Toeplitz matrix applied over
+    GF(2)) standing in for the out-of-scope final code.
+    """
+    if not 0 < output_fraction <= 1:
+        raise ValueError("output_fraction must be in (0, 1]")
+    length = len(bits)
+    out_len = int(output_fraction * length)
+    if out_len == 0:
+        return np.zeros(0, np.uint8)
+    diag = rng.integers(0, 2, size=out_len + length - 1, dtype=np.uint8)
+    conv = np.convolve(diag.astype(np.int64), np.asarray(bits, np.int64), mode="valid")
+    return (conv % 2).astype(np.uint8)

@@ -28,11 +28,11 @@ from quditqkd.distill import (
     sample_labeled_key,
     select_params,
     simulate_distillation,
-    toeplitz_compress,
 )
 from quditqkd.field import field_spec
 
 from oracles import iterate_pumping, majority_fail_exact, parity_fail_exact
+from reference import toeplitz_compress
 
 REF = ErrorMatrix(0.75, 0.05, 0.05, 0.15)
 

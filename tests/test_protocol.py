@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import csv
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -249,6 +251,95 @@ class TestEngineEquivalence:
         assert a.stats.sample_count != b.stats.sample_count
 
 
+def _span_columns(n, channel, seed, rounds, cuts):
+    """Round-log columns filled by one ``_fill_rounds`` call per span."""
+    spec = field_spec(n)
+    model = resolve_channel(channel, spec)
+    streams = spawn_streams(seed)
+    cols = [np.empty(rounds, dtype) for dtype in protocol._LOG_DTYPES]
+    edges = [0, *cuts, rounds]
+    for lo, hi in zip(edges, edges[1:]):
+        protocol._fill_rounds(spec, model, pair_table(spec), cols, streams, lo, hi)
+    return cols
+
+
+class TestSpans:
+    """Spans of rounds on their own advanced streams, one thread each."""
+
+    @pytest.mark.parametrize(
+        "n,channel", [(2, "z_flip:0.3"), (3, "full_dephase"), (5, "partial_intercept:0.4")]
+    )
+    def test_spans_cut_anywhere_equal_one_span(self, n, channel):
+        chunk = protocol._ENGINE_CHUNK
+        rounds = chunk + 1000
+        whole = _span_columns(n, channel, 7, rounds, [])
+        for cuts in ([1], [500], [chunk], [chunk + 999], [3, 4, chunk - 1, chunk + 5]):
+            _assert_same_columns(_span_columns(n, channel, 7, rounds, cuts), whole)
+
+    def test_spans_cut_within_small_chunks(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
+        whole = _span_columns(8, "shift_noise:0.2", 3, 1037, [])
+        for cuts in ([1], [64], [65, 66], [100, 101, 640, 1036]):
+            got = _span_columns(8, "shift_noise:0.2", 3, 1037, cuts)
+            _assert_same_columns(got, whole)
+
+    def test_spans_leave_the_callers_streams_alone(self):
+        spec = field_spec(2)
+        streams = spawn_streams(4)
+        cols = [np.empty(300, dtype) for dtype in protocol._LOG_DTYPES]
+        protocol._fill_rounds(
+            spec, resolve_channel("z_flip:0.3", spec), pair_table(spec), cols, streams, 100, 300
+        )
+        for got, fresh in zip(streams, spawn_streams(4)):
+            assert got.random() == fresh.random()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    def test_session_independent_of_cpu_count(self, monkeypatch, cpus):
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
+        cfg = SessionConfig(n=3, rounds=1037, channel="partial_intercept:0.4", seed=9)
+        whole = run_session(cfg)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+        # more spans than cores, switching threads as often as possible
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_session(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        _compare_outputs(threaded, whole)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        cfg = SessionConfig(n=2, rounds=700, channel="z_flip:0.3", seed=2)
+        whole = run_session(cfg)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 4)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-chunk session started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        _compare_outputs(run_session(cfg), whole)
+
+    def test_worker_error_is_raised_after_join(self, monkeypatch):
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        spec = field_spec(2)
+        model = resolve_channel("z_flip:0.3", spec)
+        search = model.sample_term_index
+        main = threading.current_thread()
+
+        def failing(u):
+            # the calling thread runs the first span, a worker the second
+            if threading.current_thread() is not main:
+                raise RuntimeError("second span failed")
+            return search(u)
+
+        monkeypatch.setattr(model, "sample_term_index", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second span failed"):
+            run_session(SessionConfig(n=2, rounds=1000, channel=model, seed=1))
+        assert threading.active_count() == before
+
+
 class TestSessionStatistics:
     def test_identity_session_has_no_errors(self):
         out = run_session(SessionConfig(n=2, rounds=4000, seed=0))
@@ -301,7 +392,7 @@ class TestSessionStatistics:
     @pytest.mark.parametrize("channel", ["z_flip:0.3", "partial_intercept:0.4"])
     def test_outcome_counts_match_counter(self, n, channel):
         log = run_session(SessionConfig(n=n, rounds=3000, channel=channel, seed=n)).log
-        counts = protocol._outcome_counts(log)
+        counts = protocol._outcome_counts(log, 1 << n)
         assert counts == counter_outcomes(log)
         assert all(type(a) is int and type(o) is int for a, o in counts)
         assert any(a == -1 for a, _ in counts)
