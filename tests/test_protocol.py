@@ -398,6 +398,11 @@ class TestSessionStatistics:
         assert any(a == -1 for a, _ in counts)
         assert any(o == Outcome.OUTSIDE for _, o in counts)
 
+    def test_outcome_counts_sum_over_chunks(self, monkeypatch):
+        log = run_session(SessionConfig(n=3, rounds=1037, channel="z_flip:0.3", seed=6)).log
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
+        assert protocol._outcome_counts(log, 8) == counter_outcomes(log)
+
     def test_stats_json_round_trip(self):
         import json
 
