@@ -9,7 +9,7 @@ observed bit and collapse statistics.
 Module map:
 
     field      exact GF(2^n) arithmetic
-    qstates    sparse kets, pair states, Bell-frame conjugation
+    qstates    pair-measurement outcomes, Bell-frame conjugation
     channels   adversary/noise channel models
     protocol   Monte Carlo session engine and estimators
     analysis   closed-form observable prediction from channel models
@@ -67,15 +67,7 @@ from .protocol import (
     run_session,
     wilson_interval,
 )
-from .qstates import (
-    BellIndex,
-    Outcome,
-    PairState,
-    SparseKet,
-    conjugate_bell,
-    measure,
-    probabilities,
-)
+from .qstates import BellIndex, Outcome, conjugate_bell
 from .threshold import FeasibilityPoint, ScanResult, e_max_scan, ec_star, f_value
 
 __version__ = "0.1.0"
@@ -97,14 +89,12 @@ __all__ = [
     "LabeledKey",
     "ObservablePrediction",
     "Outcome",
-    "PairState",
     "RateEstimate",
     "ScanResult",
     "SelectionOutcome",
     "SessionConfig",
     "SessionOutput",
     "SessionStats",
-    "SparseKet",
     "UnsupportedModelError",
     "analysis_report",
     "bell_distribution",
@@ -122,12 +112,10 @@ __all__ = [
     "identity",
     "intercept_distribution",
     "majority_stage",
-    "measure",
     "parse_channel_spec",
     "partial_intercept",
     "pm_condition_lhs",
     "predict_observables",
-    "probabilities",
     "resolve_channel",
     "run_session",
     "sample_labeled_key",

@@ -61,9 +61,10 @@ class BellDistribution:
             self.spec.check(a)
             if ell not in (0, 1):
                 raise ValueError(f"bad ell {ell}")
-            if p < 0:
-                raise ValueError(f"negative probability at {(a, ell)}")
-        if abs(self.total() - 1) > tol:
+            # written so that NaN fails: every comparison with it is false
+            if not p >= 0:
+                raise ValueError(f"negative or NaN probability at {(a, ell)}")
+        if not abs(self.total() - 1) <= tol:
             raise ValueError(f"probabilities sum to {self.total()}")
         masses = {
             a: self.get(a, 0) + self.get(a, 1) for a in range(1, self.spec.order)
@@ -161,9 +162,10 @@ class ErrorMatrix:
 
     def __post_init__(self) -> None:
         vals = (self.p_i, self.p_x, self.p_y, self.p_z)
-        if any(v < 0 for v in vals):
-            raise ValueError("error matrix entries must be nonnegative")
-        if abs(sum(vals) - 1) > 1e-9:
+        # written so that NaN fails: every comparison with it is false
+        if not all(v >= 0 for v in vals):
+            raise ValueError("error matrix entries must be nonnegative, not NaN")
+        if not abs(sum(vals) - 1) <= 1e-9:
             raise ValueError(f"error matrix entries sum to {sum(vals)}")
 
     def as_floats(self) -> "ErrorMatrix":

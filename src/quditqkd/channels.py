@@ -18,8 +18,8 @@ y < N, zero for non-unitary terms) and ``weight_id`` into the distinct
 probabilities ``weights``, plus the term search's ``cum_weights`` and its
 guide table (Chen and Asau's indexed search: per bucket of [0, 1), the
 first term a uniform there can draw).  The session engine and the
-closed-form analysis read these arrays by term index; the per-ket scalar
-reference that applies one action to one ``SparseKet`` is kept in
+closed-form analysis read these arrays by term index; the scalar
+reference that applies one action to one ket is kept in
 tests/reference.py.
 
 Channel specs can also be given as strings, e.g. ``"z_flip:0.3"``,

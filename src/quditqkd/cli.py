@@ -95,8 +95,27 @@ NETRUN_DEFAULTS = dict(
 )
 
 
+def _config_value_ok(action: argparse.Action, value) -> bool:
+    """Whether a config value has the type the key's own flag stores."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return isinstance(value, bool)
+    if isinstance(value, bool):
+        return False
+    if action.type is float:
+        return isinstance(value, (int, float))
+    if action.type is None:
+        # a config may also give --matrix's four entries as a list
+        listed = action.dest == "matrix" and isinstance(value, list)
+        return isinstance(value, str) or listed
+    return isinstance(value, int)  # int and _parse_modulus
+
+
 def _layer(args: argparse.Namespace, defaults: dict) -> dict:
-    """Built-in defaults, overridden by --config JSON, then by flags."""
+    """Built-in defaults, overridden by --config JSON, then by flags.
+
+    A config value must have the type its flag would give; null is
+    allowed where the built-in default is None.
+    """
     merged = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -106,6 +125,13 @@ def _layer(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = set(data) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        flags = build_parser().command_parsers[args.command]._actions
+        actions = {a.dest: a for a in flags}
+        for key, value in data.items():
+            if value is None and defaults[key] is None:
+                continue
+            if not _config_value_ok(actions[key], value):
+                raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         merged.update(data)
     for key in defaults:
         value = getattr(args, key, None)
@@ -383,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="qudit prepare-and-measure key distribution workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.command_parsers = sub.choices
 
     p = sub.add_parser("simulate", help="run one seeded local session")
     _add_session_flags(p)

@@ -371,7 +371,7 @@ def born_weights(u, v, k1, k2, sigma):
     c_u = (u == k1) * 1 + (u == k2) * sign2
     c_v = (v == k1) * 1 + (v == k2) * sign2
     # Squared projections are dyadic rationals, exact in float64, so
-    # the threshold comparisons match the scalar Fraction path.
+    # the thresholds equal the exact rational Born weights.
     width = np.where(k2 < 0, 2.0, 4.0)
     return (c_u + c_v) ** 2 / width, (c_u - c_v) ** 2 / width
 
@@ -426,7 +426,8 @@ def measure(table: np.ndarray, k1, k2, sigma, rng):
     columns (u, v, outcome, bit): outcome holds :class:`Outcome` values,
     bit is 0 for Plus, 1 for Minus and the noise draw for Outside.  The
     outcome counts the thresholds p_plus and p_plus + p_minus that the
-    outcome uniform reaches, which is ``qstates.decide_outcome``'s rule.
+    outcome uniform reaches: Plus below p_plus, Minus below
+    p_plus + p_minus, Outside above.
     """
     draw = rng.random((len(k1), 3))
     u, v = pick_pairs(table, draw[:, 0])

@@ -3,9 +3,10 @@
 The package runs each session through its vectorised stages
 (``prepare``, ``transmit``, ``measure``, ``line_offsets``) and writes
 wire records in batches.  This module keeps the scalar path those
-stages replaced: per-round draws on ``SparseKet`` objects, per-ket
-channel actions, per-record wire encoders and the per-row round-log
-writer.  It also keeps the earlier vectorised stage bodies (2-D
+stages replaced: the ket layer (``SparseKet`` and its exact Born rule
+:func:`probabilities`, sampled by :func:`decide_outcome`), per-round
+draws on those kets, per-ket channel actions, per-record wire encoders
+and the per-row round-log writer.  It also keeps the earlier vectorised stage bodies (2-D
 fancy-index gathers, Bob's weights computed per round and nested
 ``np.where`` thresholds), the binary term search, the list-built pair
 table and the row-wise mask dedupe as ``reference_*``.  Differential
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import csv
 import struct
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -48,17 +51,113 @@ from quditqkd.protocol import (
     pair_table,
     spawn_streams,
 )
-from quditqkd.qstates import (
-    DiagonalPhase,
-    Outcome,
-    PairState,
-    SparseKet,
-    _check_same_spec,
-    decide_outcome,
-    probabilities,
-)
+from quditqkd.qstates import DiagonalPhase, Outcome, _check_same_spec
 
-# -- kets and channel actions ---------------------------------------------------
+# -- kets, the scalar Born rule and channel actions -----------------------------
+
+
+@dataclass(frozen=True)
+class SparseKet:
+    """One- or two-term signed superposition of computational basis states.
+
+    ``terms`` is a tuple of (index, sign) pairs in canonical form: indices
+    strictly increasing, first sign +1, signs in {+1, -1}.  Normalisation
+    is implicit (1/sqrt(len)).
+    """
+
+    spec: FieldSpec
+    terms: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        if not 1 <= len(self.terms) <= 2:
+            raise ValueError("SparseKet supports 1 or 2 terms")
+        seen = -1
+        for idx, sign in self.terms:
+            self.spec.check(idx)
+            if idx <= seen:
+                raise ValueError("term indices must be strictly increasing")
+            seen = idx
+            if sign not in (1, -1):
+                raise ValueError(f"term sign must be +-1, got {sign}")
+        if self.terms[0][1] != 1:
+            raise ValueError("canonical form requires a leading + sign")
+
+    @classmethod
+    def from_terms(
+        cls, spec: FieldSpec, terms: list[tuple[int, int]] | tuple[tuple[int, int], ...]
+    ) -> "SparseKet":
+        """Build a ket, canonicalising order and global sign."""
+        terms = sorted(terms)
+        if terms and terms[0][1] == -1:
+            terms = [(i, -s) for i, s in terms]
+        return cls(spec, tuple(terms))
+
+    @classmethod
+    def single(cls, spec: FieldSpec, index: int) -> "SparseKet":
+        return cls(spec, ((spec.check(index), 1),))
+
+    @classmethod
+    def pair(cls, spec: FieldSpec, i: int, j: int, sign_bit: int) -> "SparseKet":
+        """The state (|i> + (-1)^sign_bit |j>) / sqrt(2)."""
+        if i == j:
+            raise ValueError("pair ket requires distinct indices")
+        s = -1 if sign_bit & 1 else 1
+        return cls.from_terms(spec, [(spec.check(i), 1), (spec.check(j), s)])
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(i for i, _ in self.terms)
+
+    def coefficient(self, index: int) -> int:
+        """Signed indicator of |index> in the ket (normalisation dropped)."""
+        for i, s in self.terms:
+            if i == index:
+                return s
+        return 0
+
+    def relative_sign(self) -> int:
+        """Product of the term signs (+1 for single-term kets)."""
+        r = 1
+        for _, s in self.terms:
+            r *= s
+        return r
+
+
+def probabilities(
+    ket: SparseKet, i_prime: FieldElement, j_prime: FieldElement
+) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact Born probabilities (Plus, Minus, Outside) for a pair basis.
+
+    The measurement projects onto (|i'> +- |j'>) / sqrt(2) with the third
+    outcome collecting the rest.  For the reachable kets the results are
+    rationals with denominator dividing 4.
+    """
+    _check_same_spec(ket.spec, i_prime, j_prime)
+    if i_prime.value == j_prime.value:
+        raise ValueError("measurement pair requires distinct indices")
+    ci = ket.coefficient(i_prime.value)
+    cj = ket.coefficient(j_prime.value)
+    ln = len(ket.terms)
+    p_plus = Fraction((ci + cj) ** 2, 2 * ln)
+    p_minus = Fraction((ci - cj) ** 2, 2 * ln)
+    return p_plus, p_minus, 1 - p_plus - p_minus
+
+
+def decide_outcome(p_plus: float, p_minus: float, u: float) -> Outcome:
+    """Map one uniform draw to an outcome given the two projection weights.
+
+    The scalar threshold of the round-at-a-time replay
+    (:func:`draw_bob_round`).  The session engine's
+    ``protocol.measure`` counts the thresholds p_plus and
+    p_plus + p_minus that u reaches (u >= threshold), which picks the
+    same outcome since p_minus >= 0; its thresholds are
+    ``protocol.born_weights`` tabulated per ket case.
+    """
+    if u < p_plus:
+        return Outcome.PLUS
+    if u < p_plus + p_minus:
+        return Outcome.MINUS
+    return Outcome.OUTSIDE
 
 
 def apply_error(a: FieldElement, phase: DiagonalPhase, ket: SparseKet) -> SparseKet:
@@ -129,11 +228,11 @@ def pair_offset(spec: FieldSpec, i: int, j: int, u: int, v: int) -> int:
     return spec.mul(u ^ i, spec.inv(delta))
 
 
-def draw_alice_round(spec: FieldSpec, table: np.ndarray, rng) -> PairState:
-    """Alice's per-round preparation: two uniforms (pair, sign bit)."""
+def draw_alice_round(table: np.ndarray, rng) -> tuple[int, int, int]:
+    """Alice's per-round preparation (i, j, s): two uniforms (pair, sign bit)."""
     row = pick_pair_index(rng.random(), len(table))
     s = int(rng.random() >= 0.5)
-    return PairState(spec, int(table[row, 0]), int(table[row, 1]), s)
+    return int(table[row, 0]), int(table[row, 1]), s
 
 
 def draw_bob_round(spec: FieldSpec, table: np.ndarray, ket: SparseKet, rng):
@@ -167,12 +266,12 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
     table = pair_table(spec)
     rows = []
     for _ in range(cfg.rounds):
-        prep = draw_alice_round(spec, table, streams[STREAM_ALICE])
-        ket = transmit(model, prep.ket(), streams[STREAM_CHANNEL])
+        i, j, s = draw_alice_round(table, streams[STREAM_ALICE])
+        ket = transmit(model, SparseKet.pair(spec, i, j, s), streams[STREAM_CHANNEL])
         (u, v), out, noise = draw_bob_round(spec, table, ket, streams[STREAM_BOB])
         bit = decode_bob_bit(out, noise)
-        off = pair_offset(spec, prep.i, prep.j, u, v)
-        rows.append((prep.i, prep.j, prep.s, u, v, int(out), bit, off))
+        off = pair_offset(spec, i, j, u, v)
+        rows.append((i, j, s, u, v, int(out), bit, off))
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
     return _finish_session(cfg, log, streams[STREAM_SAMPLE])

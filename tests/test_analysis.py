@@ -97,6 +97,11 @@ class TestBellDistribution:
                 {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)},
             ).validate()
 
+    def test_validate_rejects_nan(self):
+        spec = field_spec(2)
+        with pytest.raises(ValueError, match="NaN"):
+            BellDistribution(spec, {(0, 0): float("nan")}).validate()
+
     def test_validate_tolerance_for_floats(self):
         spec = field_spec(2)
         third = 1 / 6
@@ -254,6 +259,10 @@ class TestErrorMatrix:
             ErrorMatrix(0.5, 0.5, 0.5, -0.5)
         with pytest.raises(ValueError):
             ErrorMatrix(0.5, 0.1, 0.1, 0.1)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ErrorMatrix(float("nan"), 0.0, 0.0, 1.0)
 
     def test_undefined_when_no_kept_mass(self):
         spec = field_spec(3)

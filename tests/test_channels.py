@@ -31,9 +31,10 @@ from quditqkd.channels import (
     z_flip,
 )
 from quditqkd.field import field_spec
-from quditqkd.qstates import DiagonalPhase, SparseKet
+from quditqkd.qstates import DiagonalPhase
 
-from reference import apply_error, apply_term, reference_sample_term_index, transmit
+from reference import SparseKet, apply_error, apply_term, transmit
+from reference import reference_sample_term_index
 
 
 class TestAsProbability:

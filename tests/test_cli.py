@@ -133,6 +133,15 @@ class TestDistill:
         assert blob["run"]["input_length"] == 2000
         assert blob["manual"]["k"] == 1
 
+    def test_nan_matrix_rejected(self, capsys):
+        code = run_cli(
+            "distill", "--matrix", "nan,0,0,1", "--k", "1", "--r", "1", "--json", "-"
+        )
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_negative_count_rejected(self, capsys):
         code = run_cli(
             "distill", "--channel", "z_flip:0.3", "--auto-params", "--count", "-5"
@@ -286,6 +295,33 @@ class TestConfigLayering:
         cfg.write_text("{oops")
         code = run_cli("simulate", "--config", str(cfg))
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("simulate", {"rounds": "100"}),
+            ("simulate", {"channel": 5}),
+            ("simulate", {"seed": "x"}),
+            ("verify", {"samples": "10"}),
+        ],
+    )
+    def test_wrong_config_type_rejected(self, tmp_path, capsys, command, data):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps(data))
+        code = run_cli(command, "--config", str(cfg))
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and repr(next(iter(data))) in err
+        assert "Traceback" not in err
+
+    def test_matrix_list_and_null_config_accepted(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.json"
+        data = {"matrix": [0.9, 0.02, 0.03, 0.05], "channel": None, "k": 1, "r": 3}
+        cfg.write_text(json.dumps(data))
+        code = run_cli("distill", "--config", str(cfg), "--json", "-")
+        blob = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert blob["manual"]["k"] == 1
 
     @pytest.mark.parametrize(
         "command, defaults",

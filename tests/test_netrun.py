@@ -60,9 +60,8 @@ from quditqkd.protocol import (
     run_session,
     spawn_streams,
 )
-from quditqkd.qstates import SparseKet
 
-from reference import encode_outcome_announce, encode_pair, serialize_ket
+from reference import SparseKet, encode_outcome_announce, encode_pair, serialize_ket
 
 JOIN_TIMEOUT = 60.0
 

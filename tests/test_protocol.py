@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import csv
+import os
 import sys
 import threading
 from collections import Counter
@@ -30,10 +31,11 @@ from quditqkd.protocol import (
     spawn_streams,
     wilson_interval,
 )
-from quditqkd.qstates import Outcome, SparseKet
+from quditqkd.qstates import Outcome
 
 from oracles import wilson_reference
 from reference import (
+    SparseKet,
     decode_bob_bit,
     draw_bob_round,
     pair_offset,
@@ -292,6 +294,12 @@ class TestSpans:
         )
         for got, fresh in zip(streams, spawn_streams(4)):
             assert got.random() == fresh.random()
+
+    @pytest.mark.parametrize("count, want", [(7, 7), (None, 1)])
+    def test_usable_cpus_without_affinity(self, monkeypatch, count, want):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert protocol._usable_cpus() == want
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     def test_session_independent_of_cpu_count(self, monkeypatch, cpus):

@@ -9,7 +9,8 @@ import quditqkd.channels as channels
 import quditqkd.netrun.wire as wire
 import quditqkd.protocol as protocol
 import quditqkd.qstates as qstates
-from quditqkd.qstates import SparseKet
+
+from reference import SparseKet
 
 EXPORTED = [
     "BellDistribution",
@@ -28,14 +29,12 @@ EXPORTED = [
     "LabeledKey",
     "ObservablePrediction",
     "Outcome",
-    "PairState",
     "RateEstimate",
     "ScanResult",
     "SelectionOutcome",
     "SessionConfig",
     "SessionOutput",
     "SessionStats",
-    "SparseKet",
     "UnsupportedModelError",
     "analysis_report",
     "bell_distribution",
@@ -53,12 +52,10 @@ EXPORTED = [
     "identity",
     "intercept_distribution",
     "majority_stage",
-    "measure",
     "parse_channel_spec",
     "partial_intercept",
     "pm_condition_lhs",
     "predict_observables",
-    "probabilities",
     "resolve_channel",
     "run_session",
     "sample_labeled_key",
@@ -76,8 +73,10 @@ def test_all_is_pinned_and_resolves():
         assert getattr(quditqkd, name) is not None, name
 
 
-# The round-at-a-time path lives in tests/reference.py; the per-record
-# decoders, SparseKet.deserialize, estimate_ec and RoundLog.record are gone.
+# The round-at-a-time path and the ket layer it runs on live in
+# tests/reference.py; PairState, the scalar sampler qstates.measure, the
+# per-record decoders, SparseKet.deserialize, estimate_ec and
+# RoundLog.record are gone.
 GONE = [
     (protocol, "replay_session_scalar"),
     (protocol, "draw_alice_round"),
@@ -92,6 +91,11 @@ GONE = [
     (channels, "apply_error"),
     (channels, "transmit"),
     (qstates, "apply_error"),
+    (qstates, "SparseKet"),
+    (qstates, "PairState"),
+    (qstates, "probabilities"),
+    (qstates, "decide_outcome"),
+    (qstates, "measure"),
     (SparseKet, "serialize"),
     (SparseKet, "deserialize"),
     (wire, "encode_pair"),

@@ -1,4 +1,4 @@
-"""Sparse kets, Born probabilities, and Bell-frame conjugation."""
+"""The reference ket layer's Born rule, and Bell-frame conjugation."""
 
 from __future__ import annotations
 
@@ -15,17 +15,12 @@ from quditqkd.qstates import (
     BellIndex,
     DiagonalPhase,
     Outcome,
-    PairState,
-    SparseKet,
     conjugate_bell,
     conjugate_bell_mask,
-    decide_outcome,
-    measure,
-    probabilities,
 )
 
 from oracles import conjugation_matches
-from reference import apply_error
+from reference import SparseKet, apply_error, decide_outcome, probabilities
 
 
 def F(spec, v):
@@ -65,28 +60,14 @@ class TestSparseKet:
         assert SparseKet.single(spec, 2).relative_sign() == 1
 
 
-class TestPairState:
-    def test_canonical_order_required(self):
-        spec = field_spec(2)
-        with pytest.raises(ValueError):
-            PairState(spec, 2, 1, 0)
-        with pytest.raises(ValueError):
-            PairState(spec, 1, 1, 0)
-
-    def test_ket_terms(self):
-        spec = field_spec(2)
-        assert PairState(spec, 0, 2, 0).ket().terms == ((0, 1), (2, 1))
-        assert PairState(spec, 0, 2, 1).ket().terms == ((0, 1), (2, -1))
-
-
 class TestProbabilities:
     """Exact Born rules for the three-outcome pair measurement."""
 
     def test_matched_pair(self):
         spec = field_spec(2)
-        ket = PairState(spec, 1, 2, 0).ket()
+        ket = SparseKet.pair(spec, 1, 2, 0)
         assert probabilities(ket, F(spec, 1), F(spec, 2)) == (1, 0, 0)
-        flipped = PairState(spec, 1, 2, 1).ket()
+        flipped = SparseKet.pair(spec, 1, 2, 1)
         assert probabilities(flipped, F(spec, 1), F(spec, 2)) == (0, 1, 0)
 
     def test_single_overlap_two_term(self):
@@ -147,27 +128,6 @@ class TestDecideOutcome:
     def test_degenerate_weights(self):
         assert decide_outcome(1.0, 0.0, 0.999999) is Outcome.PLUS
         assert decide_outcome(0.0, 0.0, 0.0) is Outcome.OUTSIDE
-
-
-def test_measure_frequencies_match_born_weights():
-    """Monte Carlo outcome frequencies within 4 sigma of the exact law."""
-    spec = field_spec(2)
-    rng = np.random.default_rng(11)
-    cases = [
-        (SparseKet.pair(spec, 0, 1, 0), 1, 2),
-        (SparseKet.single(spec, 0), 0, 1),
-        (SparseKet.pair(spec, 0, 3, 1), 0, 3),
-    ]
-    trials = 20000
-    for ket, i, j in cases:
-        exact = probabilities(ket, F(spec, i), F(spec, j))
-        counts = [0, 0, 0]
-        for _ in range(trials):
-            counts[int(measure(ket, F(spec, i), F(spec, j), rng))] += 1
-        for outcome in range(3):
-            p = float(exact[outcome])
-            sigma = max((p * (1 - p) / trials) ** 0.5, 1e-12)
-            assert abs(counts[outcome] / trials - p) <= 4 * sigma + 1e-12
 
 
 class TestLineMaps:
