@@ -25,7 +25,10 @@ networked runner's windows of rounds -- reproduces identical sessions.
 Each uniform is one 64-bit draw, so the engine starts a span of rounds
 at round lo by advancing copies of the alice, channel and bob streams by
 2*lo, 2*lo and 3*lo draws; spans run side by side on the usable CPUs,
-and outputs do not depend on how many there are.
+and outputs do not depend on how many there are.  Each span's thread
+also tallies its chunks as it fills them (sift list, e_c counts, outcome
+counts), so after the spans join the session only samples the sifted
+rounds and gathers the sample bits and the keys.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
@@ -223,7 +226,7 @@ class RoundLog:
 
     @property
     def sifted(self) -> np.ndarray:
-        return (self.alice_i == self.bob_i) & (self.alice_j == self.bob_j)
+        return sift_mask(self.alice_i, self.alice_j, self.bob_i, self.bob_j)
 
     @property
     def clicked(self) -> np.ndarray:
@@ -419,6 +422,9 @@ def _outcome_thresholds() -> tuple[np.ndarray, np.ndarray]:
     return minus, outside
 
 
+_OUTCOME_THRESHOLDS = _outcome_thresholds()
+
+
 def measure(table: np.ndarray, k1, k2, sigma, rng):
     """Bob's stage: pair, outcome and decoded key bit of each ket.
 
@@ -431,7 +437,7 @@ def measure(table: np.ndarray, k1, k2, sigma, rng):
     """
     draw = rng.random((len(k1), 3))
     u, v = pick_pairs(table, draw[:, 0])
-    minus, outside = _outcome_thresholds()
+    minus, outside = _OUTCOME_THRESHOLDS
     case = _born_case(u, v, k1, k2, sigma)
     x = draw[:, 1]
     out = (x >= minus[case]).view(np.int8) + (x >= outside[case]).view(np.int8)
@@ -465,9 +471,14 @@ def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
 # functions.
 
 
+def sift_mask(ai, aj, bi, bj) -> np.ndarray:
+    """Whether each round's announced pairs are equal (it joins the raw key)."""
+    return (ai == bi) & (aj == bj)
+
+
 def sift_rounds(ai, aj, bi, bj) -> np.ndarray:
     """Indices of the rounds whose announced pairs are equal (the raw key)."""
-    return np.flatnonzero((ai == bi) & (aj == bj))
+    return np.flatnonzero(sift_mask(ai, aj, bi, bj))
 
 
 def draw_sample(sift_idx: np.ndarray, fraction: float, rng) -> np.ndarray:
@@ -500,16 +511,15 @@ def sample_rates(alice_bits, bob_bits, clicked) -> tuple[RateEstimate, RateEstim
     return e_b, RateEstimate.from_counts(int(np.count_nonzero(err)), len(err))
 
 
-def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
-    """Accepted-rate estimate from the line offsets and in-pair flags.
+def accepted_counts(offset, clicked, mode: str) -> tuple[int, int]:
+    """Successes and trials of the accepted rate, from line offsets and in-pair flags.
 
     "in_pair": among rounds measured on Alice's line with an in-pair
-    outcome, the fraction whose offset class is {0, 1} (i.e. Bob's pair
+    outcome, the ones whose offset class is {0, 1} (i.e. Bob's pair
     equals Alice's).  Rejected (unsifted) on-line rounds enter the
     denominator.  "announced": same ratio over announcements alone,
     ignoring outcomes; this alternative reading yields 2/N for every
-    channel and is kept only for comparison.  Zero denominator gives an
-    undefined estimate (rate None).
+    channel and is kept only for comparison.
     """
     if mode not in EC_MODES:
         raise ValueError(f"unknown ec mode {mode!r}")
@@ -518,19 +528,54 @@ def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
     if mode == "in_pair":
         in_class &= clicked
         on_line &= clicked
-    return RateEstimate.from_counts(
-        int(np.count_nonzero(in_class)), int(np.count_nonzero(on_line)), z
+    return int(np.count_nonzero(in_class)), int(np.count_nonzero(on_line))
+
+
+def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
+    """Accepted-rate estimate of :func:`accepted_counts`.
+
+    Zero denominator gives an undefined estimate (rate None).
+    """
+    return RateEstimate.from_counts(*accepted_counts(offset, clicked, mode), z)
+
+
+def _outcome_counts(log: RoundLog, order: int) -> np.ndarray:
+    """Rounds per (line offset + 1) * 3 + outcome; offset -1 is off Alice's line."""
+    # int16 holds the code: an offset is below the order, at most 256
+    code = (log.offset + 1) * 3 + log.outcome
+    return np.bincount(code, minlength=3 * (order + 1))
+
+
+def _outcome_table(counts: np.ndarray) -> dict[tuple[int, int], int]:
+    """Rounds per (line offset, outcome) of an :func:`_outcome_counts` tally."""
+    return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(counts) if k}
+
+
+class _Tally(NamedTuple):
+    """What the post-round stages need of a run of rounds, counted chunk by chunk."""
+
+    sift_idx: np.ndarray  # sifted rounds, numbered from the session's first
+    outside_in_sifted: int
+    ec: tuple[int, int]  # accepted_counts of the session's ec_mode
+    counts: np.ndarray  # _outcome_counts
+
+    @classmethod
+    def join(cls, tallies: list[_Tally]) -> _Tally:
+        """The tally of consecutive runs of rounds, in round order."""
+        sift, outside, ec, counts = zip(*tallies)
+        return cls(np.concatenate(sift), sum(outside), tuple(map(sum, zip(*ec))), sum(counts))
+
+
+def _tally_rounds(log: RoundLog, start: int, order: int, ec_mode: str) -> _Tally:
+    """Tally the rounds of ``log``, the first of which is session round ``start``."""
+    sift = sift_rounds(log.alice_i, log.alice_j, log.bob_i, log.bob_j)
+    clicked = log.clicked
+    return _Tally(
+        sift + start,
+        int(np.count_nonzero(~clicked[sift])),
+        accepted_counts(log.offset, clicked, ec_mode),
+        _outcome_counts(log, order),
     )
-
-
-def _outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int], int]:
-    """Rounds per (line offset, outcome); offset -1 is off Alice's line."""
-    total = np.zeros(3 * (order + 1), np.int64)
-    for lo in range(0, len(log), _ENGINE_CHUNK):
-        part = slice(lo, lo + _ENGINE_CHUNK)
-        code = (log.offset[part].astype(np.intp) + 1) * 3 + log.outcome[part]
-        total += np.bincount(code, minlength=len(total))
-    return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(total) if k}
 
 
 def _usable_cpus() -> int:
@@ -541,16 +586,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rounds(spec, model, table, cols, streams, lo: int, hi: int) -> None:
+def _fill_rounds(
+    spec, model, table, cols, streams, lo: int, hi: int, ec_mode: str = "in_pair"
+) -> _Tally:
     """Run rounds [lo, hi) into their rows of the round-log columns.
 
     Works on copies of the alice, channel and bob streams advanced to
     round lo, so every span draws what a serial run draws for its rounds.
+    Each chunk is tallied while its rows are still in cache; returns the
+    tally of the span.
     """
     alice, channel, bob = (
         np.random.Generator(copy.deepcopy(streams[slot].bit_generator).advance(per_round * lo))
         for slot, per_round in _DRAWS_PER_ROUND
     )
+    tallies = []
     for start in range(lo, hi, _ENGINE_CHUNK):
         stop = min(start + _ENGINE_CHUNK, hi)
         ai, aj, s = prepare(table, alice, stop - start)
@@ -559,6 +609,9 @@ def _fill_rounds(spec, model, table, cols, streams, lo: int, hi: int) -> None:
         chunk = (ai, aj, s, bu, bv, out, bit, line_offsets(spec, ai, aj, bu, bv))
         for col, part in zip(cols, chunk):
             col[start:stop] = part
+        rows = RoundLog(*(col[start:stop] for col in cols))
+        tallies.append(_tally_rounds(rows, start, spec.order, ec_mode))
+    return _Tally.join(tallies)
 
 
 def run_session(cfg: SessionConfig) -> SessionOutput:
@@ -581,60 +634,65 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     chunks = -(-rounds // _ENGINE_CHUNK)
     spans = min(_usable_cpus(), chunks)
     edges = [min(k * chunks // spans * _ENGINE_CHUNK, rounds) for k in range(spans + 1)]
+    tallies = [None] * spans
     errors = []
 
-    def fill(lo, hi):
+    def fill(k):
         # any failure is raised again in the caller: a span left unfilled
         # would leave np.empty garbage in the log
         try:
-            _fill_rounds(spec, model, table, cols, streams, lo, hi)
+            tallies[k] = _fill_rounds(
+                spec, model, table, cols, streams, *edges[k : k + 2], cfg.ec_mode
+            )
         except BaseException as exc:
             errors.append(exc)
 
-    workers = [threading.Thread(target=fill, args=edges[k : k + 2]) for k in range(1, spans)]
+    workers = [threading.Thread(target=fill, args=(k,)) for k in range(1, spans)]
     for worker in workers:
         worker.start()
     try:
-        _fill_rounds(spec, model, table, cols, streams, *edges[:2])
+        tallies[0] = _fill_rounds(spec, model, table, cols, streams, *edges[:2], cfg.ec_mode)
     finally:
         for worker in workers:
             worker.join()
     if errors:
         raise errors[0]
-    return _finish_session(cfg, RoundLog(*cols), streams[STREAM_SAMPLE])
+    return _finish_session(cfg, RoundLog(*cols), _Tally.join(tallies), streams[STREAM_SAMPLE])
 
 
-def _finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOutput:
-    """Sift, sample, estimate and decide on a complete round log.
+def _finish_session(cfg: SessionConfig, log: RoundLog, tally: _Tally, sample_rng) -> SessionOutput:
+    """Sample, estimate and decide on a complete round log and its tally.
 
-    A session with no sifted round ends "insufficient-sift" with empty
-    keys and undefined sample rates.
+    Makes no pass over the whole log: the tally holds the sift list and
+    the counts, so this draws the sample and gathers the sample bits and
+    the keys.  A session with no sifted round ends "insufficient-sift"
+    with empty keys and undefined sample rates.
     """
-    sift_idx = sift_rounds(log.alice_i, log.alice_j, log.bob_i, log.bob_j)
+    sift_idx = tally.sift_idx
     sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
     sample_rounds = sift_idx[sample_pos]
     keep = kept_rounds(sift_idx, sample_pos)
-    clicked = log.clicked
     e_b, e_b_all = sample_rates(
-        log.alice_s[sample_rounds], log.bob_bit[sample_rounds], clicked[sample_rounds]
+        log.alice_s[sample_rounds],
+        log.bob_bit[sample_rounds],
+        log.outcome[sample_rounds] != int(Outcome.OUTSIDE),
     )
-    e_c = accepted_rate(log.offset, clicked, cfg.ec_mode)
+    e_c = RateEstimate.from_counts(*tally.ec)
     lhs, verdict = condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict)
     stats = SessionStats(
         status="ok" if len(sift_idx) else "insufficient-sift",
         rounds=cfg.rounds,
         sifted_count=len(sift_idx),
         sample_count=len(sample_pos),
-        outside_in_sifted=int(np.count_nonzero(~clicked[sift_idx])),
+        outside_in_sifted=tally.outside_in_sifted,
         key_length=len(keep),
         ec_mode=cfg.ec_mode,
         e_b=e_b,
         e_b_all=e_b_all,
         e_c=e_c,
-        counts=_outcome_counts(log, 1 << cfg.n),
+        counts=_outcome_table(tally.counts),
         condition_lhs=lhs,
         condition_pass=verdict,
     )
     alice_key = log.alice_s[keep].astype(np.uint8)
     return SessionOutput(alice_key, log.bob_bit[keep].astype(np.uint8), stats, log)
-

@@ -15,8 +15,11 @@ tests compare the fast paths against both.  It also keeps
 compression that the package never calls.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
-replay reuses the engine's post-round stages (``_finish_session``), so
-a differential test pins only the per-round stages.
+replay reuses the engine's chunk tally and post-round stages
+(``_tally_rounds`` on its whole log as one chunk, then
+``_finish_session``), so a differential test pins only the per-round
+stages.  :func:`reference_finish_session` keeps the earlier tail that
+sifts, estimates and counts in passes over the whole log.
 """
 
 from __future__ import annotations
@@ -47,8 +50,16 @@ from quditqkd.protocol import (
     RoundLog,
     SessionConfig,
     SessionOutput,
+    SessionStats,
     _finish_session,
+    _tally_rounds,
+    accepted_rate,
+    condition_verdict,
+    draw_sample,
+    kept_rounds,
     pair_table,
+    sample_rates,
+    sift_rounds,
     spawn_streams,
 )
 from quditqkd.qstates import DiagonalPhase, Outcome, _check_same_spec
@@ -274,7 +285,46 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
         rows.append((i, j, s, u, v, int(out), bit, off))
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
-    return _finish_session(cfg, log, streams[STREAM_SAMPLE])
+    tally = _tally_rounds(log, 0, spec.order, cfg.ec_mode)
+    return _finish_session(cfg, log, tally, streams[STREAM_SAMPLE])
+
+
+def reference_outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int], int]:
+    """Rounds per (line offset, outcome), one bincount over the whole log."""
+    code = (log.offset.astype(np.intp) + 1) * 3 + log.outcome
+    total = np.bincount(code, minlength=3 * (order + 1))
+    return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(total) if k}
+
+
+def reference_finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOutput:
+    """Sift, sample, estimate and decide in passes over the whole round log."""
+    sift_idx = sift_rounds(log.alice_i, log.alice_j, log.bob_i, log.bob_j)
+    sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
+    sample_rounds = sift_idx[sample_pos]
+    keep = kept_rounds(sift_idx, sample_pos)
+    clicked = log.clicked
+    e_b, e_b_all = sample_rates(
+        log.alice_s[sample_rounds], log.bob_bit[sample_rounds], clicked[sample_rounds]
+    )
+    e_c = accepted_rate(log.offset, clicked, cfg.ec_mode)
+    lhs, verdict = condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict)
+    stats = SessionStats(
+        status="ok" if len(sift_idx) else "insufficient-sift",
+        rounds=cfg.rounds,
+        sifted_count=len(sift_idx),
+        sample_count=len(sample_pos),
+        outside_in_sifted=int(np.count_nonzero(~clicked[sift_idx])),
+        key_length=len(keep),
+        ec_mode=cfg.ec_mode,
+        e_b=e_b,
+        e_b_all=e_b_all,
+        e_c=e_c,
+        counts=reference_outcome_counts(log, 1 << cfg.n),
+        condition_lhs=lhs,
+        condition_pass=verdict,
+    )
+    alice_key = log.alice_s[keep].astype(np.uint8)
+    return SessionOutput(alice_key, log.bob_bit[keep].astype(np.uint8), stats, log)
 
 
 # -- earlier vectorised stage bodies --------------------------------------------

@@ -40,6 +40,7 @@ from reference import (
     draw_bob_round,
     pair_offset,
     pick_pair_index,
+    reference_finish_session,
     reference_line_offsets,
     reference_measure,
     reference_pair_table,
@@ -195,6 +196,11 @@ LOG_COLUMNS = (
 )
 
 
+def _log_rows(log, lo, hi):
+    """The rows [lo, hi) of a round log, as a round log."""
+    return protocol.RoundLog(*(getattr(log, name)[lo:hi] for name in LOG_COLUMNS))
+
+
 def _compare_outputs(vec, ref):
     # np.array_equal ignores dtype, so a widened or narrowed column is
     # caught by the dtype checks alone
@@ -348,6 +354,50 @@ class TestSpans:
         assert threading.active_count() == before
 
 
+def _assert_reference_tail(cfg):
+    """run_session's stats and keys equal the whole-log reference tail's."""
+    out = run_session(cfg)
+    sample_rng = spawn_streams(cfg.seed)[protocol.STREAM_SAMPLE]
+    ref = reference_finish_session(cfg, out.log, sample_rng)
+    assert out.stats == ref.stats
+    assert np.array_equal(out.alice_key, ref.alice_key)
+    assert np.array_equal(out.bob_key, ref.bob_key)
+    return out.stats
+
+
+class TestChunkTally:
+    """The tail on chunk tallies against the passes over the whole log it replaced."""
+
+    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
+    @pytest.mark.parametrize("chunk", [64, 7, 1])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_tail_matches_whole_log_reference(self, monkeypatch, ec_mode, chunk, cpus):
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", chunk)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
+        for n, channel in [(2, "z_flip:0.3"), (3, "partial_intercept:0.4"), (4, "shift_noise:0.2")]:
+            cfg = SessionConfig(n=n, rounds=400, channel=channel, seed=n, ec_mode=ec_mode)
+            stats = _assert_reference_tail(cfg)
+            assert stats.sifted_count and stats.e_c.trials
+
+    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
+    @pytest.mark.parametrize("chunk", [7, 1])
+    def test_insufficient_sift(self, monkeypatch, ec_mode, chunk):
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", chunk)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        stats = _assert_reference_tail(SessionConfig(n=4, rounds=2, seed=0, ec_mode=ec_mode))
+        assert stats.status == "insufficient-sift"
+
+    @pytest.mark.parametrize("chunk", [7, 1])
+    def test_undefined_ec(self, monkeypatch, chunk):
+        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", chunk)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        # both sifted rounds fell Outside and no other on-line round clicked
+        cfg = SessionConfig(n=3, rounds=20, channel="shift_noise:0.9", seed=3)
+        stats = _assert_reference_tail(cfg)
+        assert stats.sifted_count == stats.outside_in_sifted == 2
+        assert stats.e_c.rate is None and not stats.condition_pass
+
+
 class TestSessionStatistics:
     def test_identity_session_has_no_errors(self):
         out = run_session(SessionConfig(n=2, rounds=4000, seed=0))
@@ -400,16 +450,19 @@ class TestSessionStatistics:
     @pytest.mark.parametrize("channel", ["z_flip:0.3", "partial_intercept:0.4"])
     def test_outcome_counts_match_counter(self, n, channel):
         log = run_session(SessionConfig(n=n, rounds=3000, channel=channel, seed=n)).log
-        counts = protocol._outcome_counts(log, 1 << n)
+        counts = protocol._outcome_table(protocol._outcome_counts(log, 1 << n))
         assert counts == counter_outcomes(log)
         assert all(type(a) is int and type(o) is int for a, o in counts)
         assert any(a == -1 for a, _ in counts)
         assert any(o == Outcome.OUTSIDE for _, o in counts)
 
-    def test_outcome_counts_sum_over_chunks(self, monkeypatch):
+    def test_outcome_counts_sum_over_chunks(self):
         log = run_session(SessionConfig(n=3, rounds=1037, channel="z_flip:0.3", seed=6)).log
-        monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
-        assert protocol._outcome_counts(log, 8) == counter_outcomes(log)
+        total = sum(
+            protocol._outcome_counts(_log_rows(log, lo, lo + 64), 8)
+            for lo in range(0, len(log), 64)
+        )
+        assert protocol._outcome_table(total) == counter_outcomes(log)
 
     def test_stats_json_round_trip(self):
         import json

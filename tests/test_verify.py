@@ -68,6 +68,8 @@ def test_born_suite_checks_the_weights_measure_uses(monkeypatch):
     monkeypatch.setattr(
         protocol, "born_weights", lambda u, v, k1, k2, sigma: (np.ones(len(u)), 0 * u)
     )
+    # measure's threshold table is built from born_weights at import
+    monkeypatch.setattr(protocol, "_OUTCOME_THRESHOLDS", protocol._outcome_thresholds())
     table = protocol.pair_table(field_spec(2))
     k1 = np.array([0, 1, 2], np.int16)
     k2 = np.array([-1, 3, 3], np.int16)
