@@ -56,7 +56,7 @@ from .distill import (
     select_params,
     simulate_distillation,
 )
-from .field import FieldElement, FieldMismatchError, FieldSpec, field_spec
+from .field import FieldSpec, field_spec
 from .protocol import (
     RateEstimate,
     SessionConfig,
@@ -67,14 +67,13 @@ from .protocol import (
     run_session,
     wilson_interval,
 )
-from .qstates import BellIndex, Outcome, conjugate_bell
+from .qstates import Outcome
 from .threshold import FeasibilityPoint, ScanResult, e_max_scan, ec_star, f_value
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BellDistribution",
-    "BellIndex",
     "ChannelModel",
     "DistillBudget",
     "DistillParams",
@@ -82,8 +81,6 @@ __all__ = [
     "EdVerdict",
     "ErrorMatrix",
     "FeasibilityPoint",
-    "FieldElement",
-    "FieldMismatchError",
     "FieldSpec",
     "InsufficientKeyError",
     "LabeledKey",
@@ -101,7 +98,6 @@ __all__ = [
     "check_ed_condition",
     "check_pm_condition",
     "check_secure_condition",
-    "conjugate_bell",
     "e_max_scan",
     "ec_star",
     "ep_recursion",

@@ -21,6 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import qstates
 from .channels import (
     KIND_DEPHASE,
     KIND_INTERCEPT,
@@ -94,11 +95,12 @@ def bell_distribution(model: ChannelModel) -> BellDistribution:
     """Exact outcome distribution for a unitary-mixture channel.
 
     Starting from the reference outcome (0, 0), each unitary term with
-    shift c and mask f lands on index c/lam with sign bit
-    f(beta) ^ f(lam + beta), averaged uniformly over lam != 0 and beta.
-    Per distinct mask and lam the sign flips are counted as integers,
-    #{beta : f(beta) != f(beta ^ lam)}; a RandomDephase term flips for
-    exactly half of the beta, since the two support labels differ.
+    shift c and mask f lands, by ``qstates.conjugate_frame``, on index
+    c/lam with sign bit f(beta) ^ f(lam + beta), averaged uniformly over
+    lam != 0 and beta.  Per distinct mask and lam the sign flips are
+    counted as integers, #{beta : f(beta) != f(beta ^ lam)}; a
+    RandomDephase term flips for exactly half of the beta, since the two
+    support labels differ.
     Fractions are formed once per distinct term probability, at the end.
     Intercept-resend terms are not unitary and are rejected.
     """
@@ -108,14 +110,16 @@ def bell_distribution(model: ChannelModel) -> BellDistribution:
         )
     spec = model.spec
     N = spec.order
-    lam = np.arange(1, N)
     masks, mask_id = _distinct_masks(model.sign_bits)
-    flips = (masks[:, None, :] != masks[:, lam[:, None] ^ np.arange(N)]).sum(axis=2)
-    flips = np.where((model.kind == KIND_DEPHASE)[:, None], N // 2, flips[mask_id])
-    # landing index c/lam of each (term, lam); mul_table is uint8, and the
-    # int64 weight ids widen the cell index before it could wrap at n = 8
-    land = spec.mul_table[spec.inv_table[lam][None, :], model.shift[:, None]]
-    cell = (model.weight_id[:, None] * N + land) * 2
+    # from (b, kappa) = (0, 0): the index c/lam per (term, lam, 1) and the
+    # sign per (distinct mask, lam, beta)
+    land, sign = qstates.conjugate_frame(
+        spec, np.arange(1, N)[:, None], np.arange(N), model.shift[:, None, None], masks, 0, 0
+    )
+    flips = np.where((model.kind == KIND_DEPHASE)[:, None], N // 2, sign.sum(axis=2)[mask_id])
+    # mul_table is uint8, and the int64 weight ids widen the cell index
+    # before it could wrap at n = 8
+    cell = (model.weight_id[:, None] * N + land[..., 0]) * 2
     counts = np.zeros((len(model.weights), N, 2), np.int64)
     np.add.at(counts.reshape(-1), cell, N - flips)
     np.add.at(counts.reshape(-1), cell + 1, flips)

@@ -35,10 +35,6 @@ MIN_N = 2
 MAX_N = 8
 
 
-class FieldMismatchError(ValueError):
-    """Raised when elements of different field specs are combined."""
-
-
 def poly_degree(p: int) -> int:
     """Degree of a GF(2) polynomial bit mask (-1 for the zero polynomial)."""
     return p.bit_length() - 1
@@ -77,8 +73,7 @@ class FieldSpec:
 
     Provides raw integer arithmetic (``mul``, ``inv``, ``pow``, ``norm``)
     plus the read-only tables ``mul_table`` (N, N) and ``inv_table``
-    (length N, entry 0 unused) for vectorised code.  Use ``el`` to wrap
-    values in :class:`FieldElement` for operator syntax.  Two specs are
+    (length N, entry 0 unused) for vectorised code.  Two specs are
     equal when their degree and resolved modulus are.
     """
 
@@ -153,9 +148,6 @@ class FieldSpec:
         """
         return (a != 0) * 1
 
-    def el(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check(value))
-
     def __repr__(self) -> str:
         return f"FieldSpec(n={self.n}, modulus={self.modulus:#x})"
 
@@ -169,59 +161,3 @@ def field_spec(n: int, modulus: int | None = None) -> FieldSpec:
     if spec is None:
         spec = _SPECS[n, modulus] = FieldSpec(n, modulus)
     return spec
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single element of a fixed GF(2^n).
-
-    Supports ``+`` (also ``-``, equal in characteristic 2), ``*``, ``/``,
-    ``inv``, integer powers, and the norm map.  Operations between
-    elements of different specs raise :class:`FieldMismatchError`.
-    """
-
-    spec: FieldSpec
-    value: int
-
-    def __post_init__(self) -> None:
-        self.spec.check(self.value)
-
-    def _joint(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatchError(
-                f"cannot combine elements of {self.spec} and {other.spec}"
-            )
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._joint(other)
-        return FieldElement(self.spec, self.value ^ other.value)
-
-    __sub__ = __add__
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._joint(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._joint(other)
-        return self * other.inv()
-
-    def __pow__(self, k: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow(self.value, k))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def norm(self) -> int:
-        return self.spec.norm(self.value)
-
-    def __index__(self) -> int:
-        return self.value
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.value}, GF(2^{self.spec.n}))"

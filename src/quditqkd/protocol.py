@@ -111,12 +111,21 @@ def condition_verdict(e_b, e_c, n: int, strict: bool = True):
     """(lhs, verdict) from two rate estimates; undefined rates fail.
 
     Shared by the in-process engine and the networked roles so both
-    decide continuation identically.
+    decide continuation identically.  ``lhs`` is the float left side,
+    for reports; the verdict is decided exactly, on the counts, by
+    lhs < 1/2 multiplied through by 2(N-2) t_b t_c (<= unless
+    ``strict``):
+
+        2(N-2) s_b s_c + 2(N-1)(t_c - s_c) t_b < (N-2) t_b t_c
     """
     if e_b.rate is None or e_c.rate is None:
         return None, False
     lhs = pm_condition_lhs(e_b.rate, e_c.rate, n)
-    return lhs, (lhs < 0.5 if strict else lhs <= 0.5)
+    order = 1 << n
+    s_b, t_b, s_c, t_c = e_b.successes, e_b.trials, e_c.successes, e_c.trials
+    left = 2 * (order - 2) * s_b * s_c + 2 * (order - 1) * (t_c - s_c) * t_b
+    right = (order - 2) * t_b * t_c
+    return lhs, (left < right if strict else left <= right)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_99):

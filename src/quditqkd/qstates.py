@@ -5,15 +5,15 @@ states are
 
     Psi_{a,l} = (|0, a> + (-1)^l |1, a+1>) / sqrt(2),   a in GF(N), l in {0,1}
 
-and ``conjugate_bell`` tracks how an error operator, conjugated through
+and ``conjugate_frame`` tracks how an error operator, conjugated through
 the random affine relabelling L_{lam,beta}: |c> -> |lam*c + beta>, moves
-one basis state to another.  For a shift by ``a`` composed with l
-applications of the norm-sign operator Z (which flips the sign of every
-nonzero basis label), the image of Psi_{b,kappa} is Psi_{b + a/lam, kappa'}
-where kappa' flips exactly when l = 1 and norm(lam*b + beta) differs from
-norm(lam*(b+1) + beta).  ``conjugate_bell_mask`` generalises the rule to
-an arbitrary diagonal sign mask f, the flip condition becoming
-f(lam*b + beta) != f(lam*(b+1) + beta).
+one basis state to another.  For a shift by ``a`` composed with a
+diagonal sign mask f, the image of Psi_{b,kappa} is Psi_{b + a/lam, kappa'}
+where kappa' flips exactly when f(lam*b + beta) differs from
+f(lam*(b+1) + beta).  The norm-sign operator Z (which flips the sign of
+every nonzero basis label) is the mask ``DiagonalPhase.norm_mask``.
+The rule is one array function, shared by ``analysis.bell_distribution``
+and the ``verify`` conjugation suite.
 
 Bob's pair-basis measurement itself is ``protocol.born_weights``.
 """
@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .field import FieldElement, FieldMismatchError, FieldSpec
+import numpy as np
+
+from .field import FieldSpec
 
 
 class Outcome(IntEnum):
@@ -32,12 +34,6 @@ class Outcome(IntEnum):
     PLUS = 0
     MINUS = 1
     OUTSIDE = 2
-
-
-def _check_same_spec(spec: FieldSpec, *els: FieldElement) -> None:
-    for e in els:
-        if e.spec != spec:
-            raise FieldMismatchError(f"element of {e.spec} used with {spec}")
 
 
 @dataclass(frozen=True)
@@ -65,62 +61,20 @@ class DiagonalPhase:
         return (self.mask >> index) & 1
 
 
-@dataclass(frozen=True)
-class BellIndex:
-    """Label (a, ell) of the entangled basis state Psi_{a,ell}."""
+def conjugate_frame(spec: FieldSpec, lam, beta, shift, sign_bits, b, kappa):
+    """(index, sign) of the image of Psi_{b,kappa} under (I x L^-1 X_shift f L).
 
-    a: FieldElement
-    ell: int
-
-    def __post_init__(self) -> None:
-        if self.ell not in (0, 1):
-            raise ValueError("ell must be 0 or 1")
-
-
-def conjugate_bell_mask(
-    lam: FieldElement,
-    beta: FieldElement,
-    a: FieldElement,
-    phase: DiagonalPhase,
-    b: FieldElement,
-    kappa: int,
-) -> BellIndex:
-    """Image of Psi_{b,kappa} under (I x L^-1 X_a phase L).
-
-    Works for an arbitrary diagonal sign mask.  The index moves to
-    b + a/lam and the sign bit flips iff the mask disagrees on the two
-    support labels lam*b + beta and lam*(b+1) + beta.
+    ``lam`` (nonzero), ``beta``, ``shift`` and ``b`` are field-element
+    columns and ``kappa`` sign bits, broadcast against each other.  The
+    mask is read as f(y) = ``sign_bits[..., y]``: a 1-D ``sign_bits`` is
+    one mask, and each leading axis of stacked masks leads the sign's
+    shape.  The index b ^ shift/lam broadcasts over (lam, shift, b); the
+    sign kappa ^ f(lam*b + beta) ^ f(lam*(b^1) + beta) over the masks,
+    then (lam, beta, b, kappa).
     """
-    spec = b.spec
-    _check_same_spec(spec, lam, beta, a)
-    if phase.spec != spec:
-        raise FieldMismatchError("phase mask spec does not match field spec")
-    if lam.value == 0:
+    if not np.all(lam):
         raise ValueError("lam must be nonzero")
-    if kappa not in (0, 1):
-        raise ValueError("kappa must be 0 or 1")
-    lb = spec.mul(lam.value, b.value) ^ beta.value
-    lb1 = spec.mul(lam.value, b.value ^ 1) ^ beta.value
-    flip = phase(lb) ^ phase(lb1)
-    idx = b.value ^ spec.mul(spec.inv(lam.value), a.value)
-    return BellIndex(FieldElement(spec, idx), kappa ^ flip)
-
-
-def conjugate_bell(
-    lam: FieldElement,
-    beta: FieldElement,
-    a: FieldElement,
-    ell: int,
-    b: FieldElement,
-    kappa: int,
-) -> BellIndex:
-    """Image of Psi_{b,kappa} under (I x L^-1 X_a Z^ell L).
-
-    The norm-mask case of :func:`conjugate_bell_mask`: the index moves to
-    b + a/lam, and kappa flips exactly when ell = 1 and the norms of
-    lam*b + beta and lam*(b+1) + beta differ.
-    """
-    if ell not in (0, 1):
-        raise ValueError("ell must be 0 or 1")
-    phase = DiagonalPhase.norm_mask(b.spec) if ell else DiagonalPhase.zero(b.spec)
-    return conjugate_bell_mask(lam, beta, a, phase, b, kappa)
+    mul = spec.mul_table
+    index = b ^ mul[spec.inv_table[lam], shift]
+    flip = sign_bits[..., mul[lam, b] ^ beta] ^ sign_bits[..., mul[lam, b ^ 1] ^ beta]
+    return index, kappa ^ flip

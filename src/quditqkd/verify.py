@@ -8,11 +8,12 @@ tallies agreements, so a table or sign regression cannot pass silently:
   Lagrange power a^(N-1);
 - born completeness: the engine's ``protocol.born_weights`` against
   dense integer amplitudes, for every ket and pair basis;
-- conjugation: the exported ``conjugate_bell`` rule against a dense
-  matrix action on the two-register frame.
+- conjugation: the array rule ``qstates.conjugate_frame``, which
+  ``analysis.bell_distribution`` runs, against a dense matrix action on
+  the two-register frame.
 
 Each suite is one array comparison per degree; the conjugation suite
-adds one scalar ``conjugate_bell`` call per case, the rule under test.
+makes one ``conjugate_frame`` call over all of its cases.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import protocol
+from . import protocol, qstates
 from .field import FieldSpec, field_spec
-from .qstates import conjugate_bell
 
 __all__ = [
     "SuiteResult",
@@ -142,8 +142,9 @@ def check_conjugation(
 
     ``samples=None`` walks the whole tuple space (lam, beta, a, ell, b,
     kappa) with lam nonzero; otherwise that many uniform draws, at
-    least one.  Each case's image comes from one ``conjugate_bell`` call;
-    the dense action runs on all cases at once.
+    least one.  The images come from one ``qstates.conjugate_frame``
+    call over all cases, with the zero mask where ell = 0 and the norm
+    mask where ell = 1; the dense action runs on all cases at once.
     """
     spec = field_spec(n)
     order = spec.order
@@ -160,13 +161,9 @@ def check_conjugation(
         cases = rng.integers((1, 0, 0, 0, 0, 0), (order, order, order, 2, order, 2), (samples, 6))
         label = f"conjugation sampled (n={n})"
     lam, beta, a, ell, b, kappa = cases.T
-    el = spec.el
-    images = [
-        conjugate_bell(el(c[0]), el(c[1]), el(c[2]), c[3], el(c[4]), c[5])
-        for c in cases.tolist()
-    ]
-    out_b = np.array([image.a.value for image in images])
-    out_kappa = np.array([image.ell for image in images])
+    masks = np.stack([np.zeros(order, np.int64), spec.norm(np.arange(order))])
+    out_b, signs = qstates.conjugate_frame(spec, lam, beta, a, masks, b, kappa)
+    out_kappa = signs[ell, np.arange(len(ell))]
     got = _error_action(spec, _frame_vectors(spec, lam, beta, b, kappa), a, ell)
     want = _frame_vectors(spec, lam, beta, out_b, out_kappa)
     good = (got == want).all(axis=1) | (got == -want).all(axis=1)

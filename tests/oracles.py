@@ -55,9 +55,9 @@ def norm_mask_bits(spec) -> int:
 
 
 def conjugation_matches(
-    spec, lam: int, beta: int, a: int, ell: int, b: int, kappa: int, result
+    spec, lam: int, beta: int, a: int, ell: int, b: int, kappa: int, index: int, sign: int
 ) -> bool:
-    """Does the package's frame image equal the dense matrix action?
+    """Is the frame image (index, sign) the dense matrix action's result?
 
     Compared up to a global sign, which is all a state assignment can
     promise.
@@ -66,7 +66,7 @@ def conjugation_matches(
     op = dense_error_operator(spec, a, mask)
     vec = dense_frame(spec, lam, beta, b, kappa)
     got = np.concatenate([op @ vec[: spec.order], op @ vec[spec.order :]])
-    want = dense_frame(spec, lam, beta, result.a.value, result.ell)
+    want = dense_frame(spec, lam, beta, index, sign)
     return bool(np.array_equal(got, want) or np.array_equal(got, -want))
 
 

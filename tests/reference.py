@@ -12,7 +12,11 @@ fancy-index gathers, Bob's weights computed per round and nested
 table and the row-wise mask dedupe as ``reference_*``.  Differential
 tests compare the fast paths against both.  It also keeps
 :func:`toeplitz_compress`, a non-cryptographic stand-in for key
-compression that the package never calls.
+compression that the package never calls, and the scalar field layer:
+:class:`FieldElement` and the one-case-at-a-time frame rule
+:func:`conjugate_bell_mask` (with its norm-mask case
+:func:`conjugate_bell`), the reference for the array rule
+``qstates.conjugate_frame``.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
 replay reuses the engine's chunk tally and post-round stages
@@ -40,7 +44,7 @@ from quditqkd.channels import (
     UnitaryTerm,
     resolve_channel,
 )
-from quditqkd.field import FieldElement, FieldMismatchError, FieldSpec, field_spec
+from quditqkd.field import FieldSpec, field_spec
 from quditqkd.protocol import (
     _LOG_DTYPES,
     STREAM_ALICE,
@@ -62,7 +66,137 @@ from quditqkd.protocol import (
     sift_rounds,
     spawn_streams,
 )
-from quditqkd.qstates import DiagonalPhase, Outcome, _check_same_spec
+from quditqkd.qstates import DiagonalPhase, Outcome
+
+# -- scalar field elements and the scalar frame rule ----------------------------
+
+
+class FieldMismatchError(ValueError):
+    """Raised when elements of different field specs are combined."""
+
+
+@dataclass(frozen=True)
+class FieldElement:
+    """A single element of a fixed GF(2^n).
+
+    Supports ``+`` (also ``-``, equal in characteristic 2), ``*``, ``/``,
+    ``inv``, integer powers, and the norm map.  Operations between
+    elements of different specs raise :class:`FieldMismatchError`.
+    """
+
+    spec: FieldSpec
+    value: int
+
+    def __post_init__(self) -> None:
+        self.spec.check(self.value)
+
+    def _joint(self, other: "FieldElement") -> None:
+        if not isinstance(other, FieldElement):
+            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
+        if other.spec != self.spec:
+            raise FieldMismatchError(
+                f"cannot combine elements of {self.spec} and {other.spec}"
+            )
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        self._joint(other)
+        return FieldElement(self.spec, self.value ^ other.value)
+
+    __sub__ = __add__
+
+    def __mul__(self, other: "FieldElement") -> "FieldElement":
+        self._joint(other)
+        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
+
+    def __truediv__(self, other: "FieldElement") -> "FieldElement":
+        self._joint(other)
+        return self * other.inv()
+
+    def __pow__(self, k: int) -> "FieldElement":
+        return FieldElement(self.spec, self.spec.pow(self.value, k))
+
+    def inv(self) -> "FieldElement":
+        return FieldElement(self.spec, self.spec.inv(self.value))
+
+    def norm(self) -> int:
+        return self.spec.norm(self.value)
+
+    def __index__(self) -> int:
+        return self.value
+
+    def __str__(self) -> str:
+        return str(self.value)
+
+    def __repr__(self) -> str:
+        return f"FieldElement({self.value}, GF(2^{self.spec.n}))"
+
+
+def _check_same_spec(spec: FieldSpec, *els: FieldElement) -> None:
+    for e in els:
+        if e.spec != spec:
+            raise FieldMismatchError(f"element of {e.spec} used with {spec}")
+
+
+@dataclass(frozen=True)
+class BellIndex:
+    """Label (a, ell) of the entangled basis state Psi_{a,ell}."""
+
+    a: FieldElement
+    ell: int
+
+    def __post_init__(self) -> None:
+        if self.ell not in (0, 1):
+            raise ValueError("ell must be 0 or 1")
+
+
+def conjugate_bell_mask(
+    lam: FieldElement,
+    beta: FieldElement,
+    a: FieldElement,
+    phase: DiagonalPhase,
+    b: FieldElement,
+    kappa: int,
+) -> BellIndex:
+    """Image of Psi_{b,kappa} under (I x L^-1 X_a phase L), one case at a time.
+
+    Works for an arbitrary diagonal sign mask.  The index moves to
+    b + a/lam and the sign bit flips iff the mask disagrees on the two
+    support labels lam*b + beta and lam*(b+1) + beta.
+    """
+    spec = b.spec
+    _check_same_spec(spec, lam, beta, a)
+    if phase.spec != spec:
+        raise FieldMismatchError("phase mask spec does not match field spec")
+    if lam.value == 0:
+        raise ValueError("lam must be nonzero")
+    if kappa not in (0, 1):
+        raise ValueError("kappa must be 0 or 1")
+    lb = spec.mul(lam.value, b.value) ^ beta.value
+    lb1 = spec.mul(lam.value, b.value ^ 1) ^ beta.value
+    flip = phase(lb) ^ phase(lb1)
+    idx = b.value ^ spec.mul(spec.inv(lam.value), a.value)
+    return BellIndex(FieldElement(spec, idx), kappa ^ flip)
+
+
+def conjugate_bell(
+    lam: FieldElement,
+    beta: FieldElement,
+    a: FieldElement,
+    ell: int,
+    b: FieldElement,
+    kappa: int,
+) -> BellIndex:
+    """Image of Psi_{b,kappa} under (I x L^-1 X_a Z^ell L).
+
+    The norm-mask case of :func:`conjugate_bell_mask`: the index moves to
+    b + a/lam, and kappa flips exactly when ell = 1 and the norms of
+    lam*b + beta and lam*(b+1) + beta differ.
+    """
+    if ell not in (0, 1):
+        raise ValueError("ell must be 0 or 1")
+    phase = DiagonalPhase.norm_mask(b.spec) if ell else DiagonalPhase.zero(b.spec)
+    return conjugate_bell_mask(lam, beta, a, phase, b, kappa)
+
 
 # -- kets, the scalar Born rule and channel actions -----------------------------
 
@@ -192,7 +326,7 @@ def apply_term(
     """
     if isinstance(action, UnitaryTerm):
         return apply_error(
-            spec.el(action.shift), DiagonalPhase(spec, action.mask), ket
+            FieldElement(spec, action.shift), DiagonalPhase(spec, action.mask), ket
         )
     if isinstance(action, RandomDephase):
         if len(ket.terms) == 2 and aux_u < 0.5:
@@ -254,7 +388,7 @@ def draw_bob_round(spec: FieldSpec, table: np.ndarray, ket: SparseKet, rng):
     """
     row = pick_pair_index(rng.random(), len(table))
     u, v = int(table[row, 0]), int(table[row, 1])
-    p_plus, p_minus, _ = probabilities(ket, spec.el(u), spec.el(v))
+    p_plus, p_minus, _ = probabilities(ket, FieldElement(spec, u), FieldElement(spec, v))
     outcome = decide_outcome(float(p_plus), float(p_minus), rng.random())
     noise = int(rng.random() >= 0.5)
     return (u, v), outcome, noise

@@ -38,7 +38,7 @@ from quditqkd.distill import (
     select_params,
     simulate_distillation,
 )
-from quditqkd.field import FieldElement, field_spec
+from quditqkd.field import field_spec
 from quditqkd.netrun import RoleConfig, RoleReport, run_alice, run_bob, run_eve
 from quditqkd.netrun.wire import ABORT_CONDITION
 from quditqkd.protocol import (
@@ -49,7 +49,7 @@ from quditqkd.protocol import (
     spawn_streams,
     wilson_interval,
 )
-from quditqkd.qstates import conjugate_bell
+from quditqkd.qstates import conjugate_frame
 from quditqkd.threshold import (
     STATUS_FEASIBLE,
     FeasibilityPoint,
@@ -164,31 +164,31 @@ def test_criterion_3_distill_condition_implies_continuation():
     )
 
 
+def _frame_images(spec, cases: list[tuple[int, ...]]) -> list[tuple[int, int]]:
+    """One ``conjugate_frame`` call over (lam, beta, a, ell, b, kappa) rows."""
+    lam, beta, a, ell, b, kappa = np.array(cases).T
+    masks = np.array([[0] * spec.order, [0] + [1] * (spec.order - 1)])
+    index, sign = conjugate_frame(spec, lam, beta, a, masks, b, kappa)
+    return list(zip(index.tolist(), sign[ell, np.arange(len(cases))].tolist()))
+
+
 def test_criterion_4_conjugation_identity():
     spec2 = field_spec(2)
-    count = 0
-    mismatches = 0
-    for lam, beta, a, ell, b, kappa in itertools.product(
-        range(1, 4), range(4), range(4), (0, 1), range(4), (0, 1)
-    ):
-        out = conjugate_bell(
-            FieldElement(spec2, lam),
-            FieldElement(spec2, beta),
-            FieldElement(spec2, a),
-            ell,
-            FieldElement(spec2, b),
-            kappa,
-        )
-        if not conjugation_matches(spec2, lam, beta, a, ell, b, kappa, out):
-            mismatches += 1
-        count += 1
+    cases = list(
+        itertools.product(range(1, 4), range(4), range(4), (0, 1), range(4), (0, 1))
+    )
+    count = len(cases)
+    mismatches = sum(
+        not conjugation_matches(spec2, *case, *image)
+        for case, image in zip(cases, _frame_images(spec2, cases))
+    )
     ok = count == 768 and mismatches == 0
     notes = [f"n=2 exhaustive {count - mismatches}/{count}"]
     for n in (3, 4):
         spec = field_spec(n)
         rng = np.random.default_rng(40 + n)
-        good = 0
         trials = 10_000
+        cases = []
         for _ in range(trials):
             lam = int(rng.integers(1, spec.order))
             beta = int(rng.integers(0, spec.order))
@@ -196,15 +196,11 @@ def test_criterion_4_conjugation_identity():
             ell = int(rng.integers(0, 2))
             b = int(rng.integers(0, spec.order))
             kappa = int(rng.integers(0, 2))
-            out = conjugate_bell(
-                FieldElement(spec, lam),
-                FieldElement(spec, beta),
-                FieldElement(spec, a),
-                ell,
-                FieldElement(spec, b),
-                kappa,
-            )
-            good += conjugation_matches(spec, lam, beta, a, ell, b, kappa, out)
+            cases.append((lam, beta, a, ell, b, kappa))
+        good = sum(
+            conjugation_matches(spec, *case, *image)
+            for case, image in zip(cases, _frame_images(spec, cases))
+        )
         ok = ok and good == trials
         notes.append(f"n={n} sampled {good}/{trials}")
     _record(4, "frame conjugation matches the dense matrix oracle", ok, "; ".join(notes))

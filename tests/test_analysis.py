@@ -31,10 +31,10 @@ from quditqkd.channels import (
     z_flip,
 )
 from quditqkd.field import field_spec
-from quditqkd.qstates import DiagonalPhase, conjugate_bell_mask
+from quditqkd.qstates import DiagonalPhase
 
 from oracles import exact_distill_lhs, observed_rates, random_exact_distribution
-from reference import reference_distinct_masks
+from reference import FieldElement, conjugate_bell_mask, reference_distinct_masks
 
 
 class TestBellDistribution:
@@ -115,8 +115,9 @@ class TestBellDistribution:
 
 
 def _per_term_bell(model):
-    """Reference table: one conjugate_bell_mask call per (term, lam, beta)."""
+    """Reference table: one scalar conjugate_bell_mask call per (term, lam, beta)."""
     spec = model.spec
+    F = FieldElement
     N = spec.order
     w_pair = Fraction(1, N * (N - 1))
     e = {}
@@ -125,7 +126,7 @@ def _per_term_bell(model):
         for lam in range(1, N):
             for beta in range(N):
                 out = conjugate_bell_mask(
-                    spec.el(lam), spec.el(beta), spec.el(action.shift), phase, spec.el(0), 0
+                    F(spec, lam), F(spec, beta), F(spec, action.shift), phase, F(spec, 0), 0
                 )
                 key = (out.a.value, out.ell)
                 e[key] = e.get(key, Fraction(0)) + p * w_pair

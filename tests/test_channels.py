@@ -33,7 +33,7 @@ from quditqkd.channels import (
 from quditqkd.field import field_spec
 from quditqkd.qstates import DiagonalPhase
 
-from reference import SparseKet, apply_error, apply_term, transmit
+from reference import FieldElement, SparseKet, apply_error, apply_term, transmit
 from reference import reference_sample_term_index
 
 
@@ -365,7 +365,7 @@ class TestApplyTerm:
         spec = field_spec(2)
         ket = SparseKet.pair(spec, 0, 1, 0)
         action = UnitaryTerm(2, 0b0110)
-        direct = apply_error(spec.el(2), DiagonalPhase(spec, 0b0110), ket)
+        direct = apply_error(FieldElement(spec, 2), DiagonalPhase(spec, 0b0110), ket)
         assert apply_term(action, ket, 0.9, spec) == direct
 
     def test_intercept_collapses_to_support(self):

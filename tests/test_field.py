@@ -10,8 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditqkd.field import (
-    FieldElement,
-    FieldMismatchError,
     FieldSpec,
     field_spec,
     is_irreducible,
@@ -19,6 +17,7 @@ from quditqkd.field import (
 )
 
 from oracles import slow_gf_mul
+from reference import FieldElement, FieldMismatchError
 
 DEGREES = range(2, 9)
 

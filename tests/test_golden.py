@@ -28,6 +28,7 @@ import json
 
 import pytest
 
+from quditqkd import qstates, verify
 from quditqkd.analysis import analysis_report
 from quditqkd.channels import parse_channel_spec
 from quditqkd.field import field_spec
@@ -232,3 +233,16 @@ def test_channel_digest(n, channel, seed):
 @pytest.mark.parametrize("n,channel", [(n, ch) for n in (2, 3, 5, 8) for ch in UNITARY])
 def test_report_digest(n, channel):
     assert report_digest(n, channel) == REPORT_DIGESTS[f"{n}/{channel}"]
+
+
+def test_planted_frame_sign_fault_reaches_verify_and_analysis(monkeypatch):
+    """One sign flip in the array frame rule fails both of its users."""
+    real = qstates.conjugate_frame
+
+    def flipped(*args):
+        index, sign = real(*args)
+        return index, sign ^ 1
+
+    monkeypatch.setattr(qstates, "conjugate_frame", flipped)
+    assert not verify.check_conjugation(2).passed
+    assert report_digest(2, "z_flip:0.3") != REPORT_DIGESTS["2/z_flip:0.3"]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from quditqkd.distill import DistillParams, LabeledKey, simulate_distillation
 from quditqkd.field import field_spec
 import quditqkd.netrun.roles as roles
+import quditqkd.protocol as protocol
 import quditqkd.netrun.wire as wire
 from quditqkd.netrun import (
     RoleConfig,
@@ -56,6 +57,7 @@ from quditqkd.netrun.wire import (
 )
 from quditqkd.protocol import (
     STREAM_PAIRING,
+    RateEstimate,
     SessionConfig,
     run_session,
     spawn_streams,
@@ -439,6 +441,29 @@ class TestAbortPaths:
             assert rep.status == "insufficient-key"
             assert rep.exit_code == 1
             assert rep.abort_sent == "insufficient-key"
+
+
+class TestBoundaryVerdict:
+    """A sample planted on the continuation boundary gets one exact verdict."""
+
+    @pytest.mark.parametrize("n, e_b_counts", [(2, (1, 4)), (3, (1, 3))])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_engine_and_roles_agree(self, monkeypatch, n, e_b_counts, strict):
+        # e_c = 4/5 with these e_b puts the exact left side on 1/2, where
+        # the float one reads 0.49999999999999994
+        planted = RateEstimate.from_counts(*e_b_counts)
+        monkeypatch.setattr(protocol, "accepted_counts", lambda *cols: (4, 5))
+        for module in (protocol, roles):
+            monkeypatch.setattr(module, "sample_rates", lambda *cols: (planted, planted))
+        session = SessionConfig(n=n, rounds=3000, seed=11, condition_strict=strict)
+        engine = run_session(session).stats
+        assert engine.condition_lhs == 0.49999999999999994
+        assert engine.condition_pass is not strict
+        rep_a, rep_b = _run_pair(_role_cfg("alice", session), _role_cfg("bob", session))
+        for rep in (rep_a, rep_b):
+            assert rep.shared["lhs"] == engine.condition_lhs
+            assert rep.shared["condition_pass"] is not strict
+            assert rep.status == (ABORT_CONDITION if strict else "pass")
 
 
 class TestRunRoleTopology:

@@ -33,7 +33,7 @@ from quditqkd.protocol import (
 )
 from quditqkd.qstates import Outcome
 
-from oracles import wilson_reference
+from oracles import exact_continuation_lhs, wilson_reference
 from reference import (
     SparseKet,
     decode_bob_bit,
@@ -88,6 +88,28 @@ class TestWilson:
         assert d["successes"] == 8 and d["trials"] == 34
 
 
+def _boundary_count_pairs(n: int, bound: int = 20):
+    """Sample counts (s_b, t_b, s_c, t_c), trials up to ``bound``, on and off the boundary.
+
+    On: the exact left side is 1/2.  Off: s_b one above or below an on
+    pair.  The boundary e_b is solved per e_c in exact fractions.
+    """
+    order = 1 << n
+    on, off = [], []
+    for t_c in range(1, bound + 1):
+        for s_c in range(1, t_c + 1):
+            e_c = Fraction(s_c, t_c)
+            e_b = (Fraction(1, 2) - Fraction(order - 1, order - 2) * (1 - e_c)) / e_c
+            if not 0 <= e_b <= 1:
+                continue
+            for t_b in range(1, bound + 1):
+                if (e_b * t_b).denominator == 1:
+                    s_b = int(e_b * t_b)
+                    on.append((s_b, t_b, s_c, t_c))
+                    off.extend((s_b + d, t_b, s_c, t_c) for d in (-1, 1) if 0 <= s_b + d <= t_b)
+    return on, off
+
+
 class TestContinuationCondition:
     def test_boundary_exact_with_fractions(self):
         # (3/10, 5/6) sits exactly on the boundary at n = 2
@@ -124,6 +146,33 @@ class TestContinuationCondition:
         some = RateEstimate.from_counts(1, 10)
         assert condition_verdict(none, some, 2) == (None, False)
         assert condition_verdict(some, none, 2) == (None, False)
+
+    def test_float_boundary_is_decided_exactly(self):
+        # e_b = 1/4, e_c = 4/5 at n = 2 sits on the boundary, but the
+        # float left side rounds below 1/2; the verdict reads the counts
+        e_b, e_c = RateEstimate.from_counts(1, 4), RateEstimate.from_counts(4, 5)
+        assert pm_condition_lhs(0.25, 0.8, 2) == 0.49999999999999994
+        assert condition_verdict(e_b, e_c, 2, strict=True) == (0.49999999999999994, False)
+        assert condition_verdict(e_b, e_c, 2, strict=False)[1]
+        e_b = RateEstimate.from_counts(1, 3)
+        assert not condition_verdict(e_b, e_c, 3, strict=True)[1]
+        # among the enumerated n = 2 boundary pairs the float left side
+        # lands on both sides of 1/2, so a float verdict errs both ways
+        on, _ = _boundary_count_pairs(2)
+        floats = {pm_condition_lhs(s_b / t_b, s_c / t_c, 2) for s_b, t_b, s_c, t_c in on}
+        assert min(floats) < 0.5 < max(floats)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_verdict_on_boundary_counts_matches_fractions(self, n):
+        on, off = _boundary_count_pairs(n)
+        assert on and off
+        for s_b, t_b, s_c, t_c in on + off:
+            exact = exact_continuation_lhs(Fraction(s_b, t_b), Fraction(s_c, t_c), 1 << n)
+            e_b, e_c = RateEstimate.from_counts(s_b, t_b), RateEstimate.from_counts(s_c, t_c)
+            _, strict = condition_verdict(e_b, e_c, n, strict=True)
+            _, lax = condition_verdict(e_b, e_c, n, strict=False)
+            assert strict == (exact < Fraction(1, 2)), (s_b, t_b, s_c, t_c)
+            assert lax == (exact <= Fraction(1, 2)), (s_b, t_b, s_c, t_c)
 
     def test_condition_verdict_strictness(self):
         e_b = RateEstimate.from_counts(1, 2)

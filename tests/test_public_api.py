@@ -6,6 +6,7 @@ import pytest
 
 import quditqkd
 import quditqkd.channels as channels
+import quditqkd.field as field
 import quditqkd.netrun.wire as wire
 import quditqkd.protocol as protocol
 import quditqkd.qstates as qstates
@@ -14,7 +15,6 @@ from reference import SparseKet
 
 EXPORTED = [
     "BellDistribution",
-    "BellIndex",
     "ChannelModel",
     "DistillBudget",
     "DistillParams",
@@ -22,8 +22,6 @@ EXPORTED = [
     "EdVerdict",
     "ErrorMatrix",
     "FeasibilityPoint",
-    "FieldElement",
-    "FieldMismatchError",
     "FieldSpec",
     "InsufficientKeyError",
     "LabeledKey",
@@ -41,7 +39,6 @@ EXPORTED = [
     "check_ed_condition",
     "check_pm_condition",
     "check_secure_condition",
-    "conjugate_bell",
     "e_max_scan",
     "ec_star",
     "ep_recursion",
@@ -73,10 +70,10 @@ def test_all_is_pinned_and_resolves():
         assert getattr(quditqkd, name) is not None, name
 
 
-# The round-at-a-time path and the ket layer it runs on live in
-# tests/reference.py; PairState, the scalar sampler qstates.measure, the
-# per-record decoders, SparseKet.deserialize, estimate_ec and
-# RoundLog.record are gone.
+# The round-at-a-time path, the ket layer it runs on and the scalar
+# field elements and frame rule live in tests/reference.py; PairState,
+# the scalar sampler qstates.measure, the per-record decoders,
+# SparseKet.deserialize, estimate_ec and RoundLog.record are gone.
 GONE = [
     (protocol, "replay_session_scalar"),
     (protocol, "draw_alice_round"),
@@ -102,6 +99,16 @@ GONE = [
     (wire, "decode_pair"),
     (wire, "encode_outcome_announce"),
     (wire, "decode_outcome_announce"),
+    (quditqkd, "BellIndex"),
+    (quditqkd, "FieldElement"),
+    (quditqkd, "FieldMismatchError"),
+    (quditqkd, "conjugate_bell"),
+    (qstates, "BellIndex"),
+    (qstates, "conjugate_bell"),
+    (qstates, "conjugate_bell_mask"),
+    (field, "FieldElement"),
+    (field, "FieldMismatchError"),
+    (field.FieldSpec, "el"),
 ]
 
 

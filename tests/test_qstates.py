@@ -1,4 +1,4 @@
-"""The reference ket layer's Born rule, and Bell-frame conjugation."""
+"""The reference ket layer's Born rule, and the array Bell-frame rule."""
 
 from __future__ import annotations
 
@@ -10,17 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditqkd.field import FieldElement, field_spec
-from quditqkd.qstates import (
-    BellIndex,
-    DiagonalPhase,
-    Outcome,
-    conjugate_bell,
-    conjugate_bell_mask,
-)
+from quditqkd.field import field_spec
+from quditqkd.qstates import DiagonalPhase, Outcome, conjugate_frame
 
 from oracles import conjugation_matches
-from reference import SparseKet, apply_error, decide_outcome, probabilities
+from reference import (
+    BellIndex,
+    FieldElement,
+    SparseKet,
+    apply_error,
+    conjugate_bell,
+    conjugate_bell_mask,
+    decide_outcome,
+    probabilities,
+)
 
 
 def F(spec, v):
@@ -160,18 +163,21 @@ class TestDiagonalPhase:
             DiagonalPhase(spec, -1)
 
 
+def _frame(spec, lam, beta, a, ell, b, kappa):
+    """``conjugate_frame`` on one case, with the norm mask when ell = 1."""
+    bits = np.array([0] + [ell] * (spec.order - 1))
+    index, sign = conjugate_frame(spec, lam, beta, a, bits, b, kappa)
+    return int(index), int(sign)
+
+
 class TestConjugation:
-    """Frame-index arithmetic pinned by a dense matrix oracle."""
+    """The array frame rule pinned by a dense matrix oracle."""
 
     def test_worked_example_shift_with_phase(self):
-        spec = field_spec(2)
-        out = conjugate_bell(F(spec, 2), F(spec, 1), F(spec, 2), 1, F(spec, 0), 0)
-        assert (out.a.value, out.ell) == (1, 0)
+        assert _frame(field_spec(2), 2, 1, 2, 1, 0, 0) == (1, 0)
 
     def test_worked_example_phase_only(self):
-        spec = field_spec(2)
-        out = conjugate_bell(F(spec, 1), F(spec, 0), F(spec, 0), 1, F(spec, 0), 0)
-        assert (out.a.value, out.ell) == (0, 1)
+        assert _frame(field_spec(2), 1, 0, 0, 1, 0, 0) == (0, 1)
 
     def test_exhaustive_against_matrix_oracle(self):
         spec = field_spec(2)
@@ -179,10 +185,8 @@ class TestConjugation:
         for lam, beta, a, ell, b, kappa in itertools.product(
             range(1, 4), range(4), range(4), (0, 1), range(4), (0, 1)
         ):
-            out = conjugate_bell(
-                F(spec, lam), F(spec, beta), F(spec, a), ell, F(spec, b), kappa
-            )
-            assert conjugation_matches(spec, lam, beta, a, ell, b, kappa, out)
+            out = _frame(spec, lam, beta, a, ell, b, kappa)
+            assert conjugation_matches(spec, lam, beta, a, ell, b, kappa, *out)
             count += 1
         assert count == 768
 
@@ -190,43 +194,39 @@ class TestConjugation:
     def test_fixed_error_permutes_frames(self, n):
         """For each error the frame map (b, kappa) -> image is a bijection."""
         spec = field_spec(n)
+        b = np.arange(spec.order)[:, None]
+        kappa = np.array([0, 1])
         for lam in range(1, spec.order):
             for beta, a, ell in itertools.product(
                 range(spec.order), range(spec.order), (0, 1)
             ):
-                images = {
-                    (out.a.value, out.ell)
-                    for out in (
-                        conjugate_bell(
-                            F(spec, lam), F(spec, beta), F(spec, a), ell,
-                            F(spec, b), kappa,
-                        )
-                        for b in range(spec.order)
-                        for kappa in (0, 1)
-                    )
-                }
+                bits = np.array([0] + [ell] * (spec.order - 1))
+                index, sign = conjugate_frame(spec, lam, beta, a, bits, b, kappa)
+                images = set(zip(np.broadcast_to(index, sign.shape).ravel(), sign.ravel()))
                 assert len(images) == 2 * spec.order
 
     def test_general_mask_agrees_with_norm_rule(self):
         spec = field_spec(3)
-        phase = DiagonalPhase.norm_mask(spec)
+        norm = np.array([0] + [1] * 7)
         rng = np.random.default_rng(3)
         for _ in range(300):
             lam = int(rng.integers(1, 8))
             beta, a, b = (int(v) for v in rng.integers(0, 8, size=3))
             kappa = int(rng.integers(2))
-            via_mask = conjugate_bell_mask(
-                F(spec, lam), F(spec, beta), F(spec, a), phase, F(spec, b), kappa
-            )
+            via_mask = conjugate_frame(spec, lam, beta, a, norm, b, kappa)
             via_rule = conjugate_bell(
                 F(spec, lam), F(spec, beta), F(spec, a), 1, F(spec, b), kappa
             )
-            assert via_mask == via_rule
+            assert (int(via_mask[0]), int(via_mask[1])) == (via_rule.a.value, via_rule.ell)
 
     def test_domain_errors(self):
         spec = field_spec(2)
-        with pytest.raises(ValueError):
-            conjugate_bell(F(spec, 0), F(spec, 0), F(spec, 0), 0, F(spec, 0), 0)
+        bits = np.zeros(4, np.int8)
+        with pytest.raises(ValueError, match="lam"):
+            conjugate_frame(spec, 0, 0, 0, bits, 0, 0)
+        with pytest.raises(ValueError, match="lam"):
+            conjugate_frame(spec, np.array([1, 0, 3]), 0, 0, bits, 0, 0)
+        # the scalar reference keeps its own checks on ell and kappa
         with pytest.raises(ValueError):
             conjugate_bell(F(spec, 1), F(spec, 0), F(spec, 0), 2, F(spec, 0), 0)
         with pytest.raises(ValueError):
@@ -236,3 +236,60 @@ class TestConjugation:
         spec = field_spec(2)
         with pytest.raises(ValueError):
             BellIndex(F(spec, 0), 3)
+
+
+def _scalar_images(spec, lam, beta, a, masks, mask_id, b, kappa):
+    """The scalar reference rule, one ``conjugate_bell_mask`` call per case."""
+    packed = [int(sum(int(bit) << y for y, bit in enumerate(row))) for row in masks]
+    out = [
+        conjugate_bell_mask(
+            F(spec, l), F(spec, be), F(spec, s), DiagonalPhase(spec, packed[m]), F(spec, bb), k
+        )
+        for l, be, s, m, bb, k in zip(
+            *(np.asarray(c).tolist() for c in (lam, beta, a, mask_id, b, kappa))
+        )
+    ]
+    return [o.a.value for o in out], [o.ell for o in out]
+
+
+class TestArrayRuleAgainstScalar:
+    """``conjugate_frame`` against the scalar reference ``conjugate_bell_mask``."""
+
+    def test_exhaustive_n2_every_mask(self):
+        spec = field_spec(2)
+        masks = (np.arange(16)[:, None] >> np.arange(4)) & 1
+        cases = np.array(
+            list(itertools.product(range(1, 4), range(4), range(4), range(16), range(4), (0, 1)))
+        )
+        lam, beta, a, mask_id, b, kappa = cases.T
+        index, sign = conjugate_frame(spec, lam, beta, a, masks, b, kappa)
+        got = (index.tolist(), sign[mask_id, np.arange(len(cases))].tolist())
+        assert got == _scalar_images(spec, lam, beta, a, masks, mask_id, b, kappa)
+        assert len(cases) == 3 * 4 * 4 * 16 * 4 * 2
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_sampled_random_masks(self, n):
+        spec = field_spec(n)
+        order = spec.order
+        rng = np.random.default_rng(170 + n)
+        size = 400
+        lam = rng.integers(1, order, size)
+        beta, a, b = rng.integers(0, order, (3, size))
+        kappa = rng.integers(0, 2, size)
+        masks = rng.integers(0, 2, (size, order), dtype=np.int8)
+        assert (b != 0).any() and (kappa == 1).any()
+        index, sign = conjugate_frame(spec, lam, beta, a, masks, b, kappa)
+        rows = np.arange(size)
+        got = (index.tolist(), sign[rows, rows].tolist())
+        assert got == _scalar_images(spec, lam, beta, a, masks, rows, b, kappa)
+
+    def test_broadcast_shapes(self):
+        """Index over (lam, shift, b); sign over the masks, then the cases."""
+        spec = field_spec(3)
+        masks = np.random.default_rng(5).integers(0, 2, (6, 8))
+        lam = np.arange(1, 8)[:, None]
+        index, sign = conjugate_frame(spec, lam, np.arange(8), np.arange(8)[:, None, None], masks, 0, 0)
+        assert index.shape == (8, 7, 1) and sign.shape == (6, 7, 8)
+        for m, l, be in itertools.product(range(6), range(7), range(8)):
+            one = conjugate_frame(spec, l + 1, be, 3, masks[m], 0, 0)
+            assert (index[3, l, 0], sign[m, l, be]) == one

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from quditqkd import cli, protocol, verify
+from quditqkd import cli, protocol, qstates, verify
 from quditqkd.field import field_spec
-from quditqkd.qstates import BellIndex
 
 
 class _StubSpec:
@@ -79,16 +78,18 @@ def test_born_suite_checks_the_weights_measure_uses(monkeypatch):
 
 
 def _kappa_flipped(real):
+    """The array frame rule with every output sign bit flipped."""
+
     def conjugate(*args):
-        out = real(*args)
-        return BellIndex(out.a, out.ell ^ 1)
+        index, sign = real(*args)
+        return index, sign ^ 1
 
     return conjugate
 
 
 @pytest.mark.parametrize("n, samples", [(2, None), (3, 50), (4, 50)])
 def test_conjugation_fault_is_a_mismatch(monkeypatch, n, samples):
-    monkeypatch.setattr(verify, "conjugate_bell", _kappa_flipped(verify.conjugate_bell))
+    monkeypatch.setattr(qstates, "conjugate_frame", _kappa_flipped(qstates.conjugate_frame))
     result = verify.check_conjugation(n, samples=samples)
     assert result.total > 0
     assert not result.passed
