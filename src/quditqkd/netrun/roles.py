@@ -11,15 +11,17 @@ and pushes each QUDIT window through her channel model.
 
 Both endpoints consume randomness through the same five-stream layout
 as :func:`quditqkd.protocol.run_session` and call its vectorised stages
-(``prepare``, ``transmit``, ``measure``, ``line_offsets``) on each
-window, then its post-round stages (``sift_rounds``, ``draw_sample``,
-``kept_rounds``, ``sample_rates``, ``accepted_rate``,
-``condition_verdict``) and :func:`quditqkd.distill.pair_stage`, so a
-session with a shared master seed reproduces the in-process engine's
-keys exactly (the shared seed is this artifact's reproducibility
-contract, not a security model).  All estimate and keep decisions are
-computed independently by both sides from announced data; any
-divergence surfaces as a VERDICT mismatch and a protocol-error abort.
+(``prepare``, ``transmit``, ``measure``) on each window.  As each window
+closes they tally it from the announcements (``Tally.of``, the engine's
+per-chunk tally) and keep only their own bits of its sifted rounds, so
+a role's memory grows with the sifted count.  The tail then runs the
+engine's post-round stages (``draw_sample``, ``estimate_session``,
+``kept_rounds``) and :func:`quditqkd.distill.pair_stage`, so a session
+with a shared master seed reproduces the in-process engine's keys
+exactly (the shared seed is this artifact's reproducibility contract,
+not a security model).  All estimate and keep decisions are computed
+independently by both sides from announced data; any divergence
+surfaces as a VERDICT mismatch and a protocol-error abort.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from ..channels import resolve_channel
 from ..distill import DistillParams, block_parities, draw_stage_seeds, pair_stage
-from ..field import FieldSpec, field_spec
+from ..field import field_spec
 from ..protocol import (
     STREAM_ALICE,
     STREAM_BOB,
@@ -41,16 +43,13 @@ from ..protocol import (
     STREAM_PAIRING,
     STREAM_SAMPLE,
     SessionConfig,
-    accepted_rate,
-    condition_verdict,
+    Tally,
     draw_sample,
+    estimate_session,
     kept_rounds,
-    line_offsets,
     measure,
     pair_table,
     prepare,
-    sample_rates,
-    sift_rounds,
     spawn_streams,
     transmit,
 )
@@ -186,28 +185,25 @@ def _session_tail(
     report: RoleReport,
     link: Link,
     cfg: RoleConfig,
-    spec: FieldSpec,
     streams,
-    ai: np.ndarray,
-    aj: np.ndarray,
-    bi: np.ndarray,
-    bj: np.ndarray,
-    clicked: np.ndarray,
-    my_bits_full: np.ndarray,
+    tally: Tally,
+    my_bits: np.ndarray,
     leader: bool,
 ) -> None:
     """Everything after the per-round exchange; identical for both ends.
 
-    ``leader`` marks the side that sends first in each exchange (alice)
-    and owns the sample and pairing streams; the follower validates the
-    leader's announcements against its own computation.  Sift, sample,
-    estimates and pairing are the post-round stages of
-    :mod:`quditqkd.protocol` and :func:`quditqkd.distill.pair_stage`.
+    ``tally`` is the session's tally of the announcements and
+    ``my_bits`` this side's bits of its sifted rounds.  ``leader`` marks
+    the side that sends first in each exchange (alice) and owns the
+    sample and pairing streams; the follower validates the leader's
+    announcements against its own computation.  Sample, estimates and
+    pairing are the post-round stages of :mod:`quditqkd.protocol` and
+    :func:`quditqkd.distill.pair_stage`.
     """
     session = cfg.session
     params = cfg.params
 
-    sift_idx = sift_rounds(ai, aj, bi, bj)
+    sift_idx = tally.sift_idx
     n_sift = len(sift_idx)
     if leader:
         link.send(FrameType.SIFT_ACCEPT, encode_index_list(sift_idx))
@@ -232,17 +228,16 @@ def _session_tail(
         if not np.array_equal(sift_idx[sample_pos], their_rounds):
             raise ProtocolViolation("sample reveals an unsifted round")
     sample_rounds = sift_idx[sample_pos]
-    my_sample = my_bits_full[sample_rounds]
+    my_sample = my_bits[sample_pos]
     link.send(FrameType.SAMPLE_REVEAL, encode_sample_reveal(sample_rounds, my_sample))
     if leader:
         their_rounds, their_bits = decode_sample_reveal(link.expect(FrameType.SAMPLE_REVEAL))
         if not np.array_equal(their_rounds, sample_rounds):
             raise ProtocolViolation("sample reveal does not echo the sampled rounds")
 
-    # a disagreement count does not depend on which side is alice
-    e_b, e_b_all = sample_rates(my_sample, their_bits, clicked[sample_rounds])
-    e_c = accepted_rate(line_offsets(spec, ai, aj, bi, bj), clicked, session.ec_mode)
-    lhs, verdict = condition_verdict(e_b, e_c, session.n, session.condition_strict)
+    e_b, e_b_all, e_c, lhs, verdict = estimate_session(
+        session, tally, sample_pos, my_sample, their_bits
+    )
 
     shared: dict = {
         "n": session.n,
@@ -260,7 +255,7 @@ def _session_tail(
         _abort(report, link, ABORT_CONDITION, exit_code=2)
         return
 
-    bits = my_bits_full[kept_rounds(sift_idx, sample_pos)].astype(np.uint8)
+    bits = kept_rounds(my_bits, sample_pos).astype(np.uint8)
     if len(bits) < params.min_length:
         _abort(report, link, ABORT_INSUFFICIENT_KEY)
         return
@@ -333,12 +328,7 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         if not leader:
             link.send(FrameType.CONFIG, encode_json(mine))
 
-        ai = np.empty(rounds, np.int16)
-        aj = np.empty(rounds, np.int16)
-        bi = np.empty(rounds, np.int16)
-        bj = np.empty(rounds, np.int16)
-        clicked = np.empty(rounds, bool)
-        my_bits = np.empty(rounds, np.uint8)
+        tallies, my_bits = [], []
         for lo in range(0, rounds, WINDOW):
             hi = min(lo + WINDOW, rounds)
             w = hi - lo
@@ -349,7 +339,7 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
                     link.expect(FrameType.OUTCOME_ANNOUNCE), w, spec.order
                 )
                 link.send(FrameType.PAIR_ANNOUNCE, encode_pair_batch(i, j))
-                my_bits[lo:hi] = s
+                mine = s
             else:
                 k1, k2, sigma = decode_qudit_batch(
                     link.expect(FrameType.QUDIT), w, spec.order
@@ -360,13 +350,13 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
                 i, j = decode_pair_batch(
                     link.expect(FrameType.PAIR_ANNOUNCE), w, spec.order
                 )
-                my_bits[lo:hi] = bit
-            ai[lo:hi], aj[lo:hi] = i, j
-            bi[lo:hi], bj[lo:hi] = u, v
-            clicked[lo:hi] = category == 0
+                mine = bit
+            tally = Tally.of(i, j, u, v, category == 0, lo, session.ec_mode)
+            tallies.append(tally)
+            my_bits.append(mine[tally.sift_idx - lo])
 
         _session_tail(
-            report, link, cfg, spec, streams, ai, aj, bi, bj, clicked, my_bits, leader
+            report, link, cfg, streams, Tally.join(tallies), np.concatenate(my_bits), leader
         )
     except AbortReceived as exc:
         report.status = f"peer-abort:{exc.reason}"

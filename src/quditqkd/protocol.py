@@ -26,9 +26,11 @@ Each uniform is one 64-bit draw, so the engine starts a span of rounds
 at round lo by advancing copies of the alice, channel and bob streams by
 2*lo, 2*lo and 3*lo draws; spans run side by side on the usable CPUs,
 and outputs do not depend on how many there are.  Each span's thread
-also tallies its chunks as it fills them (sift list, e_c counts, outcome
-counts), so after the spans join the session only samples the sifted
-rounds and gathers the sample bits and the keys.
+also tallies its chunks as it fills them: a :class:`Tally` of the
+announcements (sift list, in-pair flags, e_c counts), the one the
+networked roles build per window, plus the outcome counts.  After the
+spans join the session only samples the sifted rounds and gathers the
+sample bits and the keys.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
@@ -474,10 +476,11 @@ def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
 
 # -- post-round stages ------------------------------------------------------
 #
-# Sift, sample, estimate: the steps after the quantum rounds, over the
-# announced and revealed columns.  The in-process engine, both networked
-# endpoints and the scalar replay in tests/reference.py call these same
-# functions.
+# Sift, sample, estimate: the steps after the quantum rounds.  Every count
+# they need comes from the announcements, so the in-process engine (per
+# chunk) and both networked endpoints (per window) build the same Tally
+# as their rounds close and decide through estimate_session; the scalar
+# replay in tests/reference.py calls these same functions.
 
 
 def sift_mask(ai, aj, bi, bj) -> np.ndarray:
@@ -485,9 +488,39 @@ def sift_mask(ai, aj, bi, bj) -> np.ndarray:
     return (ai == bi) & (aj == bj)
 
 
-def sift_rounds(ai, aj, bi, bj) -> np.ndarray:
-    """Indices of the rounds whose announced pairs are equal (the raw key)."""
-    return np.flatnonzero(sift_mask(ai, aj, bi, bj))
+class Tally(NamedTuple):
+    """What the post-round stages need of a run of rounds, from its announcements.
+
+    e_c's successes are the sifted rounds: a Bob pair in the offset class
+    {0, 1} of Alice's line is her own pair.  Its trials are the rounds
+    Bob measured on Alice's line, (i ^ j) == (u ^ v).  "in_pair" counts
+    only the in-pair (clicked) rounds of each; "announced" ignores
+    outcomes, reads 2/N for every channel and is kept for comparison.
+    """
+
+    sift_idx: np.ndarray  # sifted rounds, numbered from the session's first
+    clicked: np.ndarray  # in-pair flag of each sifted round
+    ec: tuple[int, int]  # accepted-rate successes and trials of the ec_mode
+
+    @classmethod
+    def of(cls, ai, aj, bi, bj, clicked, start: int, ec_mode: str) -> Tally:
+        """Tally announced rounds, the first of which is session round ``start``."""
+        if ec_mode not in EC_MODES:
+            raise ValueError(f"unknown ec mode {ec_mode!r}")
+        sift = np.flatnonzero(sift_mask(ai, aj, bi, bj))
+        on_line = (ai ^ aj) == (bi ^ bj)
+        sift_clicked = clicked[sift]
+        if ec_mode == "in_pair":
+            ec = np.count_nonzero(sift_clicked), np.count_nonzero(on_line & clicked)
+        else:
+            ec = len(sift), np.count_nonzero(on_line)
+        return cls(sift + start, sift_clicked, (int(ec[0]), int(ec[1])))
+
+    @classmethod
+    def join(cls, tallies) -> Tally:
+        """The tally of consecutive runs of rounds, in round order."""
+        sift, clicked, ec = zip(*tallies)
+        return cls(np.concatenate(sift), np.concatenate(clicked), tuple(map(sum, zip(*ec))))
 
 
 def draw_sample(sift_idx: np.ndarray, fraction: float, rng) -> np.ndarray:
@@ -500,11 +533,11 @@ def draw_sample(sift_idx: np.ndarray, fraction: float, rng) -> np.ndarray:
     return np.sort(perm[: int(fraction * len(sift_idx))])
 
 
-def kept_rounds(sift_idx: np.ndarray, sample_pos: np.ndarray) -> np.ndarray:
-    """The sifted rounds left for the key once the sample is removed."""
-    keep = np.ones(len(sift_idx), bool)
+def kept_rounds(sifted: np.ndarray, sample_pos: np.ndarray) -> np.ndarray:
+    """The entries of a sift-aligned array left for the key once the sample is removed."""
+    keep = np.ones(len(sifted), bool)
     keep[sample_pos] = False
-    return sift_idx[keep]
+    return sifted[keep]
 
 
 def sample_rates(alice_bits, bob_bits, clicked) -> tuple[RateEstimate, RateEstimate]:
@@ -520,32 +553,16 @@ def sample_rates(alice_bits, bob_bits, clicked) -> tuple[RateEstimate, RateEstim
     return e_b, RateEstimate.from_counts(int(np.count_nonzero(err)), len(err))
 
 
-def accepted_counts(offset, clicked, mode: str) -> tuple[int, int]:
-    """Successes and trials of the accepted rate, from line offsets and in-pair flags.
+def estimate_session(cfg: SessionConfig, tally: Tally, sample_pos, bits, other_bits):
+    """(e_b, e_b_all, e_c, lhs, verdict) of a session's tally and revealed sample.
 
-    "in_pair": among rounds measured on Alice's line with an in-pair
-    outcome, the ones whose offset class is {0, 1} (i.e. Bob's pair
-    equals Alice's).  Rejected (unsifted) on-line rounds enter the
-    denominator.  "announced": same ratio over announcements alone,
-    ignoring outcomes; this alternative reading yields 2/N for every
-    channel and is kept only for comparison.
+    ``sample_pos`` indexes the tally's sift list; ``bits`` and
+    ``other_bits`` are the two sides' bits of those rounds, in either
+    order (a disagreement count does not depend on which side is alice).
     """
-    if mode not in EC_MODES:
-        raise ValueError(f"unknown ec mode {mode!r}")
-    on_line = offset >= 0
-    in_class = on_line & ((offset & ~1) == 0)
-    if mode == "in_pair":
-        in_class &= clicked
-        on_line &= clicked
-    return int(np.count_nonzero(in_class)), int(np.count_nonzero(on_line))
-
-
-def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
-    """Accepted-rate estimate of :func:`accepted_counts`.
-
-    Zero denominator gives an undefined estimate (rate None).
-    """
-    return RateEstimate.from_counts(*accepted_counts(offset, clicked, mode), z)
+    e_b, e_b_all = sample_rates(bits, other_bits, tally.clicked[sample_pos])
+    e_c = RateEstimate.from_counts(*tally.ec)
+    return (e_b, e_b_all, e_c, *condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict))
 
 
 def _outcome_counts(log: RoundLog, order: int) -> np.ndarray:
@@ -560,33 +577,6 @@ def _outcome_table(counts: np.ndarray) -> dict[tuple[int, int], int]:
     return {(c // 3 - 1, c % 3): int(k) for c, k in enumerate(counts) if k}
 
 
-class _Tally(NamedTuple):
-    """What the post-round stages need of a run of rounds, counted chunk by chunk."""
-
-    sift_idx: np.ndarray  # sifted rounds, numbered from the session's first
-    outside_in_sifted: int
-    ec: tuple[int, int]  # accepted_counts of the session's ec_mode
-    counts: np.ndarray  # _outcome_counts
-
-    @classmethod
-    def join(cls, tallies: list[_Tally]) -> _Tally:
-        """The tally of consecutive runs of rounds, in round order."""
-        sift, outside, ec, counts = zip(*tallies)
-        return cls(np.concatenate(sift), sum(outside), tuple(map(sum, zip(*ec))), sum(counts))
-
-
-def _tally_rounds(log: RoundLog, start: int, order: int, ec_mode: str) -> _Tally:
-    """Tally the rounds of ``log``, the first of which is session round ``start``."""
-    sift = sift_rounds(log.alice_i, log.alice_j, log.bob_i, log.bob_j)
-    clicked = log.clicked
-    return _Tally(
-        sift + start,
-        int(np.count_nonzero(~clicked[sift])),
-        accepted_counts(log.offset, clicked, ec_mode),
-        _outcome_counts(log, order),
-    )
-
-
 def _usable_cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -596,20 +586,20 @@ def _usable_cpus() -> int:
 
 
 def _fill_rounds(
-    spec, model, table, cols, streams, lo: int, hi: int, ec_mode: str = "in_pair"
-) -> _Tally:
+    spec, model, table, cols, streams, lo: int, hi: int, ec_mode: str
+) -> tuple[Tally, np.ndarray]:
     """Run rounds [lo, hi) into their rows of the round-log columns.
 
     Works on copies of the alice, channel and bob streams advanced to
     round lo, so every span draws what a serial run draws for its rounds.
     Each chunk is tallied while its rows are still in cache; returns the
-    tally of the span.
+    span's tally and its :func:`_outcome_counts`.
     """
     alice, channel, bob = (
         np.random.Generator(copy.deepcopy(streams[slot].bit_generator).advance(per_round * lo))
         for slot, per_round in _DRAWS_PER_ROUND
     )
-    tallies = []
+    tallies, counts = [], 0
     for start in range(lo, hi, _ENGINE_CHUNK):
         stop = min(start + _ENGINE_CHUNK, hi)
         ai, aj, s = prepare(table, alice, stop - start)
@@ -619,8 +609,9 @@ def _fill_rounds(
         for col, part in zip(cols, chunk):
             col[start:stop] = part
         rows = RoundLog(*(col[start:stop] for col in cols))
-        tallies.append(_tally_rounds(rows, start, spec.order, ec_mode))
-    return _Tally.join(tallies)
+        tallies.append(Tally.of(ai, aj, bu, bv, rows.clicked, start, ec_mode))
+        counts += _outcome_counts(rows, spec.order)
+    return Tally.join(tallies), counts
 
 
 def run_session(cfg: SessionConfig) -> SessionOutput:
@@ -643,14 +634,14 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     chunks = -(-rounds // _ENGINE_CHUNK)
     spans = min(_usable_cpus(), chunks)
     edges = [min(k * chunks // spans * _ENGINE_CHUNK, rounds) for k in range(spans + 1)]
-    tallies = [None] * spans
+    results = [None] * spans
     errors = []
 
     def fill(k):
         # any failure is raised again in the caller: a span left unfilled
         # would leave np.empty garbage in the log
         try:
-            tallies[k] = _fill_rounds(
+            results[k] = _fill_rounds(
                 spec, model, table, cols, streams, *edges[k : k + 2], cfg.ec_mode
             )
         except BaseException as exc:
@@ -660,46 +651,48 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     for worker in workers:
         worker.start()
     try:
-        tallies[0] = _fill_rounds(spec, model, table, cols, streams, *edges[:2], cfg.ec_mode)
+        results[0] = _fill_rounds(spec, model, table, cols, streams, *edges[:2], cfg.ec_mode)
     finally:
         for worker in workers:
             worker.join()
     if errors:
         raise errors[0]
-    return _finish_session(cfg, RoundLog(*cols), _Tally.join(tallies), streams[STREAM_SAMPLE])
+    tallies, counts = zip(*results)
+    return _finish_session(
+        cfg, RoundLog(*cols), Tally.join(tallies), sum(counts), streams[STREAM_SAMPLE]
+    )
 
 
-def _finish_session(cfg: SessionConfig, log: RoundLog, tally: _Tally, sample_rng) -> SessionOutput:
-    """Sample, estimate and decide on a complete round log and its tally.
+def _finish_session(
+    cfg: SessionConfig, log: RoundLog, tally: Tally, counts: np.ndarray, sample_rng
+) -> SessionOutput:
+    """Sample, estimate and decide on a complete round log, its tally and outcome counts.
 
-    Makes no pass over the whole log: the tally holds the sift list and
-    the counts, so this draws the sample and gathers the sample bits and
-    the keys.  A session with no sifted round ends "insufficient-sift"
-    with empty keys and undefined sample rates.
+    Makes no pass over the whole log: the tally holds the sift list, the
+    in-pair flags and the e_c counts, so this draws the sample and
+    gathers the sample bits and the keys.  A session with no sifted
+    round ends "insufficient-sift" with empty keys and undefined sample
+    rates.
     """
     sift_idx = tally.sift_idx
     sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
     sample_rounds = sift_idx[sample_pos]
     keep = kept_rounds(sift_idx, sample_pos)
-    e_b, e_b_all = sample_rates(
-        log.alice_s[sample_rounds],
-        log.bob_bit[sample_rounds],
-        log.outcome[sample_rounds] != int(Outcome.OUTSIDE),
+    e_b, e_b_all, e_c, lhs, verdict = estimate_session(
+        cfg, tally, sample_pos, log.alice_s[sample_rounds], log.bob_bit[sample_rounds]
     )
-    e_c = RateEstimate.from_counts(*tally.ec)
-    lhs, verdict = condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict)
     stats = SessionStats(
         status="ok" if len(sift_idx) else "insufficient-sift",
         rounds=cfg.rounds,
         sifted_count=len(sift_idx),
         sample_count=len(sample_pos),
-        outside_in_sifted=tally.outside_in_sifted,
+        outside_in_sifted=len(sift_idx) - int(np.count_nonzero(tally.clicked)),
         key_length=len(keep),
         ec_mode=cfg.ec_mode,
         e_b=e_b,
         e_b_all=e_b_all,
         e_c=e_c,
-        counts=_outcome_table(tally.counts),
+        counts=_outcome_table(counts),
         condition_lhs=lhs,
         condition_pass=verdict,
     )

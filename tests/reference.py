@@ -19,11 +19,13 @@ compression that the package never calls, and the scalar field layer:
 ``qstates.conjugate_frame``.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
-replay reuses the engine's chunk tally and post-round stages
-(``_tally_rounds`` on its whole log as one chunk, then
+replay reuses the engine's tally and post-round stages (``Tally.of``
+and ``_outcome_counts`` on its whole log as one chunk, then
 ``_finish_session``), so a differential test pins only the per-round
 stages.  :func:`reference_finish_session` keeps the earlier tail that
-sifts, estimates and counts in passes over the whole log.
+sifts, estimates and counts in passes over the whole log, with e_c
+counted from line offsets by :func:`accepted_counts`, the reference for
+the offset-free counts of ``Tally``.
 """
 
 from __future__ import annotations
@@ -47,23 +49,25 @@ from quditqkd.channels import (
 from quditqkd.field import FieldSpec, field_spec
 from quditqkd.protocol import (
     _LOG_DTYPES,
+    EC_MODES,
     STREAM_ALICE,
     STREAM_BOB,
     STREAM_CHANNEL,
     STREAM_SAMPLE,
+    Z_99,
+    RateEstimate,
     RoundLog,
     SessionConfig,
     SessionOutput,
     SessionStats,
+    Tally,
     _finish_session,
-    _tally_rounds,
-    accepted_rate,
+    _outcome_counts,
     condition_verdict,
     draw_sample,
     kept_rounds,
     pair_table,
     sample_rates,
-    sift_rounds,
     spawn_streams,
 )
 from quditqkd.qstates import DiagonalPhase, Outcome
@@ -419,8 +423,33 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
         rows.append((i, j, s, u, v, int(out), bit, off))
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
-    tally = _tally_rounds(log, 0, spec.order, cfg.ec_mode)
-    return _finish_session(cfg, log, tally, streams[STREAM_SAMPLE])
+    tally = Tally.of(log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked, 0, cfg.ec_mode)
+    counts = _outcome_counts(log, spec.order)
+    return _finish_session(cfg, log, tally, counts, streams[STREAM_SAMPLE])
+
+
+def accepted_counts(offset, clicked, mode: str) -> tuple[int, int]:
+    """Successes and trials of the accepted rate, from line offsets and in-pair flags.
+
+    "in_pair": among rounds measured on Alice's line with an in-pair
+    outcome, the ones whose offset class is {0, 1} (i.e. Bob's pair
+    equals Alice's).  Rejected (unsifted) on-line rounds enter the
+    denominator.  "announced": same ratio over announcements alone,
+    ignoring outcomes.
+    """
+    if mode not in EC_MODES:
+        raise ValueError(f"unknown ec mode {mode!r}")
+    on_line = offset >= 0
+    in_class = on_line & ((offset & ~1) == 0)
+    if mode == "in_pair":
+        in_class &= clicked
+        on_line &= clicked
+    return int(np.count_nonzero(in_class)), int(np.count_nonzero(on_line))
+
+
+def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
+    """Accepted-rate estimate of :func:`accepted_counts`; no trials give rate None."""
+    return RateEstimate.from_counts(*accepted_counts(offset, clicked, mode), z)
 
 
 def reference_outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int], int]:
@@ -432,7 +461,7 @@ def reference_outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int],
 
 def reference_finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOutput:
     """Sift, sample, estimate and decide in passes over the whole round log."""
-    sift_idx = sift_rounds(log.alice_i, log.alice_j, log.bob_i, log.bob_j)
+    sift_idx = np.flatnonzero(log.sifted)
     sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
     sample_rounds = sift_idx[sample_pos]
     keep = kept_rounds(sift_idx, sample_pos)

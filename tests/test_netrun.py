@@ -450,11 +450,15 @@ class TestBoundaryVerdict:
     @pytest.mark.parametrize("strict", [True, False])
     def test_engine_and_roles_agree(self, monkeypatch, n, e_b_counts, strict):
         # e_c = 4/5 with these e_b puts the exact left side on 1/2, where
-        # the float one reads 0.49999999999999994
+        # the float one reads 0.49999999999999994.  Both ends tally these
+        # rounds in one chunk or window and estimate through
+        # protocol.estimate_session, so each plant reaches both
         planted = RateEstimate.from_counts(*e_b_counts)
-        monkeypatch.setattr(protocol, "accepted_counts", lambda *cols: (4, 5))
-        for module in (protocol, roles):
-            monkeypatch.setattr(module, "sample_rates", lambda *cols: (planted, planted))
+        tally = protocol.Tally.of
+        monkeypatch.setattr(
+            protocol.Tally, "of", staticmethod(lambda *cols: tally(*cols)._replace(ec=(4, 5)))
+        )
+        monkeypatch.setattr(protocol, "sample_rates", lambda *cols: (planted, planted))
         session = SessionConfig(n=n, rounds=3000, seed=11, condition_strict=strict)
         engine = run_session(session).stats
         assert engine.condition_lhs == 0.49999999999999994
@@ -868,6 +872,38 @@ class TestWindowBoundaries:
         assert rep_a.status == "pass"
         # CONFIG, 3 windows of QUDIT + PAIR_ANNOUNCE, SIFT, SAMPLE, BLOCK, VERDICT
         assert rep_a.transcripts["peer"]["tx_frames"] == 1 + 3 * 2 + 4
+
+
+class TestRoleTally:
+    """Each role tallies its windows and keeps only its own bits of the sifted rounds."""
+
+    @pytest.mark.parametrize("ec_mode", ["in_pair", "announced"])
+    @pytest.mark.parametrize("rounds", [WINDOW + 1, 3 * WINDOW + 5])
+    def test_roles_hold_the_engines_sifted_rounds(self, monkeypatch, rounds, ec_mode):
+        seen = {}
+        tail = roles._session_tail
+
+        def capture(report, link, cfg, streams, tally, my_bits, leader):
+            seen[report.role] = tally, my_bits
+            return tail(report, link, cfg, streams, tally, my_bits, leader)
+
+        monkeypatch.setattr(roles, "_session_tail", capture)
+        session = SessionConfig(n=2, rounds=rounds, seed=31, ec_mode=ec_mode)
+        channel = SessionConfig(n=2, rounds=rounds, seed=31, channel="shift_noise:0.3")
+        rep_a, rep_b, _ = _run_triple(
+            _role_cfg("alice", session), _role_cfg("bob", session), _role_cfg("eve", channel)
+        )
+        engine = run_session(SessionConfig(**{**channel.__dict__, "ec_mode": ec_mode}))
+        sifted = np.flatnonzero(engine.log.sifted)
+        # Outside rounds are among the sifted ones, so the flags are checked
+        assert not engine.log.clicked[sifted].all()
+        for rep, bits in ((rep_a, engine.log.alice_s), (rep_b, engine.log.bob_bit)):
+            tally, my_bits = seen[rep.role]
+            assert len(my_bits) == len(tally.sift_idx) == rep.shared["sifted"]
+            assert np.array_equal(tally.sift_idx, sifted)
+            assert np.array_equal(tally.clicked, engine.log.clicked[sifted])
+            assert np.array_equal(my_bits, bits[sifted])
+            assert rep.shared["e_c"] == [engine.stats.e_c.successes, engine.stats.e_c.trials]
 
 
 class TestDeadlines:

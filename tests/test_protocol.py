@@ -18,11 +18,11 @@ from hypothesis import strategies as st
 import quditqkd.protocol as protocol
 from quditqkd.channels import resolve_channel
 from quditqkd.field import field_spec
+from quditqkd.netrun.roles import WINDOW
 from quditqkd.netrun.wire import decode_qudit_batch, encode_qudit_batch
 from quditqkd.protocol import (
     RateEstimate,
     SessionConfig,
-    accepted_rate,
     check_pm_condition,
     condition_verdict,
     pair_table,
@@ -36,6 +36,8 @@ from quditqkd.qstates import Outcome
 from oracles import exact_continuation_lhs, wilson_reference
 from reference import (
     SparseKet,
+    accepted_counts,
+    accepted_rate,
     decode_bob_bit,
     draw_bob_round,
     pair_offset,
@@ -316,7 +318,7 @@ def _span_columns(n, channel, seed, rounds, cuts):
     cols = [np.empty(rounds, dtype) for dtype in protocol._LOG_DTYPES]
     edges = [0, *cuts, rounds]
     for lo, hi in zip(edges, edges[1:]):
-        protocol._fill_rounds(spec, model, pair_table(spec), cols, streams, lo, hi)
+        protocol._fill_rounds(spec, model, pair_table(spec), cols, streams, lo, hi, "in_pair")
     return cols
 
 
@@ -345,7 +347,14 @@ class TestSpans:
         streams = spawn_streams(4)
         cols = [np.empty(300, dtype) for dtype in protocol._LOG_DTYPES]
         protocol._fill_rounds(
-            spec, resolve_channel("z_flip:0.3", spec), pair_table(spec), cols, streams, 100, 300
+            spec,
+            resolve_channel("z_flip:0.3", spec),
+            pair_table(spec),
+            cols,
+            streams,
+            100,
+            300,
+            "in_pair",
         )
         for got, fresh in zip(streams, spawn_streams(4)):
             assert got.random() == fresh.random()
@@ -445,6 +454,70 @@ class TestChunkTally:
         stats = _assert_reference_tail(cfg)
         assert stats.sifted_count == stats.outside_in_sifted == 2
         assert stats.e_c.rate is None and not stats.condition_pass
+
+
+def _announced_columns(n, rng, count):
+    """Random announced pairs: about a third sifted, a third on Alice's line, the rest random."""
+    spec = field_spec(n)
+    table = pair_table(spec)
+    ai, aj = table[rng.integers(len(table), size=count)].T
+    bi, bj = table[rng.integers(len(table), size=count)].T
+    # x = 0 (and x = i ^ j) gives Alice's own pair, any other x her line
+    x = np.where(rng.random(count) < 0.5, 0, rng.integers(spec.order, size=count))
+    line = rng.random(count) < 2 / 3
+    u, v = ai ^ x, aj ^ x
+    bi = np.where(line, np.minimum(u, v), bi).astype(np.int16)
+    bj = np.where(line, np.maximum(u, v), bj).astype(np.int16)
+    return spec, ai, aj, bi, bj, rng.random(count) < 0.7
+
+
+def _tally_fields(tally):
+    return tally.sift_idx.tolist(), tally.clicked.tolist(), tally.ec
+
+
+class TestAnnouncedTally:
+    """The offset-free tally against line offsets and against itself cut anywhere."""
+
+    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_ec_counts_match_line_offset_reference(self, n, ec_mode):
+        spec, ai, aj, bi, bj, clicked = _announced_columns(n, np.random.default_rng(n), 5000)
+        offset = protocol.line_offsets(spec, ai, aj, bi, bj)
+        sifted = protocol.sift_mask(ai, aj, bi, bj)
+        # off-line, on-line but unsifted, sifted, and Outside rounds all occur
+        assert (offset < 0).any() and ((offset >= 0) & ~sifted).any() and sifted.any()
+        assert not clicked.all() and not clicked[sifted].all()
+        tally = protocol.Tally.of(ai, aj, bi, bj, clicked, 0, ec_mode)
+        assert tally.ec == accepted_counts(offset, clicked, ec_mode)
+        assert all(type(c) is int for c in tally.ec)
+        assert np.array_equal(tally.sift_idx, np.flatnonzero(sifted))
+        assert np.array_equal(tally.clicked, clicked[sifted])
+
+    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
+    @pytest.mark.parametrize(
+        "n,channel", [(2, "shift_noise:0.3"), (3, "shift_noise:0.4"), (5, "shift_noise:0.2")]
+    )
+    def test_cut_anywhere_and_joined_equals_whole(self, n, channel, ec_mode):
+        rounds = WINDOW + 1000
+        log = run_session(SessionConfig(n=n, rounds=rounds, channel=channel, seed=7)).log
+        cols = (log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked)
+
+        def tally(lo, hi):
+            return protocol.Tally.of(*(c[lo:hi] for c in cols), lo, ec_mode)
+
+        whole = tally(0, rounds)
+        assert whole.sift_idx.size and not whole.clicked.all()
+        for cuts in (
+            [1], [500], [WINDOW], [WINDOW - 1], [WINDOW + 1], [3, 4, WINDOW - 1, WINDOW + 5]
+        ):
+            edges = [0, *cuts, rounds]
+            joined = protocol.Tally.join([tally(lo, hi) for lo, hi in zip(edges, edges[1:])])
+            assert _tally_fields(joined) == _tally_fields(whole), cuts
+
+    def test_unknown_ec_mode_rejected(self):
+        _, ai, aj, bi, bj, clicked = _announced_columns(2, np.random.default_rng(0), 10)
+        with pytest.raises(ValueError, match="bogus"):
+            protocol.Tally.of(ai, aj, bi, bj, clicked, 0, "bogus")
 
 
 class TestSessionStatistics:
