@@ -39,7 +39,7 @@ from .distill import (
 )
 from .field import field_spec
 from .netrun import RoleConfig, run_role
-from .protocol import EC_MODES, SessionConfig, run_session
+from .protocol import SessionConfig, run_session
 from .threshold import e_max_scan
 
 EXIT_PASS = 0
@@ -395,11 +395,6 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
         help="fraction of sifted rounds revealed",
     )
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--ec-mode", dest="ec_mode", choices=EC_MODES)
-    p.add_argument(
-        "--strict", dest="condition_strict", action=argparse.BooleanOptionalAction,
-        help="strict (<) versus relaxed (<=) continuation comparison",
-    )
     p.add_argument("--modulus", type=_parse_modulus, help="field modulus override")
 
 

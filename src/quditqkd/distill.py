@@ -283,40 +283,31 @@ def select_params(m, budget: DistillBudget | None = None) -> SelectionOutcome:
     cond2_factor = budget.margin * (2.0 / budget.z_budget)
     for k in range(budget.k_max + 1):
         a, b, c, d = _pumped_coeffs(m, k)
-        denom = 2 * (a + c)
-        x_rate = (a - b + c - d) / denom
+        x_rate = (a - b + c - d) / (2 * (a + c))
         z_rate = c / (a + c)
         cond2_lhs = (b + d) ** 2
         cond2_rhs = cond2_factor * c * (a + c)
+        r = cond1_value = None
         if x_rate == 0.0 and z_rate == 0.0:
-            trail.append(KTrial(k, x_rate, z_rate, 1, None, cond2_lhs, cond2_rhs, "trivial"))
-            return _finish_selection(m, DistillParams(k, 1), trail, budget)
-        if x_rate >= 0.5:
-            trail.append(
-                KTrial(k, x_rate, z_rate, None, None, cond2_lhs, cond2_rhs, "x-rate-too-high")
-            )
-            continue
-        if z_rate == 0.0:
-            r = budget.r_max
+            r, status = 1, "trivial"
+        elif x_rate >= 0.5:
+            status = "x-rate-too-high"
         else:
-            r = min(int(budget.z_budget / z_rate), budget.r_max)
-            if r % 2 == 0:
-                r -= 1
+            r = budget.r_max  # odd and >= 1
+            if z_rate != 0.0:
+                r = min(int(budget.z_budget / z_rate), r)
+                if r % 2 == 0:
+                    r -= 1
             if r < 1:
-                trail.append(
-                    KTrial(k, x_rate, z_rate, None, None, cond2_lhs, cond2_rhs, "z-budget-unmet")
-                )
-                continue
-        cond1_value = 2.0 * r * (0.5 - x_rate) ** 2
-        ok1 = cond1_value >= budget.margin
-        ok2 = cond2_lhs >= cond2_rhs
-        if ok1 and ok2:
-            trail.append(
-                KTrial(k, x_rate, z_rate, r, cond1_value, cond2_lhs, cond2_rhs, "feasible")
-            )
-            return _finish_selection(m, DistillParams(k, r), trail, budget)
-        status = "cond1-failed" if not ok1 else "cond2-failed"
+                r, status = None, "z-budget-unmet"
+            else:
+                cond1_value = 2.0 * r * (0.5 - x_rate) ** 2
+                ok1 = cond1_value >= budget.margin
+                ok2 = cond2_lhs >= cond2_rhs
+                status = "feasible" if ok1 and ok2 else "cond2-failed" if ok1 else "cond1-failed"
         trail.append(KTrial(k, x_rate, z_rate, r, cond1_value, cond2_lhs, cond2_rhs, status))
+        if status in ("trivial", "feasible"):
+            return _finish_selection(m, DistillParams(k, r), trail, budget)
     return SelectionOutcome(False, None, tuple(trail), budget)
 
 

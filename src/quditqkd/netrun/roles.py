@@ -155,8 +155,6 @@ def handshake_facts(cfg: RoleConfig) -> dict:
         "rounds": cfg.session.rounds,
         "sample_fraction": cfg.session.sample_fraction,
         "seed": cfg.session.seed,
-        "ec_mode": cfg.session.ec_mode,
-        "condition_strict": cfg.session.condition_strict,
         "k": cfg.params.k,
         "r": cfg.params.r,
         "window": WINDOW,
@@ -351,7 +349,7 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
                     link.expect(FrameType.PAIR_ANNOUNCE), w, spec.order
                 )
                 mine = bit
-            tally = Tally.of(i, j, u, v, category == 0, lo, session.ec_mode)
+            tally = Tally.of(i, j, u, v, category == 0, lo)
             tallies.append(tally)
             my_bits.append(mine[tally.sift_idx - lo])
 
@@ -396,7 +394,10 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     through the engine's ``transmit`` stage, which consumes the channel
     stream exactly as the in-process engine does (two uniforms per qudit,
     term index then auxiliary), so a shared master seed keeps the relayed
-    session equal to :func:`quditqkd.protocol.run_session`.
+    session equal to :func:`quditqkd.protocol.run_session`.  The report's
+    ``extra["audit_terms"]`` lists the drawn term index of every relayed
+    round, entry r for round r; each window's terms are held as one
+    int32 array until then.
     """
     session = cfg.session
     spec = field_spec(session.n, session.modulus)
@@ -405,7 +406,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     la = Link(sock_alice)
     lb = Link(sock_bob)
     report = RoleReport(role="eve")
-    audit: list[list[int]] = []
+    audit: list[np.ndarray] = []
+    relayed = 0
     errors: list[str] = []
     timeouts: list[str] = []
     io_notes: list[str] = []
@@ -433,15 +435,15 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             dst.close_write()
 
     def push_qudits(ftype: FrameType, payload: bytes) -> bytes:
+        nonlocal relayed
         if ftype != FrameType.QUDIT:
             return payload
-        # audit holds one row per round relayed so far; after the last
-        # window the expected count is 0
-        done = len(audit)
-        w = min(WINDOW, session.rounds - done)
+        # after the last window the expected count is 0
+        w = min(WINDOW, session.rounds - relayed)
         kets = decode_qudit_batch(payload, w, spec.order)
         m1, m2, sigma, terms = transmit(model, *kets, rng)
-        audit.extend(np.column_stack((np.arange(done, done + w), terms)).tolist())
+        audit.append(terms.astype(np.int32))
+        relayed += w
         return encode_qudit_batch(m1, m2, sigma)
 
     threads = [
@@ -453,7 +455,7 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     for thread in threads:
         thread.join()
     report.extra = {
-        "audit_terms": audit,
+        "audit_terms": np.concatenate([np.empty(0, np.int32), *audit]).tolist(),
         "errors": errors,
         "timeouts": timeouts,
         "io_notes": io_notes,

@@ -43,6 +43,7 @@ import csv
 import os
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +71,6 @@ _ENGINE_CHUNK = 1 << 17
 
 # Uniforms each stage draws per round, as the randomness contract fixes.
 _DRAWS_PER_ROUND = ((STREAM_ALICE, 2), (STREAM_CHANNEL, 2), (STREAM_BOB, 3))
-
-EC_MODES = ("in_pair", "announced")
 
 
 def spawn_streams(seed) -> list[np.random.Generator]:
@@ -109,25 +108,19 @@ def check_pm_condition(e_b, e_c, n: int) -> bool:
     return pm_condition_lhs(e_b, e_c, n) < 0.5
 
 
-def condition_verdict(e_b, e_c, n: int, strict: bool = True):
+def condition_verdict(e_b, e_c, n: int):
     """(lhs, verdict) from two rate estimates; undefined rates fail.
 
     Shared by the in-process engine and the networked roles so both
     decide continuation identically.  ``lhs`` is the float left side,
-    for reports; the verdict is decided exactly, on the counts, by
-    lhs < 1/2 multiplied through by 2(N-2) t_b t_c (<= unless
-    ``strict``):
-
-        2(N-2) s_b s_c + 2(N-1)(t_c - s_c) t_b < (N-2) t_b t_c
+    for reports; the verdict is :func:`check_pm_condition` on the exact
+    count ratios, so a sample on the boundary fails however the float
+    left side rounds.
     """
     if e_b.rate is None or e_c.rate is None:
         return None, False
-    lhs = pm_condition_lhs(e_b.rate, e_c.rate, n)
-    order = 1 << n
-    s_b, t_b, s_c, t_c = e_b.successes, e_b.trials, e_c.successes, e_c.trials
-    left = 2 * (order - 2) * s_b * s_c + 2 * (order - 1) * (t_c - s_c) * t_b
-    right = (order - 2) * t_b * t_c
-    return lhs, (left < right if strict else left <= right)
+    exact = Fraction(e_b.successes, e_b.trials), Fraction(e_c.successes, e_c.trials)
+    return pm_condition_lhs(e_b.rate, e_c.rate, n), check_pm_condition(*exact, n)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_99):
@@ -183,12 +176,9 @@ class SessionConfig:
     """Parameters of one simulated session.
 
     ``channel`` is a ChannelModel or a builder string such as
-    "z_flip:0.3".  ``ec_mode`` selects the accepted-rate estimator:
-    "in_pair" conditions on in-pair outcomes (the reading matched by the
-    closed-form analysis) while "announced" uses basis announcements
-    alone, kept for comparison.  The continuation comparison is strict
-    by default; ``condition_strict=False`` relaxes it to <= for
-    boundary experiments.
+    "z_flip:0.3".  The accepted rate e_c is counted among in-pair
+    outcomes, the reading the closed-form analysis predicts, and the
+    continuation comparison is the paper's strict one.
     """
 
     n: int = 2
@@ -196,8 +186,6 @@ class SessionConfig:
     channel: ChannelModel | str = "identity"
     sample_fraction: float = 0.1
     seed: int = 0
-    ec_mode: str = "in_pair"
-    condition_strict: bool = True
     modulus: int | None = None
 
     def __post_init__(self) -> None:
@@ -205,8 +193,6 @@ class SessionConfig:
             raise ValueError("rounds must be >= 1")
         if not 0 < self.sample_fraction < 1:
             raise ValueError("sample_fraction must be strictly between 0 and 1")
-        if self.ec_mode not in EC_MODES:
-            raise ValueError(f"ec_mode must be one of {EC_MODES}")
 
 
 # Column dtypes of a RoundLog, in constructor order.
@@ -283,7 +269,6 @@ class SessionStats:
     sample_count: int
     outside_in_sifted: int
     key_length: int
-    ec_mode: str
     e_b: RateEstimate
     e_b_all: RateEstimate
     e_c: RateEstimate
@@ -299,7 +284,7 @@ class SessionStats:
             "sampled": self.sample_count,
             "outside_in_sifted": self.outside_in_sifted,
             "key_length": self.key_length,
-            "ec_mode": self.ec_mode,
+            "ec_mode": "in_pair",  # names the e_c estimator
             "e_b": self.e_b.to_json_dict(),
             "e_b_all": self.e_b_all.to_json_dict(),
             "e_c": self.e_c.to_json_dict(),
@@ -493,28 +478,22 @@ class Tally(NamedTuple):
 
     e_c's successes are the sifted rounds: a Bob pair in the offset class
     {0, 1} of Alice's line is her own pair.  Its trials are the rounds
-    Bob measured on Alice's line, (i ^ j) == (u ^ v).  "in_pair" counts
-    only the in-pair (clicked) rounds of each; "announced" ignores
-    outcomes, reads 2/N for every channel and is kept for comparison.
+    Bob measured on Alice's line, (i ^ j) == (u ^ v).  Both count only
+    the in-pair (clicked) rounds.
     """
 
     sift_idx: np.ndarray  # sifted rounds, numbered from the session's first
     clicked: np.ndarray  # in-pair flag of each sifted round
-    ec: tuple[int, int]  # accepted-rate successes and trials of the ec_mode
+    ec: tuple[int, int]  # accepted-rate successes and trials
 
     @classmethod
-    def of(cls, ai, aj, bi, bj, clicked, start: int, ec_mode: str) -> Tally:
+    def of(cls, ai, aj, bi, bj, clicked, start: int) -> Tally:
         """Tally announced rounds, the first of which is session round ``start``."""
-        if ec_mode not in EC_MODES:
-            raise ValueError(f"unknown ec mode {ec_mode!r}")
         sift = np.flatnonzero(sift_mask(ai, aj, bi, bj))
         on_line = (ai ^ aj) == (bi ^ bj)
         sift_clicked = clicked[sift]
-        if ec_mode == "in_pair":
-            ec = np.count_nonzero(sift_clicked), np.count_nonzero(on_line & clicked)
-        else:
-            ec = len(sift), np.count_nonzero(on_line)
-        return cls(sift + start, sift_clicked, (int(ec[0]), int(ec[1])))
+        ec = int(np.count_nonzero(sift_clicked)), int(np.count_nonzero(on_line & clicked))
+        return cls(sift + start, sift_clicked, ec)
 
     @classmethod
     def join(cls, tallies) -> Tally:
@@ -562,7 +541,7 @@ def estimate_session(cfg: SessionConfig, tally: Tally, sample_pos, bits, other_b
     """
     e_b, e_b_all = sample_rates(bits, other_bits, tally.clicked[sample_pos])
     e_c = RateEstimate.from_counts(*tally.ec)
-    return (e_b, e_b_all, e_c, *condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict))
+    return (e_b, e_b_all, e_c, *condition_verdict(e_b, e_c, cfg.n))
 
 
 def _outcome_counts(log: RoundLog, order: int) -> np.ndarray:
@@ -585,9 +564,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rounds(
-    spec, model, table, cols, streams, lo: int, hi: int, ec_mode: str
-) -> tuple[Tally, np.ndarray]:
+def _fill_rounds(spec, model, table, cols, streams, lo: int, hi: int) -> tuple[Tally, np.ndarray]:
     """Run rounds [lo, hi) into their rows of the round-log columns.
 
     Works on copies of the alice, channel and bob streams advanced to
@@ -609,7 +586,7 @@ def _fill_rounds(
         for col, part in zip(cols, chunk):
             col[start:stop] = part
         rows = RoundLog(*(col[start:stop] for col in cols))
-        tallies.append(Tally.of(ai, aj, bu, bv, rows.clicked, start, ec_mode))
+        tallies.append(Tally.of(ai, aj, bu, bv, rows.clicked, start))
         counts += _outcome_counts(rows, spec.order)
     return Tally.join(tallies), counts
 
@@ -641,9 +618,7 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
         # any failure is raised again in the caller: a span left unfilled
         # would leave np.empty garbage in the log
         try:
-            results[k] = _fill_rounds(
-                spec, model, table, cols, streams, *edges[k : k + 2], cfg.ec_mode
-            )
+            results[k] = _fill_rounds(spec, model, table, cols, streams, *edges[k : k + 2])
         except BaseException as exc:
             errors.append(exc)
 
@@ -651,7 +626,7 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     for worker in workers:
         worker.start()
     try:
-        results[0] = _fill_rounds(spec, model, table, cols, streams, *edges[:2], cfg.ec_mode)
+        results[0] = _fill_rounds(spec, model, table, cols, streams, *edges[:2])
     finally:
         for worker in workers:
             worker.join()
@@ -688,7 +663,6 @@ def _finish_session(
         sample_count=len(sample_pos),
         outside_in_sifted=len(sift_idx) - int(np.count_nonzero(tally.clicked)),
         key_length=len(keep),
-        ec_mode=cfg.ec_mode,
         e_b=e_b,
         e_b_all=e_b_all,
         e_c=e_c,

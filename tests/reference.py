@@ -49,7 +49,6 @@ from quditqkd.channels import (
 from quditqkd.field import FieldSpec, field_spec
 from quditqkd.protocol import (
     _LOG_DTYPES,
-    EC_MODES,
     STREAM_ALICE,
     STREAM_BOB,
     STREAM_CHANNEL,
@@ -423,33 +422,26 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
         rows.append((i, j, s, u, v, int(out), bit, off))
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
-    tally = Tally.of(log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked, 0, cfg.ec_mode)
+    tally = Tally.of(log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked, 0)
     counts = _outcome_counts(log, spec.order)
     return _finish_session(cfg, log, tally, counts, streams[STREAM_SAMPLE])
 
 
-def accepted_counts(offset, clicked, mode: str) -> tuple[int, int]:
+def accepted_counts(offset, clicked) -> tuple[int, int]:
     """Successes and trials of the accepted rate, from line offsets and in-pair flags.
 
-    "in_pair": among rounds measured on Alice's line with an in-pair
-    outcome, the ones whose offset class is {0, 1} (i.e. Bob's pair
-    equals Alice's).  Rejected (unsifted) on-line rounds enter the
-    denominator.  "announced": same ratio over announcements alone,
-    ignoring outcomes.
+    Among rounds measured on Alice's line with an in-pair outcome, the
+    ones whose offset class is {0, 1} (i.e. Bob's pair equals Alice's).
+    Rejected (unsifted) on-line rounds enter the denominator.
     """
-    if mode not in EC_MODES:
-        raise ValueError(f"unknown ec mode {mode!r}")
-    on_line = offset >= 0
+    on_line = (offset >= 0) & clicked
     in_class = on_line & ((offset & ~1) == 0)
-    if mode == "in_pair":
-        in_class &= clicked
-        on_line &= clicked
     return int(np.count_nonzero(in_class)), int(np.count_nonzero(on_line))
 
 
-def accepted_rate(offset, clicked, mode: str, z: float = Z_99) -> RateEstimate:
+def accepted_rate(offset, clicked, z: float = Z_99) -> RateEstimate:
     """Accepted-rate estimate of :func:`accepted_counts`; no trials give rate None."""
-    return RateEstimate.from_counts(*accepted_counts(offset, clicked, mode), z)
+    return RateEstimate.from_counts(*accepted_counts(offset, clicked), z)
 
 
 def reference_outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int], int]:
@@ -469,8 +461,8 @@ def reference_finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> S
     e_b, e_b_all = sample_rates(
         log.alice_s[sample_rounds], log.bob_bit[sample_rounds], clicked[sample_rounds]
     )
-    e_c = accepted_rate(log.offset, clicked, cfg.ec_mode)
-    lhs, verdict = condition_verdict(e_b, e_c, cfg.n, cfg.condition_strict)
+    e_c = accepted_rate(log.offset, clicked)
+    lhs, verdict = condition_verdict(e_b, e_c, cfg.n)
     stats = SessionStats(
         status="ok" if len(sift_idx) else "insufficient-sift",
         rounds=cfg.rounds,
@@ -478,7 +470,6 @@ def reference_finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> S
         sample_count=len(sample_pos),
         outside_in_sifted=int(np.count_nonzero(~clicked[sift_idx])),
         key_length=len(keep),
-        ec_mode=cfg.ec_mode,
         e_b=e_b,
         e_b_all=e_b_all,
         e_c=e_c,

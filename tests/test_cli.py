@@ -271,11 +271,21 @@ class TestConfigLayering:
         assert merged["seed"] == 3  # file wins over builtin 0
         assert merged["n"] == 2  # builtin survives
 
-    def test_no_strict_flag_overrides(self, capsys):
-        code = run_cli("simulate", "--rounds", "200", "--no-strict", "--json", "-")
-        blob = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert blob["config"]["condition_strict"] is False
+    @pytest.mark.parametrize("flags", [["--ec-mode", "in_pair"], ["--no-strict"], ["--strict"]])
+    def test_removed_session_flags_are_usage_errors(self, capsys, flags):
+        # one e_c estimator and one strict verdict leave nothing to choose
+        with pytest.raises(SystemExit) as exc:
+            run_cli("simulate", "--rounds", "200", *flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_session_keys_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "defaults.json"
+        cfg.write_text(json.dumps({"ec_mode": "in_pair", "condition_strict": True}))
+        code = run_cli("simulate", "--config", str(cfg))
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "unknown config keys: ['condition_strict', 'ec_mode']" in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.json"

@@ -37,7 +37,6 @@ from oracles import exact_continuation_lhs, wilson_reference
 from reference import (
     SparseKet,
     accepted_counts,
-    accepted_rate,
     decode_bob_bit,
     draw_bob_round,
     pair_offset,
@@ -154,10 +153,9 @@ class TestContinuationCondition:
         # float left side rounds below 1/2; the verdict reads the counts
         e_b, e_c = RateEstimate.from_counts(1, 4), RateEstimate.from_counts(4, 5)
         assert pm_condition_lhs(0.25, 0.8, 2) == 0.49999999999999994
-        assert condition_verdict(e_b, e_c, 2, strict=True) == (0.49999999999999994, False)
-        assert condition_verdict(e_b, e_c, 2, strict=False)[1]
+        assert condition_verdict(e_b, e_c, 2) == (0.49999999999999994, False)
         e_b = RateEstimate.from_counts(1, 3)
-        assert not condition_verdict(e_b, e_c, 3, strict=True)[1]
+        assert not condition_verdict(e_b, e_c, 3)[1]
         # among the enumerated n = 2 boundary pairs the float left side
         # lands on both sides of 1/2, so a float verdict errs both ways
         on, _ = _boundary_count_pairs(2)
@@ -171,18 +169,14 @@ class TestContinuationCondition:
         for s_b, t_b, s_c, t_c in on + off:
             exact = exact_continuation_lhs(Fraction(s_b, t_b), Fraction(s_c, t_c), 1 << n)
             e_b, e_c = RateEstimate.from_counts(s_b, t_b), RateEstimate.from_counts(s_c, t_c)
-            _, strict = condition_verdict(e_b, e_c, n, strict=True)
-            _, lax = condition_verdict(e_b, e_c, n, strict=False)
-            assert strict == (exact < Fraction(1, 2)), (s_b, t_b, s_c, t_c)
-            assert lax == (exact <= Fraction(1, 2)), (s_b, t_b, s_c, t_c)
+            _, verdict = condition_verdict(e_b, e_c, n)
+            assert verdict == (exact < Fraction(1, 2)), (s_b, t_b, s_c, t_c)
 
     def test_condition_verdict_strictness(self):
         e_b = RateEstimate.from_counts(1, 2)
         e_c = RateEstimate.from_counts(1, 1)
-        lhs, strict = condition_verdict(e_b, e_c, 2, strict=True)
-        assert lhs == 0.5 and not strict
-        _, lax = condition_verdict(e_b, e_c, 2, strict=False)
-        assert lax
+        lhs, verdict = condition_verdict(e_b, e_c, 2)
+        assert lhs == 0.5 and not verdict
 
 
 class TestPairGeometry:
@@ -318,7 +312,7 @@ def _span_columns(n, channel, seed, rounds, cuts):
     cols = [np.empty(rounds, dtype) for dtype in protocol._LOG_DTYPES]
     edges = [0, *cuts, rounds]
     for lo, hi in zip(edges, edges[1:]):
-        protocol._fill_rounds(spec, model, pair_table(spec), cols, streams, lo, hi, "in_pair")
+        protocol._fill_rounds(spec, model, pair_table(spec), cols, streams, lo, hi)
     return cols
 
 
@@ -346,16 +340,8 @@ class TestSpans:
         spec = field_spec(2)
         streams = spawn_streams(4)
         cols = [np.empty(300, dtype) for dtype in protocol._LOG_DTYPES]
-        protocol._fill_rounds(
-            spec,
-            resolve_channel("z_flip:0.3", spec),
-            pair_table(spec),
-            cols,
-            streams,
-            100,
-            300,
-            "in_pair",
-        )
+        model = resolve_channel("z_flip:0.3", spec)
+        protocol._fill_rounds(spec, model, pair_table(spec), cols, streams, 100, 300)
         for got, fresh in zip(streams, spawn_streams(4)):
             assert got.random() == fresh.random()
 
@@ -426,23 +412,21 @@ def _assert_reference_tail(cfg):
 class TestChunkTally:
     """The tail on chunk tallies against the passes over the whole log it replaced."""
 
-    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
     @pytest.mark.parametrize("chunk", [64, 7, 1])
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_tail_matches_whole_log_reference(self, monkeypatch, ec_mode, chunk, cpus):
+    def test_tail_matches_whole_log_reference(self, monkeypatch, chunk, cpus):
         monkeypatch.setattr(protocol, "_ENGINE_CHUNK", chunk)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: cpus)
         for n, channel in [(2, "z_flip:0.3"), (3, "partial_intercept:0.4"), (4, "shift_noise:0.2")]:
-            cfg = SessionConfig(n=n, rounds=400, channel=channel, seed=n, ec_mode=ec_mode)
+            cfg = SessionConfig(n=n, rounds=400, channel=channel, seed=n)
             stats = _assert_reference_tail(cfg)
             assert stats.sifted_count and stats.e_c.trials
 
-    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
     @pytest.mark.parametrize("chunk", [7, 1])
-    def test_insufficient_sift(self, monkeypatch, ec_mode, chunk):
+    def test_insufficient_sift(self, monkeypatch, chunk):
         monkeypatch.setattr(protocol, "_ENGINE_CHUNK", chunk)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
-        stats = _assert_reference_tail(SessionConfig(n=4, rounds=2, seed=0, ec_mode=ec_mode))
+        stats = _assert_reference_tail(SessionConfig(n=4, rounds=2, seed=0))
         assert stats.status == "insufficient-sift"
 
     @pytest.mark.parametrize("chunk", [7, 1])
@@ -478,32 +462,30 @@ def _tally_fields(tally):
 class TestAnnouncedTally:
     """The offset-free tally against line offsets and against itself cut anywhere."""
 
-    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
     @pytest.mark.parametrize("n", range(2, 9))
-    def test_ec_counts_match_line_offset_reference(self, n, ec_mode):
+    def test_ec_counts_match_line_offset_reference(self, n):
         spec, ai, aj, bi, bj, clicked = _announced_columns(n, np.random.default_rng(n), 5000)
         offset = protocol.line_offsets(spec, ai, aj, bi, bj)
         sifted = protocol.sift_mask(ai, aj, bi, bj)
         # off-line, on-line but unsifted, sifted, and Outside rounds all occur
         assert (offset < 0).any() and ((offset >= 0) & ~sifted).any() and sifted.any()
         assert not clicked.all() and not clicked[sifted].all()
-        tally = protocol.Tally.of(ai, aj, bi, bj, clicked, 0, ec_mode)
-        assert tally.ec == accepted_counts(offset, clicked, ec_mode)
+        tally = protocol.Tally.of(ai, aj, bi, bj, clicked, 0)
+        assert tally.ec == accepted_counts(offset, clicked)
         assert all(type(c) is int for c in tally.ec)
         assert np.array_equal(tally.sift_idx, np.flatnonzero(sifted))
         assert np.array_equal(tally.clicked, clicked[sifted])
 
-    @pytest.mark.parametrize("ec_mode", protocol.EC_MODES)
     @pytest.mark.parametrize(
         "n,channel", [(2, "shift_noise:0.3"), (3, "shift_noise:0.4"), (5, "shift_noise:0.2")]
     )
-    def test_cut_anywhere_and_joined_equals_whole(self, n, channel, ec_mode):
+    def test_cut_anywhere_and_joined_equals_whole(self, n, channel):
         rounds = WINDOW + 1000
         log = run_session(SessionConfig(n=n, rounds=rounds, channel=channel, seed=7)).log
         cols = (log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked)
 
         def tally(lo, hi):
-            return protocol.Tally.of(*(c[lo:hi] for c in cols), lo, ec_mode)
+            return protocol.Tally.of(*(c[lo:hi] for c in cols), lo)
 
         whole = tally(0, rounds)
         assert whole.sift_idx.size and not whole.clicked.all()
@@ -513,11 +495,6 @@ class TestAnnouncedTally:
             edges = [0, *cuts, rounds]
             joined = protocol.Tally.join([tally(lo, hi) for lo, hi in zip(edges, edges[1:])])
             assert _tally_fields(joined) == _tally_fields(whole), cuts
-
-    def test_unknown_ec_mode_rejected(self):
-        _, ai, aj, bi, bj, clicked = _announced_columns(2, np.random.default_rng(0), 10)
-        with pytest.raises(ValueError, match="bogus"):
-            protocol.Tally.of(ai, aj, bi, bj, clicked, 0, "bogus")
 
 
 class TestSessionStatistics:
@@ -549,13 +526,8 @@ class TestSessionStatistics:
     def test_shift_noise_ec_estimates(self):
         cfg = SessionConfig(n=2, rounds=40000, channel="shift_noise:0.2", seed=3)
         in_pair = run_session(cfg).stats
-        announced = run_session(
-            SessionConfig(**{**cfg.__dict__, "ec_mode": "announced"})
-        ).stats
-        # the in-pair estimator tracks the channel's kept mass; the
-        # announcement-only estimator always reads 2/N regardless
+        # the in-pair estimator tracks the channel's kept mass
         assert in_pair.e_c.covers(float(Fraction(4, 5) + Fraction(1, 15)))
-        assert announced.e_c.covers(0.5)
 
     def test_insufficient_sift(self):
         out = run_session(SessionConfig(n=4, rounds=2, seed=0))
@@ -638,11 +610,6 @@ class TestRoundLog:
             for r, (a, b) in enumerate(zip(got_rows, want_rows)):
                 assert a == b, (chunk, r)
 
-    def test_unknown_ec_mode_rejected(self):
-        out = run_session(SessionConfig(n=2, rounds=10, seed=0))
-        with pytest.raises(ValueError):
-            accepted_rate(out.log.offset, out.log.clicked, "bogus")
-
 
 class TestDecoding:
     def test_decode_bob_bit(self):
@@ -664,8 +631,11 @@ class TestConfigValidation:
             SessionConfig(sample_fraction=1.0)
 
     def test_bad_ec_mode(self):
-        with pytest.raises(ValueError):
-            SessionConfig(ec_mode="wrong")
+        # one e_c estimator and one strict verdict: neither is a field
+        with pytest.raises(TypeError):
+            SessionConfig(ec_mode="in_pair")
+        with pytest.raises(TypeError):
+            SessionConfig(condition_strict=True)
 
 
 def _ket_columns(order, rng, count):
