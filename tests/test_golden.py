@@ -15,9 +15,17 @@ so the digests also pin how the rounds are split into chunks.  Both
 sets were recorded on the serial engine, before its chunks ran on
 several threads.
 
+The distillation cases hash ``simulate_distillation``'s JSON report
+and its four output arrays, on odd and even lengths, k = 0 and the
+keygen-bulk depth; :func:`role_key_digest` hashes the shared facts and
+final keys of a two-role session at k = 2.  They were recorded before
+the pairing stage shuffled the packed labels in place instead of
+gathering them through an index permutation.
+
 To re-record after an intended change of outputs, print
 ``{case: digest}`` from :func:`session_digest`,
-:func:`channel_digest` and :func:`report_digest` over the cases and
+:func:`channel_digest`, :func:`report_digest`,
+:func:`distill_digest` and :func:`role_key_digest` over the cases and
 paste it below.
 """
 
@@ -25,13 +33,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
+import threading
 
+import numpy as np
 import pytest
 
 from quditqkd import qstates, verify
-from quditqkd.analysis import analysis_report
+from quditqkd.analysis import ErrorMatrix, analysis_report, bell_distribution, error_matrix
 from quditqkd.channels import parse_channel_spec
+from quditqkd.distill import DistillParams, sample_labeled_key, simulate_distillation
 from quditqkd.field import field_spec
+from quditqkd.netrun import RoleConfig, run_alice, run_bob
 from quditqkd.protocol import (
     STREAM_ALICE,
     STREAM_CHANNEL,
@@ -97,6 +110,59 @@ def channel_digest(n: int, channel: str, seed: int) -> str:
 def report_digest(n: int, channel: str) -> str:
     report = analysis_report(parse_channel_spec(channel, field_spec(n)))
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+LABEL_MATRIX = ErrorMatrix(0.75, 0.05, 0.05, 0.15)
+# name: (k, r, labels, seed); "bulk" runs on the z_flip:0.3 matrix
+DISTILL_CASES = {
+    "k0-r1-odd": (0, 1, 4097, 1),
+    "k0-r5-even": (0, 5, 4096, 2),
+    "k1-r3-odd": (1, 3, 4097, 3),
+    "k1-r3-even": (1, 3, 4096, 4),
+    "k2-r5-odd": (2, 5, 30001, 5),
+    "k4-r3-even": (4, 3, 30000, 6),
+    "k3-r327-even": (3, 327, 10**6, 7),
+    "bulk": (3, 5315, 10**6, 8),
+}
+
+
+def distill_digest(name: str) -> str:
+    k, r, labels, seed = DISTILL_CASES[name]
+    m = LABEL_MATRIX
+    if name == "bulk":
+        m = error_matrix(bell_distribution(parse_channel_spec("z_flip:0.3", field_spec(2))))
+    rng = np.random.default_rng(seed)
+    keys = sample_labeled_key(m, labels, rng)
+    report = simulate_distillation(keys, DistillParams(k, r), rng, matrix=m)
+    h = hashlib.sha256(json.dumps(report.to_json_dict(), sort_keys=True).encode())
+    _hash_arrays(h, (report.alice_out, report.bob_out, report.out_x, report.out_z))
+    return h.hexdigest()
+
+
+def role_key_digest(seed: int, rounds: int, k: int, r: int) -> str:
+    """Digest of both roles' shared facts and final keys over a socketpair."""
+    session = SessionConfig(n=2, rounds=rounds, seed=seed)
+    params = DistillParams(k, r)
+    socks = socket.socketpair()
+    out = {}
+
+    def play(role, runner, sock):
+        out[role] = runner(RoleConfig(role, session, params), sock)
+
+    threads = [
+        threading.Thread(target=play, args=(role, runner, sock))
+        for role, runner, sock in zip(("alice", "bob"), (run_alice, run_bob), socks)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60.0)
+    assert out["alice"].status == out["bob"].status == "pass"
+    h = hashlib.sha256()
+    for rep in (out["alice"], out["bob"]):
+        h.update(json.dumps(rep.shared, sort_keys=True).encode())
+        h.update(bytes(rep.final_key))
+    return h.hexdigest()
 
 
 SESSION_DIGESTS = {
@@ -233,6 +299,32 @@ def test_channel_digest(n, channel, seed):
 @pytest.mark.parametrize("n,channel", [(n, ch) for n in (2, 3, 5, 8) for ch in UNITARY])
 def test_report_digest(n, channel):
     assert report_digest(n, channel) == REPORT_DIGESTS[f"{n}/{channel}"]
+
+DISTILL_DIGESTS = {
+    "bulk": "b0c61d1f590e41112f9d082c52094218ad3dd48e984eda77ffa7c9c6345fb5d3",
+    "k0-r1-odd": "e8b68b8306451670fbfc6fab564164d8d14c64b22ef0a26edd7248e5b3de06fd",
+    "k0-r5-even": "32d0120543847aa43a2d91c2f17952f1f657143ca1335a2f0b44439780f8328f",
+    "k1-r3-even": "8eb3053c09165bdcf4ab85b4d483f95da1884edcfca72b05229fc4a1654d132f",
+    "k1-r3-odd": "e906fe86f3498c031b3ce08581ee6bb66aef04878416c0adba9ac97745951181",
+    "k2-r5-odd": "ae2a2e6821c62abfc31456f64753441cadaee1288e8f3172f198879b9cdd0349",
+    "k3-r327-even": "3b6a6e94083dc744a0f3c241729f43d2190b550fe41236ac498f870cc9080e6f",
+    "k4-r3-even": "bd7d3881257a7a888132ad6f2211f7b221f9f583afb12473ad9f8e2ed1ec0cdb",
+}
+
+ROLE_KEY_DIGESTS = {
+    "21/6000": "a19806edd08f67091db2c72c0abde341b9d4152f4064a24a8f6de1262991ea5e",
+    "22/12295": "90f1e322ad237b7b4b326b404ef623826b870d222e31df8097f04a10b7d0d377",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISTILL_CASES))
+def test_distill_digest(name):
+    assert distill_digest(name) == DISTILL_DIGESTS[name]
+
+
+@pytest.mark.parametrize("seed,rounds", [(21, 6000), (22, 3 * 4096 + 7)])
+def test_role_key_digest(seed, rounds):
+    assert role_key_digest(seed, rounds, 2, 3) == ROLE_KEY_DIGESTS[f"{seed}/{rounds}"]
 
 
 def test_planted_frame_sign_fault_reaches_verify_and_analysis(monkeypatch):
