@@ -13,6 +13,10 @@ z-label is the parity of its z labels; its x-label is the majority
 vote.  ``ep_recursion`` is the i.i.d. closed form of the pumping
 stage, ``majority_stage`` of the blocking stage.
 
+A stage pairs by shuffling its packed labels in place with the stage
+seed's generator (:func:`pair_stage`), the same pairing as gathering
+through ``permutation(len)`` without an index array.
+
 The final error-correcting code itself is out of scope: the pipeline
 ends in a rate verdict.
 """
@@ -272,10 +276,16 @@ def select_params(m, budget: DistillBudget | None = None) -> SelectionOutcome:
     from :func:`ep_recursion`.  r is the largest odd integer at most
     z_budget / z' (capped at r_max; r_max itself when z' = 0), rounded
     down so the z budget stays met.  Feasibility needs
-    2 r (1/2 - x')^2 >= margin and, as the r-independent existence test,
-    (B+D)^2 >= margin * (2/z_budget) * C(A+C) -- scale invariant, so it
-    is evaluated on the rescaled coefficients.  A matrix with no
-    residual error at some k is trivially feasible with r = 1.
+    2 r (1/2 - x')^2 >= margin (cond1) and the r-independent existence
+    test (B+D)^2 >= margin * (2/z_budget) * C(A+C) (cond2), scale
+    invariant, so it is evaluated on the rescaled coefficients.  A
+    matrix with no residual error at some k is trivially feasible with
+    r = 1.
+
+    In exact arithmetic cond1 implies cond2: 1/2 - x' = (B+D)/(2(A+C))
+    and z' = C/(A+C), so r <= z_budget/z' turns cond1 into cond2, and
+    z' = 0 makes cond2's right side 0.  cond2 is kept as a float guard;
+    its ``"cond2-failed"`` status could only come from rounding.
     """
     m = _coerce_matrix(m)
     budget = budget or DistillBudget()
@@ -295,7 +305,8 @@ def select_params(m, budget: DistillBudget | None = None) -> SelectionOutcome:
         else:
             r = budget.r_max  # odd and >= 1
             if z_rate != 0.0:
-                r = min(int(budget.z_budget / z_rate), r)
+                # a subnormal z' makes the quotient inf: cap it before int()
+                r = int(min(budget.z_budget / z_rate, r))
                 if r % 2 == 0:
                     r -= 1
             if r < 1:
@@ -406,16 +417,17 @@ def expected_stage_lengths(m, k: int, initial_length: int) -> tuple[float, ...]:
     return tuple(lengths)
 
 
-def pair_stage_permutation(length: int, seed: int) -> np.ndarray:
-    """The pairing shuffle of one stage: positions perm[2t], perm[2t+1] pair up."""
-    return np.random.default_rng(seed).permutation(length)
+def pair_stage(values: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle one stage's payload in place; return views of its (first, second) pairs.
 
-
-def pair_stage(length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Positions (first[t], second[t]) paired by one stage; an odd one out is left."""
-    perm = pair_stage_permutation(length, seed)
-    half = length // 2
-    return perm[0 : 2 * half : 2], perm[1 : 2 * half : 2]
+    ``Generator.permutation(n)`` is ``shuffle(arange(n))`` and the
+    swaps depend on n alone, so shuffling ``values`` with the seeded
+    generator leaves it equal to ``values[permutation(len(values))]``:
+    entry 2t pairs with 2t + 1, and an odd one out stays at the end.
+    """
+    np.random.default_rng(seed).shuffle(values)
+    end = len(values) // 2 * 2
+    return values[0:end:2], values[1:end:2]
 
 
 def block_parities(bits, r: int) -> np.ndarray:
@@ -458,12 +470,11 @@ def simulate_distillation(
     stages: list[StageRecord] = []
     for t in range(params.k):
         cur = len(lab)
-        first, second = pair_stage(cur, int(seeds[t]))
-        a, b = lab[first], lab[second]
-        keep = ((a ^ b) & 4) == 0
+        first, second = pair_stage(lab, int(seeds[t]))
+        keep = ((first ^ second) & 4) == 0
         stages.append(StageRecord(t, int(seeds[t]), cur, len(first), int(np.count_nonzero(keep))))
-        a ^= b & 2
-        lab = a[keep]
+        first ^= second & 2
+        lab = first[keep]
     bits, x, z = lab & 1, (lab >> 1) & 1, lab >> 2
     survivors = len(lab)
     tallies = _label_tallies(x, z)

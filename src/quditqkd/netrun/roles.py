@@ -16,9 +16,10 @@ closes they tally it from the announcements (``Tally.of``, the engine's
 per-chunk tally) and keep only their own bits of its sifted rounds, so
 a role's memory grows with the sifted count.  The tail then runs the
 engine's post-round stages (``draw_sample``, ``estimate_session``,
-``kept_rounds``) and :func:`quditqkd.distill.pair_stage`, so a session
-with a shared master seed reproduces the in-process engine's keys
-exactly (the shared seed is this artifact's reproducibility contract,
+``kept_rounds``) and :func:`quditqkd.distill.pair_stage`, which
+shuffles the tail's own copy of the kept bits in place each stage, so a
+session with a shared master seed reproduces the in-process engine's
+keys exactly (the shared seed is this artifact's reproducibility contract,
 not a security model).  All estimate and keep decisions are computed
 independently by both sides from announced data; any divergence
 surfaces as a VERDICT mismatch and a protocol-error abort.
@@ -267,8 +268,8 @@ def _session_tail(
             seed, theirs = decode_parity_round(
                 link.expect(FrameType.PARITY_ROUND), len(bits) // 2
             )
-        first, second = pair_stage(len(bits), seed)
-        mine = bits[first] ^ bits[second]
+        first, second = pair_stage(bits, seed)
+        mine = first ^ second
         link.send(FrameType.PARITY_ROUND, encode_parity_round(seed, mine))
         if leader:
             echo_seed, theirs = decode_parity_round(
@@ -277,7 +278,7 @@ def _session_tail(
             if echo_seed != seed:
                 raise ProtocolViolation("parity round echoed a different seed")
         keep = mine == theirs
-        bits = bits[first[keep]]
+        bits = first[keep]
         kept_per_stage.append(int(np.count_nonzero(keep)))
 
     n_blocks = len(bits) // params.r

@@ -597,9 +597,10 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     Vectorised over rounds; any chunking of the rounds, including the
     networked runner's windows, consumes randomness identically, so a
     replay with the same master seed produces identical output.  The
-    engine chunks are split into one contiguous span per usable CPU: the
-    calling thread runs the first, a thread started here each other one,
-    and all are joined before this returns or raises.
+    rounds are cut evenly into one contiguous span per usable CPU, none
+    shorter than a quarter engine chunk: the calling thread runs the
+    first, a thread started here each other one, and all are joined
+    before this returns or raises.
     """
     spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
@@ -608,9 +609,10 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     rounds = cfg.rounds
 
     cols = [np.empty(rounds, dtype) for dtype in _LOG_DTYPES]
-    chunks = -(-rounds // _ENGINE_CHUNK)
-    spans = min(_usable_cpus(), chunks)
-    edges = [min(k * chunks // spans * _ENGINE_CHUNK, rounds) for k in range(spans + 1)]
+    # below a quarter chunk per span, thread start and GIL handoffs cost
+    # more than a second CPU saves
+    spans = max(1, min(_usable_cpus(), rounds // max(1, _ENGINE_CHUNK // 4)))
+    edges = [k * rounds // spans for k in range(spans + 1)]
     results = [None] * spans
     errors = []
 

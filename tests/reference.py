@@ -10,8 +10,11 @@ and the per-row round-log writer.  It also keeps the earlier vectorised stage bo
 fancy-index gathers, Bob's weights computed per round and nested
 ``np.where`` thresholds), the binary term search, the list-built pair
 table and the row-wise mask dedupe as ``reference_*``.  Differential
-tests compare the fast paths against both.  It also keeps
-:func:`toeplitz_compress`, a non-cryptographic stand-in for key
+tests compare the fast paths against both.  It also keeps the index
+pairing of a distillation stage (:func:`pair_stage_permutation` and
+:func:`reference_pair_stage`), the reference for the in-place shuffle
+``distill.pair_stage``, and :func:`toeplitz_compress`, a
+non-cryptographic stand-in for key
 compression that the package never calls, and the scalar field layer:
 :class:`FieldElement` and the one-case-at-a-time frame rule
 :func:`conjugate_bell_mask` (with its norm-mask case
@@ -617,3 +620,15 @@ def toeplitz_compress(bits: np.ndarray, output_fraction: float, rng) -> np.ndarr
     diag = rng.integers(0, 2, size=out_len + length - 1, dtype=np.uint8)
     conv = np.convolve(diag.astype(np.int64), np.asarray(bits, np.int64), mode="valid")
     return (conv % 2).astype(np.uint8)
+
+
+def pair_stage_permutation(length: int, seed: int) -> np.ndarray:
+    """The pairing shuffle of one stage: positions perm[2t], perm[2t+1] pair up."""
+    return np.random.default_rng(seed).permutation(length)
+
+
+def reference_pair_stage(length: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions (first[t], second[t]) paired by one stage; an odd one out is left."""
+    perm = pair_stage_permutation(length, seed)
+    half = length // 2
+    return perm[0 : 2 * half : 2], perm[1 : 2 * half : 2]

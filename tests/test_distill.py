@@ -24,7 +24,7 @@ from quditqkd.distill import (
     ep_recursion,
     expected_stage_lengths,
     majority_stage,
-    pair_stage_permutation,
+    pair_stage,
     sample_labeled_key,
     select_params,
     simulate_distillation,
@@ -32,7 +32,7 @@ from quditqkd.distill import (
 from quditqkd.field import field_spec
 
 from oracles import iterate_pumping, majority_fail_exact, parity_fail_exact
-from reference import toeplitz_compress
+from reference import pair_stage_permutation, reference_pair_stage, toeplitz_compress
 
 REF = ErrorMatrix(0.75, 0.05, 0.05, 0.15)
 
@@ -202,6 +202,36 @@ class TestSelectParams:
 
         blob = json.dumps(select_params(REF).to_json_dict())
         assert '"feasible": true' in blob
+
+    def test_cond2_never_decides(self):
+        """cond1 implies cond2 in exact arithmetic, so "cond2-failed" does not occur."""
+        rng = np.random.default_rng(20)
+        budgets = [
+            DistillBudget(margin=margin, **kw)
+            for kw in (
+                {},
+                dict(z_budget=0.001, css_target=0.002),
+                dict(z_budget=0.049, css_target=0.05, r_max=99),
+            )
+            for margin in np.logspace(-3, 2, 6)
+        ]
+        decided = Counter()
+        for _ in range(60):
+            rest = rng.dirichlet(np.full(3, rng.choice([0.2, 1.0, 5.0])))
+            p_i = rng.uniform(0.4, 1.0)
+            m = ErrorMatrix(p_i, *(rest * (1 - p_i)))
+            for budget in budgets:
+                decided.update(t.status for t in select_params(m, budget).trail)
+        assert decided["cond2-failed"] == 0
+        assert decided["feasible"] > 100 and decided["cond1-failed"] > 100
+
+    def test_subnormal_z_rate_caps_r(self):
+        # z' underflows to a subnormal at deep k, where z_budget / z' is inf
+        m = ErrorMatrix(0.0035, 0.8002, 2.97e-11, 0.1963)
+        budget = DistillBudget(z_budget=0.049, css_target=0.05, r_max=99, margin=100)
+        out = select_params(m, budget)
+        assert not out.feasible
+        assert len(out.trail) == budget.k_max + 1
 
     def test_budget_validation(self):
         with pytest.raises(ValueError):
@@ -441,6 +471,31 @@ class TestToeplitz:
         assert len(toeplitz_compress(bits, 0.05, np.random.default_rng(0))) == 0
 
 
+class TestPairStageShuffle:
+    """The in-place shuffle against the index pairing it replaced."""
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 4097, 10**5])
+    @pytest.mark.parametrize("seed", [0, 7, 2**62 + 3])
+    def test_matches_index_pairing(self, length, seed):
+        original = np.random.default_rng(length).integers(0, 8, length, dtype=np.uint8)
+        values = original.copy()
+        first, second = pair_stage(values, seed)
+        assert np.array_equal(values, original[pair_stage_permutation(length, seed)])
+        ref_first, ref_second = reference_pair_stage(length, seed)
+        assert np.array_equal(first, original[ref_first])
+        assert np.array_equal(second, original[ref_second])
+        assert len(first) == len(second) == length // 2
+        assert first.base is values and second.base is values
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_caller_keys_untouched(self, k):
+        keys = sample_labeled_key(REF, 5001, np.random.default_rng(k))
+        before = [a.copy() for a in (keys.bits, keys.x, keys.z)]
+        simulate_distillation(keys, DistillParams(k, 3), np.random.default_rng(5))
+        for a, b in zip((keys.bits, keys.x, keys.z), before):
+            assert np.array_equal(a, b)
+
+
 def reference_sample_labeled_key(m, count, rng):
     """The one-block sampler: a (count, 2) draw and a searchsorted category."""
     draws = rng.random((count, 2))
@@ -463,7 +518,7 @@ def reference_simulate_distillation(keys, params, rng, matrix=None):
     stages = []
     for t in range(params.k):
         cur = len(bits)
-        first, second = distill.pair_stage(cur, int(seeds[t]))
+        first, second = reference_pair_stage(cur, int(seeds[t]))
         keep = (z[first] ^ z[second]) == 0
         stages.append(
             distill.StageRecord(t, int(seeds[t]), cur, len(first), int(np.count_nonzero(keep)))

@@ -911,6 +911,24 @@ class TestRoleTally:
             assert np.array_equal(my_bits, bits[sifted])
             assert rep.shared["e_c"] == [engine.stats.e_c.successes, engine.stats.e_c.trials]
 
+    def test_tail_leaves_my_bits_unchanged(self, monkeypatch):
+        """The pairing stages shuffle the tail's own copy of the kept bits."""
+        checked = []
+        tail = roles._session_tail
+
+        def guard(report, link, cfg, streams, tally, my_bits, leader):
+            before = my_bits.copy()
+            tail(report, link, cfg, streams, tally, my_bits, leader)
+            assert np.array_equal(my_bits, before)
+            checked.append(report.role)
+
+        monkeypatch.setattr(roles, "_session_tail", guard)
+        session = SessionConfig(n=2, rounds=WINDOW + 1, seed=41)
+        rep_a, rep_b = _run_pair(_role_cfg("alice", session, 2, 3), _role_cfg("bob", session, 2, 3))
+        assert rep_a.status == rep_b.status == "pass"
+        assert len(rep_a.shared["kept_per_stage"]) == 2
+        assert sorted(checked) == ["alice", "bob"]
+
 
 class TestDeadlines:
     """A stalled peer ends the session with peer-timeout, never a hang."""

@@ -377,6 +377,23 @@ class TestSpans:
         monkeypatch.setattr(threading, "Thread", no_thread)
         _compare_outputs(run_session(cfg), whole)
 
+    def test_one_chunk_session_splits_on_rounds(self, monkeypatch):
+        """10^5 rounds, one default chunk, run as two spans on two CPUs."""
+        cfg = SessionConfig(n=2, rounds=10**5, channel="z_flip:0.3", seed=5)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 1)
+        whole = run_session(cfg)
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        started = []
+        thread = threading.Thread
+
+        def counted(*args, **kwargs):
+            started.append(kwargs.get("args"))
+            return thread(*args, **kwargs)
+
+        monkeypatch.setattr(threading, "Thread", counted)
+        _compare_outputs(run_session(cfg), whole)
+        assert started == [(1,)]
+
     def test_worker_error_is_raised_after_join(self, monkeypatch):
         monkeypatch.setattr(protocol, "_ENGINE_CHUNK", 64)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
