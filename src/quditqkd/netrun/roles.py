@@ -4,8 +4,10 @@ Alice and Bob run the session lock-step over one framed link: a CONFIG
 handshake, then the round phase in windows of :data:`WINDOW` rounds (the
 last window holds the remainder), each one QUDIT frame (alice), one
 OUTCOME_ANNOUNCE frame (bob) and one PAIR_ANNOUNCE frame (alice) of one
-record per round; then sifting, sample reveal, the continuation gate, k
-pairing-parity exchanges, block parities, and a VERDICT cross-check.
+record per round; then alice's digest of the sift list (bob checks it
+against his own), the sample reveal as bitmaps over the sift list, the
+continuation gate, k pairing-parity exchanges, block parities, and a
+VERDICT cross-check.
 Eve is an optional middlebox that relays every classical frame untouched
 and pushes each QUDIT window through her channel model.
 
@@ -67,7 +69,6 @@ from .wire import (
     PeerDisconnect,
     ProtocolViolation,
     decode_block_parity,
-    decode_index_list,
     decode_json,
     decode_outcome_batch,
     decode_pair_batch,
@@ -75,13 +76,13 @@ from .wire import (
     decode_qudit_batch,
     decode_sample_reveal,
     encode_block_parity,
-    encode_index_list,
     encode_json,
     encode_outcome_batch,
     encode_pair_batch,
     encode_parity_round,
     encode_qudit_batch,
     encode_sample_reveal,
+    sift_digest,
 )
 
 ROLES = ("alice", "bob", "eve")
@@ -92,8 +93,6 @@ ABORT_INSUFFICIENT_KEY = "insufficient-key"
 WINDOW = 4096
 # Seconds a role waits for its peer's next bytes before ending the session.
 PEER_TIMEOUT = 60.0
-# SIFT_ACCEPT and SAMPLE_REVEAL carry round indices as u32.
-_MAX_ROUNDS = 2**32 - 1
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,6 @@ class RoleConfig:
     def __post_init__(self) -> None:
         if self.role not in ROLES:
             raise ValueError(f"role must be one of {ROLES}")
-        if self.session.rounds > _MAX_ROUNDS:
-            raise ValueError(
-                f"rounds must be <= {_MAX_ROUNDS}: wire round indices are u32"
-            )
 
 
 @dataclass
@@ -204,34 +199,31 @@ def _session_tail(
 
     sift_idx = tally.sift_idx
     n_sift = len(sift_idx)
+    digest = sift_digest(sift_idx)
     if leader:
-        link.send(FrameType.SIFT_ACCEPT, encode_index_list(sift_idx))
-    else:
-        announced = decode_index_list(link.expect(FrameType.SIFT_ACCEPT))
-        if not np.array_equal(announced, sift_idx):
-            raise ProtocolViolation("sift list does not match own computation")
+        link.send(FrameType.SIFT_ACCEPT, digest)
+    elif link.expect(FrameType.SIFT_ACCEPT) != digest:
+        raise ProtocolViolation("sift list does not match own computation")
     if n_sift == 0:
         _abort(report, link, ABORT_INSUFFICIENT_SIFT)
         return
 
+    n_samp = int(session.sample_fraction * n_sift)
     if leader:
         sample_pos = draw_sample(sift_idx, session.sample_fraction, streams[STREAM_SAMPLE])
     else:
-        their_rounds, their_bits = decode_sample_reveal(link.expect(FrameType.SAMPLE_REVEAL))
-        n_samp = int(session.sample_fraction * n_sift)
-        if len(their_rounds) != n_samp:
-            raise ProtocolViolation(
-                f"sample size {len(their_rounds)} != expected {n_samp}"
-            )
-        sample_pos = np.minimum(np.searchsorted(sift_idx, their_rounds), n_sift - 1)
-        if not np.array_equal(sift_idx[sample_pos], their_rounds):
-            raise ProtocolViolation("sample reveals an unsifted round")
-    sample_rounds = sift_idx[sample_pos]
+        sample_pos, their_bits = decode_sample_reveal(
+            link.expect(FrameType.SAMPLE_REVEAL), n_sift, n_samp
+        )
     my_sample = my_bits[sample_pos]
-    link.send(FrameType.SAMPLE_REVEAL, encode_sample_reveal(sample_rounds, my_sample))
+    link.send(FrameType.SAMPLE_REVEAL, encode_sample_reveal(sample_pos, n_sift, my_sample))
     if leader:
-        their_rounds, their_bits = decode_sample_reveal(link.expect(FrameType.SAMPLE_REVEAL))
-        if not np.array_equal(their_rounds, sample_rounds):
+        # the echo is load-bearing: a sample changed in transit would give
+        # both sides the same e_b over different kept rounds
+        echo_pos, their_bits = decode_sample_reveal(
+            link.expect(FrameType.SAMPLE_REVEAL), n_sift, n_samp
+        )
+        if not np.array_equal(echo_pos, sample_pos):
             raise ProtocolViolation("sample reveal does not echo the sampled rounds")
 
     e_b, e_b_all, e_c, lhs, verdict = estimate_session(
@@ -357,9 +349,6 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         _session_tail(
             report, link, cfg, streams, Tally.join(tallies), np.concatenate(my_bits), leader
         )
-    except AbortReceived as exc:
-        report.status = f"peer-abort:{exc.reason}"
-        report.exit_code = 2 if exc.reason == ABORT_CONDITION else 1
     except ProtocolViolation as exc:
         _abort(report, link, ABORT_PROTOCOL)
         report.extra["detail"] = str(exc)
@@ -370,10 +359,16 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         report.status = "peer-timeout"
         report.exit_code = 1
         report.extra["detail"] = str(exc)
-    except (PeerDisconnect, ConnectionError, OSError) as exc:
-        report.status = "peer-disconnect"
-        report.exit_code = 1
-        report.extra["detail"] = str(exc)
+    except (AbortReceived, PeerDisconnect, ConnectionError, OSError) as exc:
+        # a send fails once the peer has aborted and closed: its ABORT
+        # may still be waiting in the receive buffer
+        reason = exc.reason if isinstance(exc, AbortReceived) else link.pending_abort()
+        if reason is None:
+            report.status = "peer-disconnect"
+            report.extra["detail"] = str(exc)
+        else:
+            report.status = f"peer-abort:{reason}"
+        report.exit_code = 2 if reason == ABORT_CONDITION else 1
     finally:
         report.transcripts["peer"] = link.transcript_dict()
         link.close()

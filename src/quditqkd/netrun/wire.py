@@ -12,8 +12,10 @@ window, in round order.  Payload layouts:
     OUTCOME_ANNOUNCE (u16 u | u16 v | u8 category) entries, u < v,
                      category 0 in-pair, 1 outside
     PAIR_ANNOUNCE    (u16 i | u16 j) entries, i < j
-    SIFT_ACCEPT      strictly increasing u32 round indices
-    SAMPLE_REVEAL    (u32 round | u8 bit) entries, rounds increasing
+    SIFT_ACCEPT      SHA-256 of the sift list (round indices as
+                     little-endian int64)
+    SAMPLE_REVEAL    sample bitmap over the sift list | bitmap of the
+                     sender's bits of the sampled rounds
     PARITY_ROUND     u64 pairing seed | pair-parity bitmap
     BLOCK_PARITY     u32 block size r | block-parity bitmap
     VERDICT          UTF-8 JSON of the shared session facts
@@ -21,12 +23,14 @@ window, in round order.  Payload layouts:
     ABORT            UTF-8 reason string
 
 The outcome announcement carries only the in-pair/outside category --
-announcing the sign outcome itself would reveal raw key bits.  Bitmaps
-are LSB-first with zero padding in the final byte (validated on
-decode).  Decoders raise :class:`ProtocolViolation` on any malformed
-payload, including a round-phase frame whose record count is not the
-window length both ends expect; roles translate that into a clean ABORT,
-never a crash.
+announcing the sign outcome itself would reveal raw key bits.  Both
+ends compute the sift list from the announcements, so SIFT_ACCEPT only
+confirms it, and SAMPLE_REVEAL's two bitmap lengths are known to both:
+the sifted count and floor(f * sifted).  Bitmaps are LSB-first with
+zero padding in the final byte (validated on decode).  Decoders raise
+:class:`ProtocolViolation` on any malformed payload, including a
+round-phase frame whose record count is not the window length both
+ends expect; roles translate that into a clean ABORT, never a crash.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ import numpy as np
 
 _HEADER = struct.Struct(">IB")
 MAX_PAYLOAD = 1 << 26
+# Seconds a role whose send failed waits for the peer's ABORT frame.
+_ABORT_WAIT = 0.2
 
 ABORT_CONDITION = "condition-2-failed"
 ABORT_PROTOCOL = "protocol-error"
@@ -187,40 +193,25 @@ def decode_pair_batch(payload: bytes, count: int, order: int):
     return i.astype(np.int16), j.astype(np.int16)
 
 
-def encode_index_list(indices) -> bytes:
-    return np.asarray(indices, ">u4").tobytes()
+def sift_digest(sift_idx) -> bytes:
+    """SIFT_ACCEPT payload: SHA-256 of the sift list as little-endian int64."""
+    return hashlib.sha256(np.ascontiguousarray(sift_idx, "<i8")).digest()
 
 
-def decode_index_list(payload: bytes) -> np.ndarray:
-    if len(payload) % 4:
-        raise ProtocolViolation("index list length not a multiple of 4")
-    arr = np.frombuffer(payload, ">u4").astype(np.int64)
-    if arr.size and np.any(np.diff(arr) <= 0):
-        raise ProtocolViolation("round indices must be strictly increasing")
-    return arr
+def encode_sample_reveal(sample_pos, sifted: int, bits) -> bytes:
+    mask = np.zeros(sifted, np.uint8)
+    mask[sample_pos] = 1
+    return pack_bitmap(mask) + pack_bitmap(bits)
 
 
-_REVEAL_DTYPE = np.dtype([("round", ">u4"), ("bit", "u1")])
-
-
-def encode_sample_reveal(rounds, bits) -> bytes:
-    rec = np.empty(len(rounds), _REVEAL_DTYPE)
-    rec["round"] = rounds
-    rec["bit"] = bits
-    return rec.tobytes()
-
-
-def decode_sample_reveal(payload: bytes) -> tuple[np.ndarray, np.ndarray]:
-    if len(payload) % _REVEAL_DTYPE.itemsize:
-        raise ProtocolViolation("sample reveal length not a multiple of 5")
-    rec = np.frombuffer(payload, _REVEAL_DTYPE)
-    rounds = rec["round"].astype(np.int64)
-    bits = rec["bit"].astype(np.uint8)
-    if rounds.size and np.any(np.diff(rounds) <= 0):
-        raise ProtocolViolation("sample rounds must be strictly increasing")
-    if bits.size and bits.max() > 1:
-        raise ProtocolViolation("sample bits must be 0 or 1")
-    return rounds, bits
+def decode_sample_reveal(payload: bytes, sifted: int, sampled: int):
+    """SAMPLE_REVEAL -> (sorted sample positions in the sift list, their bits)."""
+    split = (sifted + 7) // 8
+    sample_pos = np.flatnonzero(unpack_bitmap(payload[:split], sifted))
+    bits = unpack_bitmap(payload[split:], sampled)
+    if len(sample_pos) != sampled:
+        raise ProtocolViolation(f"sample size {len(sample_pos)} != expected {sampled}")
+    return sample_pos, bits
 
 
 def encode_parity_round(seed: int, bits) -> bytes:
@@ -288,6 +279,15 @@ class Link:
             self.send(FrameType.ABORT, encode_abort(reason))
         except OSError:
             pass
+
+    def pending_abort(self) -> str | None:
+        """The reason of an ABORT that is the peer's next frame, if it comes soon."""
+        try:
+            self._sock.settimeout(_ABORT_WAIT)
+            ftype, payload = self.recv()
+        except (OSError, ProtocolViolation):
+            return None
+        return decode_abort(payload) if ftype == FrameType.ABORT else None
 
     def _read_exact(self, n: int) -> bytes:
         chunks = []

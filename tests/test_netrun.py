@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import socket
+import struct
 import threading
 import time
 
@@ -30,14 +32,13 @@ from quditqkd.netrun import (
 from quditqkd.netrun.roles import WINDOW
 from quditqkd.netrun.wire import (
     ABORT_CONDITION,
-    ABORT_FRAME_TOO_LARGE,
+    ABORT_PROTOCOL,
     AbortReceived,
     FrameType,
     Link,
     PeerDisconnect,
     ProtocolViolation,
     decode_block_parity,
-    decode_index_list,
     decode_json,
     decode_outcome_batch,
     decode_pair_batch,
@@ -46,7 +47,6 @@ from quditqkd.netrun.wire import (
     decode_sample_reveal,
     encode_block_parity,
     encode_frame,
-    encode_index_list,
     encode_json,
     encode_outcome_batch,
     encode_pair_batch,
@@ -54,6 +54,7 @@ from quditqkd.netrun.wire import (
     encode_qudit_batch,
     encode_sample_reveal,
     pack_bitmap,
+    sift_digest,
     unpack_bitmap,
 )
 from quditqkd.protocol import (
@@ -88,44 +89,40 @@ class TestBitmaps:
 
 
 class TestCodecs:
-    @settings(max_examples=50)
-    @given(
-        rounds=st.lists(st.integers(0, 2**32 - 1), max_size=40, unique=True).map(sorted)
-    )
-    def test_index_list_roundtrip(self, rounds):
-        assert decode_index_list(encode_index_list(rounds)).tolist() == rounds
+    def test_sift_digest_hashes_little_endian_int64(self):
+        sift = np.array([0, 2, 2**40 + 5])
+        want = hashlib.sha256(struct.pack("<3q", *sift.tolist())).digest()
+        assert sift_digest(sift) == want
+        assert sift_digest(sift.astype(">i8")) == want
+        assert sift_digest(np.zeros(0, np.int64)) == hashlib.sha256(b"").digest()
 
-    def test_index_list_validation(self):
-        with pytest.raises(ProtocolViolation):
-            decode_index_list(b"\x00\x00\x00")
-        with pytest.raises(ProtocolViolation):
-            decode_index_list(encode_index_list([3, 2]))
-        with pytest.raises(ProtocolViolation):
-            decode_index_list(encode_index_list([2, 2]))
-
-    @settings(max_examples=50)
-    @given(
-        data=st.lists(
-            st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 1)),
-            max_size=30,
-            unique_by=lambda t: t[0],
-        ).map(sorted)
-    )
+    @settings(max_examples=100)
+    @given(data=st.lists(st.tuples(st.booleans(), st.integers(0, 1)), max_size=67))
     def test_sample_reveal_roundtrip(self, data):
-        rounds = [r for r, _ in data]
-        bits = [b for _, b in data]
-        got_r, got_b = decode_sample_reveal(encode_sample_reveal(rounds, bits))
-        assert got_r.tolist() == rounds
-        assert got_b.tolist() == bits
+        sifted = len(data)
+        sample_pos = [p for p, (chosen, _) in enumerate(data) if chosen]
+        bits = [b for chosen, b in data if chosen]
+        payload = encode_sample_reveal(sample_pos, sifted, bits)
+        assert len(payload) == (sifted + 7) // 8 + (len(bits) + 7) // 8
+        got_pos, got_bits = decode_sample_reveal(payload, sifted, len(bits))
+        assert got_pos.tolist() == sample_pos
+        assert got_bits.tolist() == bits
 
     def test_sample_reveal_validation(self):
-        with pytest.raises(ProtocolViolation):
-            decode_sample_reveal(b"\x00" * 7)
-        with pytest.raises(ProtocolViolation):
-            decode_sample_reveal(encode_sample_reveal([5, 5], [0, 1]))
-        bad_bit = encode_sample_reveal([1], [7])
-        with pytest.raises(ProtocolViolation):
-            decode_sample_reveal(bad_bit)
+        # 10 sifted, 2 sampled: a 2-byte sample bitmap, then a 1-byte bit bitmap
+        good = encode_sample_reveal([3, 9], 10, [1, 1])
+        assert good == b"\x08\x02\x03"
+        bad = [
+            (encode_sample_reveal([3, 4, 9], 10, [1, 1]), "sample size"),
+            (good[:-1], "bitmap length"),
+            (good + b"\x00", "bitmap length"),
+            (b"", "bitmap length"),
+            (_patched(good, 1, b"\x06"), "padding"),  # position 10 of 10
+            (_patched(good, 2, b"\x07"), "padding"),  # a third sample bit
+        ]
+        for payload, detail in bad:
+            with pytest.raises(ProtocolViolation, match=detail):
+                decode_sample_reveal(payload, 10, 2)
 
     def test_parity_round_roundtrip(self):
         seed, bits = decode_parity_round(encode_parity_round(909, [1, 0, 1]), 3)
@@ -432,6 +429,22 @@ class TestAbortPaths:
             blobs.append(json.dumps(rep_e.to_json_dict(), sort_keys=True))
         assert len(set(blobs)) == 1
 
+    @pytest.mark.parametrize("reason, exit_code", [(ABORT_PROTOCOL, 1), (ABORT_CONDITION, 2)])
+    @pytest.mark.parametrize("runner", [run_alice, run_bob], ids=["alice", "bob"])
+    def test_abort_before_a_failed_send_is_reported(self, runner, reason, exit_code):
+        # the peer aborts and closes, so the role's next send (alice's
+        # CONFIG, bob's CONFIG reply) fails with the ABORT still unread
+        cfg = _role_cfg("alice", SessionConfig(n=2, rounds=50, seed=0))
+        mine, theirs = socket.socketpair()
+        peer = Link(theirs)
+        if runner is run_bob:
+            peer.send(FrameType.CONFIG, encode_json(handshake_facts(cfg)))
+        peer.send_abort(reason)
+        peer.close()
+        rep = runner(cfg, mine)
+        assert rep.status == f"peer-abort:{reason}"
+        assert rep.exit_code == exit_code
+
     def test_insufficient_key(self):
         session = SessionConfig(n=2, rounds=200, seed=3)
         rep_a, rep_b = _run_pair(
@@ -564,13 +577,6 @@ class TestRunRoleTopology:
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
             RoleConfig("mallory", SessionConfig(), DistillParams(0, 1))
-
-    def test_rounds_past_u32_rejected(self):
-        # SIFT_ACCEPT and SAMPLE_REVEAL carry round indices as u32
-        params = DistillParams(0, 1)
-        RoleConfig("alice", SessionConfig(rounds=2**32 - 1), params)
-        with pytest.raises(ValueError, match="u32"):
-            RoleConfig("alice", SessionConfig(rounds=2**32), params)
 
 
 class TestFuzzing:
@@ -723,6 +729,91 @@ class TestFuzzing:
         rep = self._probe_role(run_bob, cfg, script)
         assert rep.status == "protocol-error"
         assert rep.exit_code == 1
+
+
+class TestHostileTail:
+    """A tail frame mangled in transit between two real roles."""
+
+    # "rotate" moves sample bits of the first nonzero byte and keeps the
+    # popcount, so only alice's check of bob's echo can catch it
+    FAULTS = ("truncate", "extend", "empty", "flip-first", "flip-last", "rotate")
+    # (frame, sent by alice): SIFT_ACCEPT against bob, each SAMPLE_REVEAL
+    # against its receiver
+    FRAMES = [
+        (FrameType.SIFT_ACCEPT, True),
+        (FrameType.SAMPLE_REVEAL, True),
+        (FrameType.SAMPLE_REVEAL, False),
+    ]
+    NAMED = {
+        "protocol-error",
+        "condition-2-failed",
+        "peer-abort:protocol-error",
+        "peer-abort:condition-2-failed",
+    }
+
+    @staticmethod
+    def _mangle(payload: bytes, how: str) -> bytes:
+        if how == "truncate":
+            return payload[:-1]
+        if how == "extend":
+            return payload + b"\x00"
+        if how == "empty":
+            return b""
+        if how == "rotate":
+            at = next(k for k, byte in enumerate(payload) if byte)
+            return _patched(payload, at, bytes([(payload[at] << 1 | payload[at] >> 7) & 0xFF]))
+        at = 0 if how == "flip-first" else len(payload) - 1
+        return _patched(payload, at, bytes([payload[at] ^ 0xFF]))
+
+    def _run_mangled(self, ftype, from_alice: bool, how: str):
+        """Alice and bob through a relay that mangles the first ``ftype`` one of them sends."""
+        # 482 sifted, 48 sampled: flipping the last byte flips eight sample bits
+        session = SessionConfig(n=2, rounds=3000, seed=15)
+        params = DistillParams(1, 3)
+        a_end, relay_a = socket.socketpair()
+        b_end, relay_b = socket.socketpair()
+        la, lb = Link(relay_a), Link(relay_b)
+        out: dict[str, RoleReport] = {}
+
+        def relay(src: Link, dst: Link, pending: bool) -> None:
+            try:
+                while True:
+                    got, payload = src.recv()
+                    if pending and got == ftype:
+                        payload, pending = self._mangle(payload, how), False
+                    dst.send(got, payload)
+            except (ProtocolViolation, OSError):
+                pass
+            finally:
+                dst.close_write()
+
+        threads = [
+            threading.Thread(
+                target=lambda: out.__setitem__("a", run_alice(RoleConfig("alice", session, params), a_end))
+            ),
+            threading.Thread(
+                target=lambda: out.__setitem__("b", run_bob(RoleConfig("bob", session, params), b_end))
+            ),
+            threading.Thread(target=relay, args=(la, lb, from_alice)),
+            threading.Thread(target=relay, args=(lb, la, not from_alice)),
+        ]
+        for t in threads:
+            t.start()
+        _join_or_fail(threads, [a_end, b_end, relay_a, relay_b])
+        la.close()
+        lb.close()
+        return out["a"], out["b"]
+
+    @pytest.mark.parametrize("how", FAULTS)
+    @pytest.mark.parametrize(
+        "ftype, from_alice", FRAMES, ids=["sift-to-bob", "reveal-to-bob", "reveal-to-alice"]
+    )
+    def test_ends_in_a_named_status(self, ftype, from_alice, how):
+        # a decode check, the echo check or the VERDICT cross-check trips;
+        # neither side may pass, let alone with a key the other lacks
+        rep_a, rep_b = self._run_mangled(ftype, from_alice, how)
+        assert {rep_a.status, rep_b.status} <= self.NAMED
+        assert "protocol-error" in (rep_a.status, rep_b.status)
 
 
 def _patched(payload: bytes, offset: int, data: bytes) -> bytes:
@@ -984,18 +1075,26 @@ class TestDeadlines:
 
 
 class TestOversizedFrames:
-    def test_sift_list_over_cap_aborts_cleanly(self, monkeypatch):
-        # one QUDIT window fits the cap; the SIFT_ACCEPT list of ~10W/6
-        # four-byte round indices does not
+    def test_sift_list_past_the_cap_completes(self, monkeypatch):
+        # one QUDIT window fills the cap, and the ~10W/6 sifted rounds would
+        # not fit it as 4-byte indices; the tail sends a 32-byte digest and
+        # bitmaps of about W/5 bytes
         monkeypatch.setattr(wire, "MAX_PAYLOAD", 6 * WINDOW)
-        session = SessionConfig(n=2, rounds=10 * WINDOW, seed=0)
-        rep_a, rep_b = _run_pair(_role_cfg("alice", session), _role_cfg("bob", session))
-        assert rep_a.status == "frame-too-large"
-        assert rep_a.abort_sent == ABORT_FRAME_TOO_LARGE
-        assert "SIFT_ACCEPT" in rep_a.extra["detail"]
-        assert rep_b.status == f"peer-abort:{ABORT_FRAME_TOO_LARGE}"
-        for rep in (rep_a, rep_b):
-            assert rep.exit_code == 1
+        seed = 0
+        session = SessionConfig(n=2, rounds=10 * WINDOW, seed=seed)
+        params = DistillParams(1, 3)
+        rep_a, rep_b = _run_pair(
+            RoleConfig("alice", session, params), RoleConfig("bob", session, params)
+        )
+        engine = run_session(session)
+        assert 4 * engine.stats.sifted_count > wire.MAX_PAYLOAD
+        assert rep_a.status == rep_b.status == "pass"
+        want = _expected_shared(engine.stats)
+        assert {key: rep_a.shared[key] for key in want} == want
+        assert rep_a.shared == rep_b.shared
+        ref = _reference_keys(engine, params, seed)
+        assert rep_a.final_key == ref.alice_out.tolist()
+        assert rep_b.final_key == ref.bob_out.tolist()
 
 
 class TestEngineEquivalenceGrid:
@@ -1027,17 +1126,25 @@ class TestEngineEquivalenceGrid:
 
 
 class TestSampleRevealChecks:
-    """Bob rejects a sample reveal that does not fit his own sift list."""
+    """Bob rejects a tail that does not fit his own sift list."""
+
+    # alice's pair equals bob's on the even rounds: 25 sifted, floor(0.1 * 25) = 2 sampled
+    SIFTED = np.arange(0, 50, 2)
+    GOOD = encode_sample_reveal([3, 9], 25, [0, 0])
 
     @pytest.mark.parametrize(
-        "rounds, detail",
+        "sift_accept, reveal, detail",
         [
-            ([0, 1], "unsifted"),  # round 1 was not sifted
-            ([0, 49], "unsifted"),  # past the last sifted round
-            ([0, 2, 4], "sample size"),  # floor(0.1 * 25) = 2 rounds
+            (sift_digest(SIFTED), encode_sample_reveal([3, 4, 9], 25, [0, 0]), "sample size"),
+            (sift_digest(SIFTED), GOOD[:-1], "bitmap length"),
+            (sift_digest(SIFTED), GOOD + b"\x00", "bitmap length"),
+            (sift_digest(SIFTED), _patched(GOOD, 3, b"\x80"), "padding"),
+            (sift_digest(SIFTED), _patched(GOOD, 4, b"\x04"), "padding"),
+            (SIFTED.astype(">u4").tobytes(), GOOD, "sift list"),
         ],
+        ids=["popcount", "short", "long", "sample-padding", "bits-padding", "index-list"],
     )
-    def test_bad_sample_against_bob(self, rounds, detail):
+    def test_bad_tail_against_bob(self, sift_accept, reveal, detail):
         cfg = _role_cfg("bob", SessionConfig(n=2, rounds=50, seed=0))
 
         def script(link):
@@ -1048,13 +1155,11 @@ class TestSampleRevealChecks:
                 encode_qudit_batch(np.zeros(50), np.ones(50), np.zeros(50)),
             )
             u, v, _ = decode_outcome_batch(link.expect(FrameType.OUTCOME_ANNOUNCE), 50, 4)
-            # alice's pair equals bob's on even rounds only
             other = np.where(u == 0, 2, 0), np.where(u == 0, 3, 1)
             even = np.arange(50) % 2 == 0
             i, j = np.where(even, u, other[0]), np.where(even, v, other[1])
             link.send(FrameType.PAIR_ANNOUNCE, encode_pair_batch(i, j))
-            link.send(FrameType.SIFT_ACCEPT, encode_index_list(np.arange(0, 50, 2)))
-            reveal = encode_sample_reveal(np.array(rounds), np.zeros(len(rounds)))
+            link.send(FrameType.SIFT_ACCEPT, sift_accept)
             link.send(FrameType.SAMPLE_REVEAL, reveal)
             link.expect(FrameType.SAMPLE_REVEAL)
 
