@@ -761,7 +761,8 @@ class TestHostileTail:
             return b""
         if how == "rotate":
             at = next(k for k, byte in enumerate(payload) if byte)
-            return _patched(payload, at, bytes([(payload[at] << 1 | payload[at] >> 7) & 0xFF]))
+            byte = payload[at]
+            return _patched(payload, at, bytes([(byte << 1 | byte >> 7) & 0xFF]))
         at = 0 if how == "flip-first" else len(payload) - 1
         return _patched(payload, at, bytes([payload[at] ^ 0xFF]))
 
@@ -787,13 +788,10 @@ class TestHostileTail:
             finally:
                 dst.close_write()
 
+        cfg_a, cfg_b = RoleConfig("alice", session, params), RoleConfig("bob", session, params)
         threads = [
-            threading.Thread(
-                target=lambda: out.__setitem__("a", run_alice(RoleConfig("alice", session, params), a_end))
-            ),
-            threading.Thread(
-                target=lambda: out.__setitem__("b", run_bob(RoleConfig("bob", session, params), b_end))
-            ),
+            threading.Thread(target=lambda: out.__setitem__("a", run_alice(cfg_a, a_end))),
+            threading.Thread(target=lambda: out.__setitem__("b", run_bob(cfg_b, b_end))),
             threading.Thread(target=relay, args=(la, lb, from_alice)),
             threading.Thread(target=relay, args=(lb, la, not from_alice)),
         ]
@@ -1130,16 +1128,17 @@ class TestSampleRevealChecks:
 
     # alice's pair equals bob's on the even rounds: 25 sifted, floor(0.1 * 25) = 2 sampled
     SIFTED = np.arange(0, 50, 2)
+    DIGEST = sift_digest(SIFTED)
     GOOD = encode_sample_reveal([3, 9], 25, [0, 0])
 
     @pytest.mark.parametrize(
         "sift_accept, reveal, detail",
         [
-            (sift_digest(SIFTED), encode_sample_reveal([3, 4, 9], 25, [0, 0]), "sample size"),
-            (sift_digest(SIFTED), GOOD[:-1], "bitmap length"),
-            (sift_digest(SIFTED), GOOD + b"\x00", "bitmap length"),
-            (sift_digest(SIFTED), _patched(GOOD, 3, b"\x80"), "padding"),
-            (sift_digest(SIFTED), _patched(GOOD, 4, b"\x04"), "padding"),
+            (DIGEST, encode_sample_reveal([3, 4, 9], 25, [0, 0]), "sample size"),
+            (DIGEST, GOOD[:-1], "bitmap length"),
+            (DIGEST, GOOD + b"\x00", "bitmap length"),
+            (DIGEST, _patched(GOOD, 3, b"\x80"), "padding"),
+            (DIGEST, _patched(GOOD, 4, b"\x04"), "padding"),
             (SIFTED.astype(">u4").tobytes(), GOOD, "sift list"),
         ],
         ids=["popcount", "short", "long", "sample-padding", "bits-padding", "index-list"],
