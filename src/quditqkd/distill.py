@@ -31,7 +31,8 @@ import numpy as np
 from .analysis import ErrorMatrix
 
 _SEED_BOUND = 1 << 63
-# rows of uniforms per sample_labeled_key draw, as protocol._ENGINE_CHUNK
+# rows of uniforms per sample_labeled_key draw, 2 MiB of them; the labels
+# do not depend on it
 _LABEL_CHUNK = 1 << 17
 
 
@@ -464,8 +465,13 @@ def simulate_distillation(
         raise InsufficientKeyError(
             f"need at least 2**k * r = {params.min_length} labeled bits, got {length}"
         )
-    # one packed label per position: bit | x << 1 | z << 2
-    lab = keys.bits.astype(np.uint8) | keys.x.astype(np.uint8) << 1 | keys.z.astype(np.uint8) << 2
+    # one packed label per position, bit | x << 1 | z << 2, built in place
+    # in a private array (uint8 keys are or-ed in without a copy)
+    lab = keys.z.astype(np.uint8)
+    lab <<= 1
+    lab |= keys.x.astype(np.uint8, copy=False)
+    lab <<= 1
+    lab |= keys.bits.astype(np.uint8, copy=False)
     seeds = draw_stage_seeds(params.k, rng)
     stages: list[StageRecord] = []
     for t in range(params.k):

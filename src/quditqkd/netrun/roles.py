@@ -210,7 +210,7 @@ def _session_tail(
 
     n_samp = int(session.sample_fraction * n_sift)
     if leader:
-        sample_pos = draw_sample(sift_idx, session.sample_fraction, streams[STREAM_SAMPLE])
+        sample_pos = draw_sample(n_sift, session.sample_fraction, streams[STREAM_SAMPLE])
     else:
         sample_pos, their_bits = decode_sample_reveal(
             link.expect(FrameType.SAMPLE_REVEAL), n_sift, n_samp
@@ -227,7 +227,7 @@ def _session_tail(
             raise ProtocolViolation("sample reveal does not echo the sampled rounds")
 
     e_b, e_b_all, e_c, lhs, verdict = estimate_session(
-        session, tally, sample_pos, my_sample, their_bits
+        session, tally.clicked, tally.ec, sample_pos, my_sample, their_bits
     )
 
     shared: dict = {

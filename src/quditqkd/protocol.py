@@ -28,9 +28,12 @@ at round lo by advancing copies of the alice, channel and bob streams by
 and outputs do not depend on how many there are.  Each span's thread
 also tallies its chunks as it fills them: a :class:`Tally` of the
 announcements (sift list, in-pair flags, e_c counts), the one the
-networked roles build per window, plus the outcome counts.  After the
-spans join the session only samples the sifted rounds and gathers the
-sample bits and the keys.
+networked roles build per window, plus the outcome counts.  Of each
+chunk a span keeps what the roles keep: the in-pair flags, the e_c
+counts and each side's bit of the sifted rounds, one byte per sifted
+round and no round index.  After the spans join, the tail draws the
+sample over the sifted positions and gathers the sample bits and the
+keys from those bits alone.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
@@ -40,6 +43,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -62,12 +66,13 @@ STREAM_SAMPLE = 3
 STREAM_PAIRING = 4
 _STREAM_COUNT = 5
 
-# Chunking leaves results unchanged; 2^17 (not 2^18) keeps transmit's
-# chunk temporaries small enough for glibc to return the heap after a
-# session, which at 2^18 slowed the next small session by up to 40%.
+# Chunking leaves results unchanged; 2^16 keeps transmit's chunk
+# temporaries small enough for glibc to return the heap after a session
+# (at 2^18 the next small session ran up to 40% slower), and against
+# 2^17 it cuts the peak by a chunk's temporaries at the same speed.
 # Each span's thread allocates its temporaries in its own malloc arena,
 # so a threaded session holds one chunk's temporaries per usable CPU.
-_ENGINE_CHUNK = 1 << 17
+_ENGINE_CHUNK = 1 << 16
 
 # Uniforms each stage draws per round, as the randomness contract fixes.
 _DRAWS_PER_ROUND = ((STREAM_ALICE, 2), (STREAM_CHANNEL, 2), (STREAM_BOB, 3))
@@ -84,9 +89,16 @@ def spawn_streams(seed) -> list[np.random.Generator]:
     return [np.random.default_rng(c) for c in children]
 
 
+@functools.cache
 def pair_table(spec: FieldSpec) -> np.ndarray:
-    """All unordered index pairs u < v in lexicographic order, shape (C, 2)."""
-    return np.stack(np.triu_indices(spec.order, 1), axis=1).astype(np.int16)
+    """All unordered index pairs u < v in lexicographic order, shape (C, 2).
+
+    Built once per spec and shared read-only by every session, role and
+    verify call.
+    """
+    table = np.stack(np.triu_indices(spec.order, 1), axis=1).astype(np.int16)
+    table.setflags(write=False)
+    return table
 
 
 def pm_condition_lhs(e_b, e_c, n: int):
@@ -502,14 +514,18 @@ class Tally(NamedTuple):
         return cls(np.concatenate(sift), np.concatenate(clicked), tuple(map(sum, zip(*ec))))
 
 
-def draw_sample(sift_idx: np.ndarray, fraction: float, rng) -> np.ndarray:
-    """Sorted positions in ``sift_idx`` of the rounds revealed for e_b.
+def draw_sample(count: int, fraction: float, rng) -> np.ndarray:
+    """Sorted positions, among ``count`` sifted rounds, of those revealed for e_b.
 
-    One permutation draw of the sifted rounds; its prefix of
-    floor(fraction * sifted) is the sample.
+    One permutation draw of the positions; its prefix of
+    floor(fraction * count) is the sample.  The positions are shuffled
+    in place as 4-byte integers below 2^31 of them: ``permutation(count)``
+    is ``shuffle(arange(count))`` and its swaps depend on the count
+    alone, so the sample and the stream state after it are the same.
     """
-    perm = rng.permutation(len(sift_idx))
-    return np.sort(perm[: int(fraction * len(sift_idx))])
+    perm = np.arange(count, dtype=np.int32 if count < 1 << 31 else np.int64)
+    rng.shuffle(perm)
+    return np.sort(perm[: int(fraction * count)])
 
 
 def kept_rounds(sifted: np.ndarray, sample_pos: np.ndarray) -> np.ndarray:
@@ -532,16 +548,51 @@ def sample_rates(alice_bits, bob_bits, clicked) -> tuple[RateEstimate, RateEstim
     return e_b, RateEstimate.from_counts(int(np.count_nonzero(err)), len(err))
 
 
-def estimate_session(cfg: SessionConfig, tally: Tally, sample_pos, bits, other_bits):
-    """(e_b, e_b_all, e_c, lhs, verdict) of a session's tally and revealed sample.
+def estimate_session(cfg: SessionConfig, clicked, ec, sample_pos, bits, other_bits):
+    """(e_b, e_b_all, e_c, lhs, verdict) of a session's sifted rounds and revealed sample.
 
-    ``sample_pos`` indexes the tally's sift list; ``bits`` and
-    ``other_bits`` are the two sides' bits of those rounds, in either
-    order (a disagreement count does not depend on which side is alice).
+    ``clicked`` and ``ec`` are a tally's in-pair flags of the sifted
+    rounds and its e_c counts; ``sample_pos`` indexes the sifted rounds;
+    ``bits`` and ``other_bits`` are the two sides' bits of the sampled
+    rounds, in either order (a disagreement count does not depend on
+    which side is alice).
     """
-    e_b, e_b_all = sample_rates(bits, other_bits, tally.clicked[sample_pos])
-    e_c = RateEstimate.from_counts(*tally.ec)
+    e_b, e_b_all = sample_rates(bits, other_bits, clicked[sample_pos])
+    e_c = RateEstimate.from_counts(*ec)
     return (e_b, e_b_all, e_c, *condition_verdict(e_b, e_c, cfg.n))
+
+
+class _SiftedBits(NamedTuple):
+    """What the engine keeps of a run of rounds: what each role keeps of it.
+
+    The in-pair flags and e_c counts of its :class:`Tally` and both
+    sides' bits of its sifted rounds, one byte per sifted round; the
+    round indices are dropped.
+    """
+
+    clicked: np.ndarray  # in-pair flag of each sifted round
+    ec: tuple[int, int]  # accepted-rate successes and trials
+    alice_bits: np.ndarray  # Alice's sign bit of each sifted round, uint8
+    bob_bits: np.ndarray  # Bob's decoded bit of each sifted round, uint8
+
+    @classmethod
+    def of(cls, tally: Tally, alice_s, bob_bit) -> _SiftedBits:
+        """The record of a run of rounds from its tally (``start`` 0) and bit columns."""
+        sift = tally.sift_idx
+        return cls(
+            tally.clicked, tally.ec, alice_s[sift].astype(np.uint8), bob_bit[sift].astype(np.uint8)
+        )
+
+    @classmethod
+    def join(cls, runs) -> _SiftedBits:
+        """The record of consecutive runs of rounds, in round order."""
+        clicked, ec, alice, bob = zip(*runs)
+        return cls(
+            np.concatenate(clicked),
+            tuple(map(sum, zip(*ec))),
+            np.concatenate(alice),
+            np.concatenate(bob),
+        )
 
 
 def _outcome_counts(log: RoundLog, order: int) -> np.ndarray:
@@ -564,19 +615,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_rounds(spec, model, table, cols, streams, lo: int, hi: int) -> tuple[Tally, np.ndarray]:
+def _fill_rounds(
+    spec, model, table, cols, streams, lo: int, hi: int
+) -> tuple[_SiftedBits, np.ndarray]:
     """Run rounds [lo, hi) into their rows of the round-log columns.
 
     Works on copies of the alice, channel and bob streams advanced to
     round lo, so every span draws what a serial run draws for its rounds.
-    Each chunk is tallied while its rows are still in cache; returns the
-    span's tally and its :func:`_outcome_counts`.
+    Each chunk is tallied while its rows are still in cache and only its
+    sifted bits are kept; returns the span's :class:`_SiftedBits` and
+    its :func:`_outcome_counts`.
     """
     alice, channel, bob = (
         np.random.Generator(copy.deepcopy(streams[slot].bit_generator).advance(per_round * lo))
         for slot, per_round in _DRAWS_PER_ROUND
     )
-    tallies, counts = [], 0
+    runs, counts = [], 0
     for start in range(lo, hi, _ENGINE_CHUNK):
         stop = min(start + _ENGINE_CHUNK, hi)
         ai, aj, s = prepare(table, alice, stop - start)
@@ -586,9 +640,9 @@ def _fill_rounds(spec, model, table, cols, streams, lo: int, hi: int) -> tuple[T
         for col, part in zip(cols, chunk):
             col[start:stop] = part
         rows = RoundLog(*(col[start:stop] for col in cols))
-        tallies.append(Tally.of(ai, aj, bu, bv, rows.clicked, start))
+        runs.append(_SiftedBits.of(Tally.of(ai, aj, bu, bv, rows.clicked, 0), s, bit))
         counts += _outcome_counts(rows, spec.order)
-    return Tally.join(tallies), counts
+    return _SiftedBits.join(runs), counts
 
 
 def run_session(cfg: SessionConfig) -> SessionOutput:
@@ -600,7 +654,9 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     rounds are cut evenly into one contiguous span per usable CPU, none
     shorter than a quarter engine chunk: the calling thread runs the
     first, a thread started here each other one, and all are joined
-    before this returns or raises.
+    before this returns or raises.  Besides the round log the session
+    holds only the spans' sifted bits, which are joined and released
+    before the tail runs.
     """
     spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
@@ -634,37 +690,41 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
             worker.join()
     if errors:
         raise errors[0]
-    tallies, counts = zip(*results)
-    return _finish_session(
-        cfg, RoundLog(*cols), Tally.join(tallies), sum(counts), streams[STREAM_SAMPLE]
-    )
+    sifted = _SiftedBits.join(run for run, _ in results)
+    counts = sum(count for _, count in results)
+    results.clear()
+    return _finish_session(cfg, RoundLog(*cols), sifted, counts, streams[STREAM_SAMPLE])
 
 
 def _finish_session(
-    cfg: SessionConfig, log: RoundLog, tally: Tally, counts: np.ndarray, sample_rng
+    cfg: SessionConfig, log: RoundLog, sifted: _SiftedBits, counts: np.ndarray, sample_rng
 ) -> SessionOutput:
-    """Sample, estimate and decide on a complete round log, its tally and outcome counts.
+    """Sample, estimate and decide on a session's sifted bits and outcome counts.
 
-    Makes no pass over the whole log: the tally holds the sift list, the
-    in-pair flags and the e_c counts, so this draws the sample and
-    gathers the sample bits and the keys.  A session with no sifted
-    round ends "insufficient-sift" with empty keys and undefined sample
-    rates.
+    Never reads the round log, which it only returns: the sample is
+    drawn over the sifted positions, and the sample bits and the keys
+    are gathered from the two sides' sifted bits.  A session with no
+    sifted round ends "insufficient-sift" with empty keys and undefined
+    sample rates.
     """
-    sift_idx = tally.sift_idx
-    sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
-    sample_rounds = sift_idx[sample_pos]
-    keep = kept_rounds(sift_idx, sample_pos)
+    count = len(sifted.clicked)
+    sample_pos = draw_sample(count, cfg.sample_fraction, sample_rng)
     e_b, e_b_all, e_c, lhs, verdict = estimate_session(
-        cfg, tally, sample_pos, log.alice_s[sample_rounds], log.bob_bit[sample_rounds]
+        cfg,
+        sifted.clicked,
+        sifted.ec,
+        sample_pos,
+        sifted.alice_bits[sample_pos],
+        sifted.bob_bits[sample_pos],
     )
+    alice_key = kept_rounds(sifted.alice_bits, sample_pos)
     stats = SessionStats(
-        status="ok" if len(sift_idx) else "insufficient-sift",
+        status="ok" if count else "insufficient-sift",
         rounds=cfg.rounds,
-        sifted_count=len(sift_idx),
+        sifted_count=count,
         sample_count=len(sample_pos),
-        outside_in_sifted=len(sift_idx) - int(np.count_nonzero(tally.clicked)),
-        key_length=len(keep),
+        outside_in_sifted=count - int(np.count_nonzero(sifted.clicked)),
+        key_length=len(alice_key),
         e_b=e_b,
         e_b_all=e_b_all,
         e_c=e_c,
@@ -672,5 +732,4 @@ def _finish_session(
         condition_lhs=lhs,
         condition_pass=verdict,
     )
-    alice_key = log.alice_s[keep].astype(np.uint8)
-    return SessionOutput(alice_key, log.bob_bit[keep].astype(np.uint8), stats, log)
+    return SessionOutput(alice_key, kept_rounds(sifted.bob_bits, sample_pos), stats, log)

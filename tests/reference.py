@@ -22,9 +22,9 @@ compression that the package never calls, and the scalar field layer:
 ``qstates.conjugate_frame``.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
-replay reuses the engine's tally and post-round stages (``Tally.of``
-and ``_outcome_counts`` on its whole log as one chunk, then
-``_finish_session``), so a differential test pins only the per-round
+replay reuses the engine's tally and post-round stages (``Tally.of``,
+``_SiftedBits.of`` and ``_outcome_counts`` on its whole log as one
+chunk, then ``_finish_session``), so a differential test pins only the per-round
 stages.  :func:`reference_finish_session` keeps the earlier tail that
 sifts, estimates and counts in passes over the whole log, with e_c
 counted from line offsets by :func:`accepted_counts`, the reference for
@@ -64,6 +64,7 @@ from quditqkd.protocol import (
     SessionStats,
     Tally,
     _finish_session,
+    _SiftedBits,
     _outcome_counts,
     condition_verdict,
     draw_sample,
@@ -426,8 +427,9 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
     tally = Tally.of(log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked, 0)
+    sifted = _SiftedBits.of(tally, log.alice_s, log.bob_bit)
     counts = _outcome_counts(log, spec.order)
-    return _finish_session(cfg, log, tally, counts, streams[STREAM_SAMPLE])
+    return _finish_session(cfg, log, sifted, counts, streams[STREAM_SAMPLE])
 
 
 def accepted_counts(offset, clicked) -> tuple[int, int]:
@@ -457,7 +459,7 @@ def reference_outcome_counts(log: RoundLog, order: int) -> dict[tuple[int, int],
 def reference_finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> SessionOutput:
     """Sift, sample, estimate and decide in passes over the whole round log."""
     sift_idx = np.flatnonzero(log.sifted)
-    sample_pos = draw_sample(sift_idx, cfg.sample_fraction, sample_rng)
+    sample_pos = draw_sample(len(sift_idx), cfg.sample_fraction, sample_rng)
     sample_rounds = sift_idx[sample_pos]
     keep = kept_rounds(sift_idx, sample_pos)
     clicked = log.clicked

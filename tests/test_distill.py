@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -494,6 +495,35 @@ class TestPairStageShuffle:
         simulate_distillation(keys, DistillParams(k, 3), np.random.default_rng(5))
         for a, b in zip((keys.bits, keys.x, keys.z), before):
             assert np.array_equal(a, b)
+
+
+class TestLabelPacking:
+    """The in-place label packing on every key dtype, and what it holds."""
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.int64])
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_key_dtypes_give_one_report(self, dtype, k):
+        keys = sample_labeled_key(REF, 20001, np.random.default_rng(k))
+        want = simulate_distillation(keys, DistillParams(k, 3), np.random.default_rng(5))
+        cast = LabeledKey(*(a.astype(dtype) for a in (keys.bits, keys.x, keys.z)))
+        got = simulate_distillation(cast, DistillParams(k, 3), np.random.default_rng(5))
+        assert_same_report(got, want)
+
+    def test_traced_peak_above_the_keys(self):
+        """10^6 uint8 labels peak under 2.5 B per label beside the caller's keys.
+
+        The packed labels and one stage's parity temporaries measure 2 B;
+        packing through a copy of each key measured 3.
+        """
+        count = 10**6
+        keys = sample_labeled_key(REF, count, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            simulate_distillation(keys, DistillParams(3, 5), np.random.default_rng(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * count
 
 
 def reference_sample_labeled_key(m, count, rng):

@@ -7,6 +7,7 @@ import csv
 import os
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import quditqkd.protocol as protocol
 from quditqkd.channels import resolve_channel
-from quditqkd.field import field_spec
+from quditqkd.field import FieldSpec, field_spec
 from quditqkd.netrun.roles import WINDOW
 from quditqkd.netrun.wire import decode_qudit_batch, encode_qudit_batch
 from quditqkd.protocol import (
@@ -194,6 +195,15 @@ class TestPairGeometry:
         expected = reference_pair_table(spec)
         assert table.dtype == expected.dtype and table.shape == expected.shape
         assert np.array_equal(table, expected)
+
+    @pytest.mark.parametrize("n", [2, 8])
+    def test_pair_table_is_cached_read_only(self, n):
+        table = pair_table(field_spec(n))
+        # an equal spec built apart from field_spec's cache shares the table
+        assert pair_table(FieldSpec(n)) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
     def test_pick_pair_index_edges(self):
         assert pick_pair_index(0.0, 6) == 0
@@ -474,6 +484,41 @@ def _announced_columns(n, rng, count):
 
 def _tally_fields(tally):
     return tally.sift_idx.tolist(), tally.clicked.tolist(), tally.ec
+
+
+class TestDrawSample:
+    """The in-place int32 shuffle against the permutation draw it replaced."""
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 7, 4096, 10**5])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 2**40 + 9])
+    def test_equals_permutation_prefix(self, count, seed):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        for fraction in (0.1, 0.5):
+            got = protocol.draw_sample(count, fraction, rng)
+            want = np.sort(ref.permutation(count)[: int(fraction * count)])
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+        assert rng.random() == ref.random()
+
+
+class TestSessionMemory:
+    def test_traced_peak_above_the_round_log(self, monkeypatch):
+        """4*10^6 rounds on two spans hold under 4.5 B per round beside the log.
+
+        The spans' chunk temporaries, the sifted bits and the tail's
+        4-byte sample shuffle measure about 3.2 B per round; session-length
+        int64 sift lists and a 2^17 chunk measured about 6.
+        """
+        monkeypatch.setattr(protocol, "_usable_cpus", lambda: 2)
+        rounds = 4 * 10**6
+        cfg = SessionConfig(n=2, rounds=rounds, channel="z_flip:0.3", seed=5)
+        tracemalloc.start()
+        try:
+            out = run_session(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        log_bytes = sum(getattr(out.log, name).nbytes for name in LOG_COLUMNS)
+        assert peak - log_bytes < 4.5 * rounds
 
 
 class TestAnnouncedTally:
