@@ -707,23 +707,19 @@ def _finish_session(
     sifted round ends "insufficient-sift" with empty keys and undefined
     sample rates.
     """
-    count = len(sifted.clicked)
+    clicked, ec, alice, bob = sifted
+    count = len(clicked)
     sample_pos = draw_sample(count, cfg.sample_fraction, sample_rng)
     e_b, e_b_all, e_c, lhs, verdict = estimate_session(
-        cfg,
-        sifted.clicked,
-        sifted.ec,
-        sample_pos,
-        sifted.alice_bits[sample_pos],
-        sifted.bob_bits[sample_pos],
+        cfg, clicked, ec, sample_pos, alice[sample_pos], bob[sample_pos]
     )
-    alice_key = kept_rounds(sifted.alice_bits, sample_pos)
+    alice_key = kept_rounds(alice, sample_pos)
     stats = SessionStats(
         status="ok" if count else "insufficient-sift",
         rounds=cfg.rounds,
         sifted_count=count,
         sample_count=len(sample_pos),
-        outside_in_sifted=count - int(np.count_nonzero(sifted.clicked)),
+        outside_in_sifted=count - int(np.count_nonzero(clicked)),
         key_length=len(alice_key),
         e_b=e_b,
         e_b_all=e_b_all,
@@ -732,4 +728,4 @@ def _finish_session(
         condition_lhs=lhs,
         condition_pass=verdict,
     )
-    return SessionOutput(alice_key, kept_rounds(sifted.bob_bits, sample_pos), stats, log)
+    return SessionOutput(alice_key, kept_rounds(bob, sample_pos), stats, log)

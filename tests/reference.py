@@ -24,11 +24,11 @@ compression that the package never calls, and the scalar field layer:
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
 replay reuses the engine's tally and post-round stages (``Tally.of``,
 ``_SiftedBits.of`` and ``_outcome_counts`` on its whole log as one
-chunk, then ``_finish_session``), so a differential test pins only the per-round
-stages.  :func:`reference_finish_session` keeps the earlier tail that
-sifts, estimates and counts in passes over the whole log, with e_c
-counted from line offsets by :func:`accepted_counts`, the reference for
-the offset-free counts of ``Tally``.
+chunk, then ``_finish_session``), so a differential test pins only the
+per-round stages.  :func:`reference_finish_session` keeps the earlier
+tail that sifts, estimates and counts in passes over the whole log,
+with e_c counted from line offsets by :func:`accepted_counts`, the
+reference for the offset-free counts of ``Tally``.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from quditqkd.protocol import (
     SessionOutput,
     SessionStats,
     Tally,
-    _finish_session,
     _SiftedBits,
+    _finish_session,
     _outcome_counts,
     condition_verdict,
     draw_sample,

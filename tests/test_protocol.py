@@ -388,7 +388,7 @@ class TestSpans:
         _compare_outputs(run_session(cfg), whole)
 
     def test_one_chunk_session_splits_on_rounds(self, monkeypatch):
-        """10^5 rounds, one default chunk, run as two spans on two CPUs."""
+        """10^5 rounds, under two default chunks, run as two spans on two CPUs."""
         cfg = SessionConfig(n=2, rounds=10**5, channel="z_flip:0.3", seed=5)
         monkeypatch.setattr(protocol, "_usable_cpus", lambda: 1)
         whole = run_session(cfg)
