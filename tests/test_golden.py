@@ -15,6 +15,11 @@ so the digests also pin how the rounds are split into chunks.  Both
 sets were recorded on the serial engine, before its chunks ran on
 several threads.
 
+The threshold cases hash the stdout of ``quditqkd threshold --n N
+--grid 2000 --json -`` and the ``--csv`` file it writes, for n = 2..8.
+They were recorded while the scan still built its rows as frozen
+dataclasses, before they became named tuples built in bulk.
+
 The distillation cases hash ``simulate_distillation``'s JSON report
 and its four output arrays, on odd and even lengths, k = 0 and the
 keygen-bulk depth; :func:`role_key_digest` hashes the shared facts and
@@ -25,21 +30,24 @@ gathering them through an index permutation.
 To re-record after an intended change of outputs, print
 ``{case: digest}`` from :func:`session_digest`,
 :func:`channel_digest`, :func:`report_digest`,
-:func:`distill_digest` and :func:`role_key_digest` over the cases and
+:func:`distill_digest`, :func:`role_key_digest` and
+:func:`threshold_digests` over the cases and
 paste it below.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import socket
 import threading
+from contextlib import redirect_stdout
 
 import numpy as np
 import pytest
 
-from quditqkd import qstates, verify
+from quditqkd import cli, qstates, verify
 from quditqkd.analysis import ErrorMatrix, analysis_report, bell_distribution, error_matrix
 from quditqkd.channels import parse_channel_spec
 from quditqkd.distill import DistillParams, sample_labeled_key, simulate_distillation
@@ -110,6 +118,19 @@ def channel_digest(n: int, channel: str, seed: int) -> str:
 def report_digest(n: int, channel: str) -> str:
     report = analysis_report(parse_channel_spec(channel, field_spec(n)))
     return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+def threshold_digests(n: int, csv_path) -> tuple[str, str]:
+    """Digests of the threshold command's JSON stdout and its CSV file."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = cli.main(["threshold", "--n", str(n), "--grid", "2000", "--json", "-",
+                         "--csv", str(csv_path)])
+    assert code == 0
+    return (
+        hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        hashlib.sha256(csv_path.read_bytes()).hexdigest(),
+    )
 
 
 LABEL_MATRIX = ErrorMatrix(0.75, 0.05, 0.05, 0.15)
@@ -325,6 +346,30 @@ def test_distill_digest(name):
 @pytest.mark.parametrize("seed,rounds", [(21, 6000), (22, 3 * 4096 + 7)])
 def test_role_key_digest(seed, rounds):
     assert role_key_digest(seed, rounds, 2, 3) == ROLE_KEY_DIGESTS[f"{seed}/{rounds}"]
+
+
+# n: (sha256 of the --json - stdout, sha256 of the --csv file), grid 2000
+THRESHOLD_DIGESTS = {
+    2: ("2cc92700d52e56bd106a7911459341104e18567ac1b914d65a7cee6f7b4e51d0",
+        "8a2f2806726e06d9a63d097e99b4ff4e6e724930d05311369f9bda2d2a0e4fe0"),
+    3: ("d36423a9116647906e13f9e9731b12b20b1b2b4090ad96edaadd9ed162b1b8ca",
+        "9df255ec2b7fcaf56868eb341f25d1704067cec410bfa2d701a77e2020823a2d"),
+    4: ("8c5906a372b0b67b3b5c310ac158e55a5399a74309aed477af5f00827ccc1148",
+        "da5f56dc9b9712dd413d48fb130f22824139025d22caf06a0fbbb29fb926e558"),
+    5: ("f61660194cc7dbc6e44b608e4e3aac01c585f87195198c303e0c43d14f6589f8",
+        "c4daa6f9399d50099a9fdd90e8e8d45e28233614938af0ff15f8f5dcff056551"),
+    6: ("b3e12a06841cb60cabb6b510a55916326e66e2eb9aaaef9c05d545a6f9fb9cc9",
+        "0fbf817e2fb8abe43f2516647d21d88f5c475e1544523e3ee3b11dd9382a2abf"),
+    7: ("978543bcac9bbec4a19a89915764735e838aa3697d37ca1848fbc2392b0d6d73",
+        "372b229ddfbb747846ab4c078a4e25d78dd859d913a6aab545efb91432660614"),
+    8: ("74e9273a2efe2da0004e4805da967084fea7148b44d9a412ea53490f1ec08153",
+        "35f42ba7bd7ecbe66b5e89e99e424ddf3ed0184ff5548a2776a0d22dcd6f09b9"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(THRESHOLD_DIGESTS))
+def test_threshold_digest(n, tmp_path):
+    assert threshold_digests(n, tmp_path / "scan.csv") == THRESHOLD_DIGESTS[n]
 
 
 def test_planted_frame_sign_fault_reaches_verify_and_analysis(monkeypatch):
