@@ -41,8 +41,13 @@ from __future__ import annotations
 import csv
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
+
+from .field import MAX_N, MIN_N
 
 
 @dataclass(frozen=True)
@@ -94,8 +99,7 @@ STATUS_BOUNDARY = "boundary (f = 0)"
 STATUS_UNREACHABLE = "unreachable"
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     """Verdict for one e_b slice of the scan."""
 
     e_b: float
@@ -105,6 +109,11 @@ class ScanRow:
     @property
     def feasible(self) -> bool:
         return self.status == STATUS_FEASIBLE
+
+
+# a ScanRow from one (e_b, min_f, status) tuple, with no Python-level
+# __new__ call: e_max_scan maps it over whole blocks of slices
+_row = partial(tuple.__new__, ScanRow)
 
 
 @dataclass(frozen=True)
@@ -147,24 +156,26 @@ def e_max_scan(n: int, grid: int = 2000) -> ScanResult:
     exactly, whose degenerate slice reports "boundary (f = 0)" rather
     than infeasible.
     """
-    if n < 2:
-        raise ValueError("need n >= 2 (order >= 4)")
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"n must be in [{MIN_N}, {MAX_N}], got {n}")
     if grid < 1000:
         raise ValueError("grid must be >= 1000 points")
     order = 1 << n
     e_b = np.linspace(0.0, 1.0, grid + 1).tolist()
+    half = grid // 2
     last = (grid - 1) // 2  # largest k with 2k < grid
-    # Each factor is an integer, exact in float64 at any grid that fits
-    # in memory; min_f then carries a few ulps of rounding.
+    # Each factor is an integer below 2^17 * grid in magnitude for
+    # n <= 8, so exact in float64 for any grid up to 2^36; min_f then
+    # carries a few ulps of rounding.
     k = np.arange(last + 1, dtype=np.float64)
     lead = grid - 2 * k
     tail = 2 * (order - 2) ** 2 * grid - ((order - 4) ** 2 + order**2) * k
     denom = (order - 1) * grid - (order - 2) * k
     min_f = (lead * tail / (8 * denom * denom)).tolist()
-    rows = [ScanRow(b, f, STATUS_FEASIBLE) for b, f in zip(e_b, min_f)]
+    rows = list(map(_row, zip(e_b, min_f, repeat(STATUS_FEASIBLE))))
     if grid % 2 == 0:
-        rows.append(ScanRow(e_b[grid // 2], 0.0, STATUS_BOUNDARY))
-    rows.extend(ScanRow(b, None, STATUS_UNREACHABLE) for b in e_b[grid // 2 + 1 :])
+        rows.append(ScanRow(e_b[half], 0.0, STATUS_BOUNDARY))
+    rows.extend(map(_row, zip(e_b[half + 1 :], repeat(None), repeat(STATUS_UNREACHABLE))))
     return ScanResult(
         n=n,
         grid=grid,

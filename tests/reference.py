@@ -19,7 +19,10 @@ compression that the package never calls, and the scalar field layer:
 :class:`FieldElement` and the one-case-at-a-time frame rule
 :func:`conjugate_bell_mask` (with its norm-mask case
 :func:`conjugate_bell`), the reference for the array rule
-``qstates.conjugate_frame``.
+``qstates.conjugate_frame``.  :func:`reference_e_max_scan` keeps the
+frontier scan that built one frozen-dataclass :class:`DataclassScanRow`
+per slice, the reference for the named-tuple rows that
+``threshold.e_max_scan`` builds in bulk.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
 replay reuses the engine's tally and post-round stages (``Tally.of``,
@@ -74,6 +77,12 @@ from quditqkd.protocol import (
     spawn_streams,
 )
 from quditqkd.qstates import DiagonalPhase, Outcome
+from quditqkd.threshold import (
+    STATUS_BOUNDARY,
+    STATUS_FEASIBLE,
+    STATUS_UNREACHABLE,
+    ScanResult,
+)
 
 # -- scalar field elements and the scalar frame rule ----------------------------
 
@@ -634,3 +643,38 @@ def reference_pair_stage(length: int, seed: int) -> tuple[np.ndarray, np.ndarray
     perm = pair_stage_permutation(length, seed)
     half = length // 2
     return perm[0 : 2 * half : 2], perm[1 : 2 * half : 2]
+
+
+# -- the frontier scan with one dataclass row per slice ------------------------
+
+
+@dataclass(frozen=True)
+class DataclassScanRow:
+    """Verdict for one e_b slice, as ``ScanRow`` was before it became a tuple."""
+
+    e_b: float
+    min_f: float | None
+    status: str
+
+    @property
+    def feasible(self) -> bool:
+        return self.status == STATUS_FEASIBLE
+
+
+def reference_e_max_scan(n: int, grid: int) -> ScanResult:
+    """``threshold.e_max_scan`` with its rows built one dataclass at a time."""
+    order = 1 << n
+    e_b = np.linspace(0.0, 1.0, grid + 1).tolist()
+    last = (grid - 1) // 2
+    k = np.arange(last + 1, dtype=np.float64)
+    lead = grid - 2 * k
+    tail = 2 * (order - 2) ** 2 * grid - ((order - 4) ** 2 + order**2) * k
+    denom = (order - 1) * grid - (order - 2) * k
+    min_f = (lead * tail / (8 * denom * denom)).tolist()
+    rows = [DataclassScanRow(b, f, STATUS_FEASIBLE) for b, f in zip(e_b, min_f)]
+    if grid % 2 == 0:
+        rows.append(DataclassScanRow(e_b[grid // 2], 0.0, STATUS_BOUNDARY))
+    rows.extend(DataclassScanRow(b, None, STATUS_UNREACHABLE) for b in e_b[grid // 2 + 1 :])
+    return ScanResult(
+        n=n, grid=grid, rows=tuple(rows), e_max=e_b[last], resolution=1.0 / grid
+    )

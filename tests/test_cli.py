@@ -171,6 +171,15 @@ class TestThreshold:
         code = run_cli("threshold", "--grid", "10")
         assert code == 1
 
+    @pytest.mark.parametrize("n", ["9", "600"])
+    def test_degree_outside_the_field_range_exits_one(self, n, capsys):
+        # 600 once escaped as an OverflowError traceback, 9 scanned quietly
+        code = run_cli("threshold", "--n", n)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: n must be in [2, 8], got {n}\n"
+
     def test_json_report_keys(self, capsys):
         code = run_cli("threshold", "--grid", "1000", "--json", "-")
         blob = json.loads(capsys.readouterr().out)

@@ -735,8 +735,9 @@ class TestHostileTail:
     """A tail frame mangled in transit between two real roles."""
 
     # "rotate" moves sample bits of the first nonzero byte and keeps the
-    # popcount, so only alice's check of bob's echo can catch it
-    FAULTS = ("truncate", "extend", "empty", "flip-first", "flip-last", "rotate")
+    # popcount, so only alice's check of bob's echo can catch it;
+    # "duplicate" forwards the frame unchanged, twice
+    FAULTS = ("truncate", "extend", "empty", "flip-first", "flip-last", "rotate", "duplicate")
     # (frame, sent by alice): SIFT_ACCEPT against bob, each SAMPLE_REVEAL
     # against its receiver
     FRAMES = [
@@ -781,7 +782,11 @@ class TestHostileTail:
                 while True:
                     got, payload = src.recv()
                     if pending and got == ftype:
-                        payload, pending = self._mangle(payload, how), False
+                        pending = False
+                        if how == "duplicate":
+                            dst.send(got, payload)
+                        else:
+                            payload = self._mangle(payload, how)
                     dst.send(got, payload)
             except (ProtocolViolation, OSError):
                 pass
@@ -807,8 +812,9 @@ class TestHostileTail:
         "ftype, from_alice", FRAMES, ids=["sift-to-bob", "reveal-to-bob", "reveal-to-alice"]
     )
     def test_ends_in_a_named_status(self, ftype, from_alice, how):
-        # a decode check, the echo check or the VERDICT cross-check trips;
-        # neither side may pass, let alone with a key the other lacks
+        # a decode check, the frame-order check, the echo check or the
+        # VERDICT cross-check trips; neither side may pass, let alone
+        # with a key the other lacks
         rep_a, rep_b = self._run_mangled(ftype, from_alice, how)
         assert {rep_a.status, rep_b.status} <= self.NAMED
         assert "protocol-error" in (rep_a.status, rep_b.status)

@@ -20,6 +20,8 @@ from quditqkd.threshold import (
     f_value,
 )
 
+from reference import reference_e_max_scan
+
 DEGREES = range(2, 9)
 
 # The sampled scan the closed form replaced, kept as the differential
@@ -188,6 +190,20 @@ class TestScan:
         with pytest.raises(ValueError):
             e_max_scan(1)
 
+    @pytest.mark.parametrize("n", [9, 600])
+    def test_degree_above_the_field_range(self, n):
+        # 9 was once scanned quietly and 600 overflowed float64
+        with pytest.raises(ValueError, match=rf"n must be in \[2, 8\], got {n}"):
+            e_max_scan(n)
+
+    def test_rows_are_plain_tuples(self):
+        scan = e_max_scan(2, grid=1000)
+        e_b, min_f, status = scan.rows[0]
+        assert (e_b, status) == (0.0, STATUS_FEASIBLE) and min_f == scan.rows[0].min_f
+        assert scan.rows[500] == (0.5, 0.0, STATUS_BOUNDARY)
+        assert scan.rows[-1] == (1.0, None, STATUS_UNREACHABLE)
+        assert not scan.rows[-1].feasible
+
 
 class TestAgainstSampledScan:
     @pytest.mark.parametrize("n", DEGREES)
@@ -202,6 +218,39 @@ class TestAgainstSampledScan:
                 if row.feasible:
                     # samples stay inside the slice, so they sit above f*
                     assert 0 <= ref_f - row.min_f <= 1e-6
+
+
+class TestAgainstDataclassRows:
+    """Bulk-built named-tuple rows against one dataclass built per slice."""
+
+    @staticmethod
+    def _fields(rows):
+        return [
+            (r.e_b.hex(), None if r.min_f is None else r.min_f.hex(), r.status, r.feasible)
+            for r in rows
+        ]
+
+    @staticmethod
+    def _csv(scan) -> str:
+        buf = io.StringIO()
+        scan.to_csv(buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("n", DEGREES)
+    @pytest.mark.parametrize("grid", [1000, 1001, 1999, 2000, 20000])
+    def test_rows_and_outputs_identical(self, n, grid):
+        scan, ref = e_max_scan(n, grid=grid), reference_e_max_scan(n, grid)
+        assert self._fields(scan.rows) == self._fields(ref.rows)
+        for row, ref_row in zip(scan.rows, ref.rows):
+            assert row.min_f == ref_row.min_f
+        assert scan.e_max == ref.e_max
+        assert scan.to_json_dict() == ref.to_json_dict()
+        assert self._csv(scan) == self._csv(ref)
+
+    def test_each_call_builds_its_own_rows(self):
+        first, second = e_max_scan(5, grid=2000), e_max_scan(5, grid=2000)
+        assert type(first.rows) is tuple and len(first.rows) == 2001
+        assert first.rows is not second.rows and first.rows == second.rows
 
 
 class TestExactDecision:
