@@ -27,11 +27,17 @@ final keys of a two-role session at k = 2.  They were recorded before
 the pairing stage shuffled the packed labels in place instead of
 gathering them through an index permutation.
 
+:func:`role_transcripts` pins the transcript digests of alice's and
+bob's links in those two sessions and in one that eve relays through
+``z_flip:0.1``.  They were recorded while each role still hashed its
+session-length sift list once, before the sift digest was fed window by
+window, so they show that the wire bytes did not change.
+
 To re-record after an intended change of outputs, print
 ``{case: digest}`` from :func:`session_digest`,
 :func:`channel_digest`, :func:`report_digest`,
-:func:`distill_digest`, :func:`role_key_digest` and
-:func:`threshold_digests` over the cases and
+:func:`distill_digest`, :func:`role_key_digest`,
+:func:`role_transcripts` and :func:`threshold_digests` over the cases and
 paste it below.
 """
 
@@ -52,7 +58,7 @@ from quditqkd.analysis import ErrorMatrix, analysis_report, bell_distribution, e
 from quditqkd.channels import parse_channel_spec
 from quditqkd.distill import DistillParams, sample_labeled_key, simulate_distillation
 from quditqkd.field import field_spec
-from quditqkd.netrun import RoleConfig, run_alice, run_bob
+from quditqkd.netrun import RoleConfig, run_alice, run_bob, run_eve
 from quditqkd.protocol import (
     STREAM_ALICE,
     STREAM_CHANNEL,
@@ -160,25 +166,45 @@ def distill_digest(name: str) -> str:
     return h.hexdigest()
 
 
-def role_key_digest(seed: int, rounds: int, k: int, r: int) -> str:
-    """Digest of both roles' shared facts and final keys over a socketpair."""
-    session = SessionConfig(n=2, rounds=rounds, seed=seed)
+def play_roles(seed: int, rounds: int, k: int, r: int, channel: str | None = None) -> dict:
+    """Alice's and bob's reports over a socketpair, or through eve applying ``channel``."""
+    # alice and bob ignore the session's channel; eve applies it
+    session = SessionConfig(n=2, rounds=rounds, seed=seed, channel=channel or "identity")
     params = DistillParams(k, r)
-    socks = socket.socketpair()
     out = {}
 
-    def play(role, runner, sock):
-        out[role] = runner(RoleConfig(role, session, params), sock)
+    def play(role, runner, *socks):
+        out[role] = runner(RoleConfig(role, session, params), *socks)
 
-    threads = [
-        threading.Thread(target=play, args=(role, runner, sock))
-        for role, runner, sock in zip(("alice", "bob"), (run_alice, run_bob), socks)
-    ]
+    if channel is None:
+        a_end, b_end = socket.socketpair()
+        plays = []
+    else:
+        (a_end, ea_end), (b_end, eb_end) = socket.socketpair(), socket.socketpair()
+        plays = [("eve", run_eve, ea_end, eb_end)]
+    plays += [("alice", run_alice, a_end), ("bob", run_bob, b_end)]
+    threads = [threading.Thread(target=play, args=args) for args in plays]
     for t in threads:
         t.start()
     for t in threads:
         t.join(60.0)
     assert out["alice"].status == out["bob"].status == "pass"
+    return out
+
+
+def role_transcripts(seed: int, rounds: int, channel: str | None = None) -> dict:
+    """Alice's and bob's (tx_sha256, rx_sha256) of their link, at k = 2, r = 3."""
+    out = play_roles(seed, rounds, 2, 3, channel)
+    return {
+        role: (out[role].transcripts["peer"]["tx_sha256"],
+               out[role].transcripts["peer"]["rx_sha256"])
+        for role in ("alice", "bob")
+    }
+
+
+def role_key_digest(seed: int, rounds: int, k: int, r: int) -> str:
+    """Digest of both roles' shared facts and final keys over a socketpair."""
+    out = play_roles(seed, rounds, k, r)
     h = hashlib.sha256()
     for rep in (out["alice"], out["bob"]):
         h.update(json.dumps(rep.shared, sort_keys=True).encode())
@@ -346,6 +372,37 @@ def test_distill_digest(name):
 @pytest.mark.parametrize("seed,rounds", [(21, 6000), (22, 3 * 4096 + 7)])
 def test_role_key_digest(seed, rounds):
     assert role_key_digest(seed, rounds, 2, 3) == ROLE_KEY_DIGESTS[f"{seed}/{rounds}"]
+
+
+# alice's and bob's (tx_sha256, rx_sha256): the two role_key_digest
+# sessions, and one relayed by eve applying z_flip:0.1, which rewrites
+# the QUDIT frames alice sends
+ROLE_TRANSCRIPTS = {
+    "21/6000": {
+        "alice": ("c4f741fa4bdbffaa4a3000625163a99091ba52168d3a214a118a3bef15f99611",
+                  "55f8e5442d28ee418b698da2a7d95b95b7c77d87827f4748511c820f9ab15714"),
+        "bob": ("55f8e5442d28ee418b698da2a7d95b95b7c77d87827f4748511c820f9ab15714",
+                "c4f741fa4bdbffaa4a3000625163a99091ba52168d3a214a118a3bef15f99611"),
+    },
+    "22/12295": {
+        "alice": ("104e5b7b26a2c6d6bc5ec682e86655840b7b3914291f92cfefba695cfd977bda",
+                  "2ec0efef3e89d716b32d2100166616b51d206a8ecaeb8c479dab88447f94c47b"),
+        "bob": ("2ec0efef3e89d716b32d2100166616b51d206a8ecaeb8c479dab88447f94c47b",
+                "104e5b7b26a2c6d6bc5ec682e86655840b7b3914291f92cfefba695cfd977bda"),
+    },
+    "23/6000/z_flip:0.1": {
+        "alice": ("06cee748f5cdeb5d1f1f3fd94ba98b52a4654f4d457f74d54a8a8fc46b3121d4",
+                  "c9fcad6f556ddabcbc27edf886de9599aaaacc25c1b4b0d07923ee08c7b89b25"),
+        "bob": ("c9fcad6f556ddabcbc27edf886de9599aaaacc25c1b4b0d07923ee08c7b89b25",
+                "12ad17ecd8d632e9b4b4b18389d7555d98db74956d2c645143ca089c1f0f23a9"),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROLE_TRANSCRIPTS))
+def test_role_transcripts(case):
+    seed, rounds, *channel = case.split("/")
+    assert role_transcripts(int(seed), int(rounds), *channel) == ROLE_TRANSCRIPTS[case]
 
 
 # n: (sha256 of the --json - stdout, sha256 of the --csv file), grid 2000
