@@ -35,6 +35,13 @@ MIN_N = 2
 MAX_N = 8
 
 
+def check_degree(n: int) -> int:
+    """``n``, if GF(2^n) is a field this package builds; else a ValueError."""
+    if not MIN_N <= n <= MAX_N:
+        raise ValueError(f"n must be in [{MIN_N}, {MAX_N}], got {n}")
+    return n
+
+
 def poly_degree(p: int) -> int:
     """Degree of a GF(2) polynomial bit mask (-1 for the zero polynomial)."""
     return p.bit_length() - 1
@@ -84,9 +91,7 @@ class FieldSpec:
     inv_table: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, modulus = self.n, self.modulus
-        if not MIN_N <= n <= MAX_N:
-            raise ValueError(f"n must be in [{MIN_N}, {MAX_N}], got {n}")
+        n, modulus = check_degree(self.n), self.modulus
         if modulus is None:
             modulus = smallest_irreducible(n)
         if poly_degree(modulus) != n:

@@ -14,14 +14,15 @@ and pushes each QUDIT window through her channel model.
 Both endpoints consume randomness through the same five-stream layout
 as :func:`quditqkd.protocol.run_session` and call its vectorised stages
 (``prepare``, ``transmit``, ``measure``) on each window.  As each window
-closes they tally it from the announcements (``Tally.of``, the engine's
-per-chunk tally) and keep only their own bits of its sifted rounds, so
-a role's memory grows with the sifted count.  The tail then runs the
-engine's post-round stages (``draw_sample``, ``estimate_session``,
-``kept_rounds``) and :func:`quditqkd.distill.pair_stage`, which
-shuffles the tail's own copy of the kept bits in place each stage, so a
-session with a shared master seed reproduces the in-process engine's
-keys exactly (the shared seed is this artifact's reproducibility contract,
+closes they tally it from the announcements with their own bits of its
+sifted rounds (``Tally.of``, the engine's per-chunk tally) and feed its
+sifted round indices to the running sift digest, so a role holds two
+bytes per sifted round (its in-pair flag and its bit) and no round
+index.  The tail then runs the engine's post-round stages
+(``draw_sample``, ``estimate_session``, ``kept_rounds``) and
+:func:`quditqkd.distill.pair_stage`, which shuffles the tail's own copy
+of the kept bits in place each stage, so a session with a shared master
+seed reproduces the in-process engine's keys exactly (the shared seed is this artifact's reproducibility contract,
 not a security model).  All estimate and keep decisions are computed
 independently by both sides from announced data; any divergence
 surfaces as a VERDICT mismatch and a protocol-error abort.
@@ -53,6 +54,7 @@ from ..protocol import (
     measure,
     pair_table,
     prepare,
+    sift_mask,
     spawn_streams,
     transmit,
 )
@@ -181,13 +183,14 @@ def _session_tail(
     cfg: RoleConfig,
     streams,
     tally: Tally,
-    my_bits: np.ndarray,
+    digest: bytes,
     leader: bool,
 ) -> None:
     """Everything after the per-round exchange; identical for both ends.
 
-    ``tally`` is the session's tally of the announcements and
-    ``my_bits`` this side's bits of its sifted rounds.  ``leader`` marks
+    ``tally`` is the session's tally, with this side's bits of its
+    sifted rounds, and ``digest`` the SIFT_ACCEPT digest of their round
+    indices, as this side computed it.  ``leader`` marks
     the side that sends first in each exchange (alice) and owns the
     sample and pairing streams; the follower validates the leader's
     announcements against its own computation.  Sample, estimates and
@@ -197,9 +200,8 @@ def _session_tail(
     session = cfg.session
     params = cfg.params
 
-    sift_idx = tally.sift_idx
-    n_sift = len(sift_idx)
-    digest = sift_digest(sift_idx)
+    (my_bits,) = tally.bits
+    n_sift = len(my_bits)
     if leader:
         link.send(FrameType.SIFT_ACCEPT, digest)
     elif link.expect(FrameType.SIFT_ACCEPT) != digest:
@@ -246,7 +248,7 @@ def _session_tail(
         _abort(report, link, ABORT_CONDITION, exit_code=2)
         return
 
-    bits = kept_rounds(my_bits, sample_pos).astype(np.uint8)
+    bits = kept_rounds(my_bits, sample_pos)
     if len(bits) < params.min_length:
         _abort(report, link, ABORT_INSUFFICIENT_KEY)
         return
@@ -319,36 +321,37 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         if not leader:
             link.send(FrameType.CONFIG, encode_json(mine))
 
-        tallies, my_bits = [], []
-        for lo in range(0, rounds, WINDOW):
-            hi = min(lo + WINDOW, rounds)
-            w = hi - lo
-            if leader:
-                i, j, s = prepare(table, streams[STREAM_ALICE], w)
-                link.send(FrameType.QUDIT, encode_qudit_batch(i, j, s))
-                u, v, category = decode_outcome_batch(
-                    link.expect(FrameType.OUTCOME_ANNOUNCE), w, spec.order
-                )
-                link.send(FrameType.PAIR_ANNOUNCE, encode_pair_batch(i, j))
-                mine = s
-            else:
-                k1, k2, sigma = decode_qudit_batch(
-                    link.expect(FrameType.QUDIT), w, spec.order
-                )
-                u, v, out, bit = measure(table, k1, k2, sigma, streams[STREAM_BOB])
-                category = out == Outcome.OUTSIDE
-                link.send(FrameType.OUTCOME_ANNOUNCE, encode_outcome_batch(u, v, category))
-                i, j = decode_pair_batch(
-                    link.expect(FrameType.PAIR_ANNOUNCE), w, spec.order
-                )
-                mine = bit
-            tally = Tally.of(i, j, u, v, category == 0, lo)
-            tallies.append(tally)
-            my_bits.append(mine[tally.sift_idx - lo])
+        tallies = []
 
-        _session_tail(
-            report, link, cfg, streams, Tally.join(tallies), np.concatenate(my_bits), leader
-        )
+        def windows():
+            """The round phase: tally each window and yield its sifted round indices."""
+            for lo in range(0, rounds, WINDOW):
+                w = min(WINDOW, rounds - lo)
+                if leader:
+                    i, j, s = prepare(table, streams[STREAM_ALICE], w)
+                    link.send(FrameType.QUDIT, encode_qudit_batch(i, j, s))
+                    u, v, category = decode_outcome_batch(
+                        link.expect(FrameType.OUTCOME_ANNOUNCE), w, spec.order
+                    )
+                    link.send(FrameType.PAIR_ANNOUNCE, encode_pair_batch(i, j))
+                    bits = s
+                else:
+                    k1, k2, sigma = decode_qudit_batch(
+                        link.expect(FrameType.QUDIT), w, spec.order
+                    )
+                    u, v, out, bits = measure(table, k1, k2, sigma, streams[STREAM_BOB])
+                    category = out == Outcome.OUTSIDE
+                    link.send(FrameType.OUTCOME_ANNOUNCE, encode_outcome_batch(u, v, category))
+                    i, j = decode_pair_batch(
+                        link.expect(FrameType.PAIR_ANNOUNCE), w, spec.order
+                    )
+                sift = np.flatnonzero(sift_mask(i, j, u, v))
+                tallies.append(Tally.of(i, j, u, v, category == 0, sift, bits))
+                yield sift + lo
+
+        # the round phase runs as the digest takes in its windows
+        digest = sift_digest(windows())
+        _session_tail(report, link, cfg, streams, Tally.join(tallies), digest, leader)
     except ProtocolViolation as exc:
         _abort(report, link, ABORT_PROTOCOL)
         report.extra["detail"] = str(exc)

@@ -193,9 +193,16 @@ def decode_pair_batch(payload: bytes, count: int, order: int):
     return i.astype(np.int16), j.astype(np.int16)
 
 
-def sift_digest(sift_idx) -> bytes:
-    """SIFT_ACCEPT payload: SHA-256 of the sift list as little-endian int64."""
-    return hashlib.sha256(np.ascontiguousarray(sift_idx, "<i8")).digest()
+def sift_digest(windows) -> bytes:
+    """SIFT_ACCEPT payload: SHA-256 of the sift list as little-endian int64.
+
+    ``windows`` yields the list in consecutive pieces, each hashed as it
+    comes, so no caller holds the whole list.
+    """
+    h = hashlib.sha256()
+    for sift_idx in windows:
+        h.update(np.ascontiguousarray(sift_idx, "<i8"))
+    return h.digest()
 
 
 def encode_sample_reveal(sample_pos, sifted: int, bits) -> bytes:

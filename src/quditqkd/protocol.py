@@ -26,14 +26,12 @@ Each uniform is one 64-bit draw, so the engine starts a span of rounds
 at round lo by advancing copies of the alice, channel and bob streams by
 2*lo, 2*lo and 3*lo draws; spans run side by side on the usable CPUs,
 and outputs do not depend on how many there are.  Each span's thread
-also tallies its chunks as it fills them: a :class:`Tally` of the
-announcements (sift list, in-pair flags, e_c counts), the one the
-networked roles build per window, plus the outcome counts.  Of each
-chunk a span keeps what the roles keep: the in-pair flags, the e_c
-counts and each side's bit of the sifted rounds, one byte per sifted
-round and no round index.  After the spans join, the tail draws the
-sample over the sifted positions and gathers the sample bits and the
-keys from those bits alone.
+also tallies its chunks as it fills them, into the :class:`Tally` the
+networked roles build per window (the in-pair flags, the e_c counts and
+each side's bit of the sifted rounds, one byte per sifted round and no
+round index), plus the outcome counts.  After the spans join, the tail
+draws the sample over the sifted positions and gathers the sample bits
+and the keys from those bits alone.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
@@ -53,7 +51,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import KIND_DEPHASE, KIND_INTERCEPT, ChannelModel, resolve_channel
-from .field import FieldSpec, field_spec
+from .field import FieldSpec, check_degree, field_spec
 from .qstates import Outcome
 
 # Two-sided 99% normal quantile, hardcoded to avoid a scipy dependency.
@@ -107,8 +105,7 @@ def pm_condition_lhs(e_b, e_c, n: int):
     Exact inputs give an exact value (Fraction comparisons against the
     0.5 literal are exact in Python), so boundary cases are decidable.
     """
-    if n < 2:
-        raise ValueError("continuation condition needs n >= 2 (order >= 4)")
+    check_degree(n)
     if not (0 <= e_b <= 1 and 0 <= e_c <= 1):
         raise ValueError("e_b and e_c must lie in [0, 1]")
     order = 1 << n
@@ -475,9 +472,10 @@ def line_offsets(spec: FieldSpec, ai, aj, bi, bj) -> np.ndarray:
 #
 # Sift, sample, estimate: the steps after the quantum rounds.  Every count
 # they need comes from the announcements, so the in-process engine (per
-# chunk) and both networked endpoints (per window) build the same Tally
-# as their rounds close and decide through estimate_session; the scalar
-# replay in tests/reference.py calls these same functions.
+# chunk, both sides' bits) and both networked endpoints (per window, their
+# own bits) build the same Tally as their rounds close and decide through
+# estimate_session; the scalar replay in tests/reference.py calls these
+# same functions.
 
 
 def sift_mask(ai, aj, bi, bj) -> np.ndarray:
@@ -486,32 +484,38 @@ def sift_mask(ai, aj, bi, bj) -> np.ndarray:
 
 
 class Tally(NamedTuple):
-    """What the post-round stages need of a run of rounds, from its announcements.
+    """What is kept of a run of rounds: what the post-round stages need of it.
 
+    The in-pair flags and the e_c counts come from the announcements.
     e_c's successes are the sifted rounds: a Bob pair in the offset class
     {0, 1} of Alice's line is her own pair.  Its trials are the rounds
     Bob measured on Alice's line, (i ^ j) == (u ^ v).  Both count only
-    the in-pair (clicked) rounds.
+    the in-pair (clicked) rounds.  ``bits`` holds each side's bit of the
+    sifted rounds, for the sides the caller passed: both in the engine,
+    its own in a role.  No round index is kept.
     """
 
-    sift_idx: np.ndarray  # sifted rounds, numbered from the session's first
     clicked: np.ndarray  # in-pair flag of each sifted round
     ec: tuple[int, int]  # accepted-rate successes and trials
+    bits: tuple[np.ndarray, ...]  # per side, its uint8 bit of each sifted round
 
     @classmethod
-    def of(cls, ai, aj, bi, bj, clicked, start: int) -> Tally:
-        """Tally announced rounds, the first of which is session round ``start``."""
-        sift = np.flatnonzero(sift_mask(ai, aj, bi, bj))
+    def of(cls, ai, aj, bi, bj, clicked, sift, *bits) -> Tally:
+        """Tally announced rounds; ``sift`` holds the positions where :func:`sift_mask` is set."""
         on_line = (ai ^ aj) == (bi ^ bj)
         sift_clicked = clicked[sift]
         ec = int(np.count_nonzero(sift_clicked)), int(np.count_nonzero(on_line & clicked))
-        return cls(sift + start, sift_clicked, ec)
+        return cls(sift_clicked, ec, tuple(side[sift].astype(np.uint8) for side in bits))
 
     @classmethod
     def join(cls, tallies) -> Tally:
         """The tally of consecutive runs of rounds, in round order."""
-        sift, clicked, ec = zip(*tallies)
-        return cls(np.concatenate(sift), np.concatenate(clicked), tuple(map(sum, zip(*ec))))
+        clicked, ec, bits = zip(*tallies)
+        return cls(
+            np.concatenate(clicked),
+            tuple(map(sum, zip(*ec))),
+            tuple(map(np.concatenate, zip(*bits))),
+        )
 
 
 def draw_sample(count: int, fraction: float, rng) -> np.ndarray:
@@ -562,39 +566,6 @@ def estimate_session(cfg: SessionConfig, clicked, ec, sample_pos, bits, other_bi
     return (e_b, e_b_all, e_c, *condition_verdict(e_b, e_c, cfg.n))
 
 
-class _SiftedBits(NamedTuple):
-    """What the engine keeps of a run of rounds: what each role keeps of it.
-
-    The in-pair flags and e_c counts of its :class:`Tally` and both
-    sides' bits of its sifted rounds, one byte per sifted round; the
-    round indices are dropped.
-    """
-
-    clicked: np.ndarray  # in-pair flag of each sifted round
-    ec: tuple[int, int]  # accepted-rate successes and trials
-    alice_bits: np.ndarray  # Alice's sign bit of each sifted round, uint8
-    bob_bits: np.ndarray  # Bob's decoded bit of each sifted round, uint8
-
-    @classmethod
-    def of(cls, tally: Tally, alice_s, bob_bit) -> _SiftedBits:
-        """The record of a run of rounds from its tally (``start`` 0) and bit columns."""
-        sift = tally.sift_idx
-        return cls(
-            tally.clicked, tally.ec, alice_s[sift].astype(np.uint8), bob_bit[sift].astype(np.uint8)
-        )
-
-    @classmethod
-    def join(cls, runs) -> _SiftedBits:
-        """The record of consecutive runs of rounds, in round order."""
-        clicked, ec, alice, bob = zip(*runs)
-        return cls(
-            np.concatenate(clicked),
-            tuple(map(sum, zip(*ec))),
-            np.concatenate(alice),
-            np.concatenate(bob),
-        )
-
-
 def _outcome_counts(log: RoundLog, order: int) -> np.ndarray:
     """Rounds per (line offset + 1) * 3 + outcome; offset -1 is off Alice's line."""
     # int16 holds the code: an offset is below the order, at most 256
@@ -617,14 +588,14 @@ def _usable_cpus() -> int:
 
 def _fill_rounds(
     spec, model, table, cols, streams, lo: int, hi: int
-) -> tuple[_SiftedBits, np.ndarray]:
+) -> tuple[Tally, np.ndarray]:
     """Run rounds [lo, hi) into their rows of the round-log columns.
 
     Works on copies of the alice, channel and bob streams advanced to
     round lo, so every span draws what a serial run draws for its rounds.
-    Each chunk is tallied while its rows are still in cache and only its
-    sifted bits are kept; returns the span's :class:`_SiftedBits` and
-    its :func:`_outcome_counts`.
+    Each chunk is tallied with both sides' bits while its rows are still
+    in cache; returns the span's :class:`Tally` and its
+    :func:`_outcome_counts`.
     """
     alice, channel, bob = (
         np.random.Generator(copy.deepcopy(streams[slot].bit_generator).advance(per_round * lo))
@@ -640,9 +611,9 @@ def _fill_rounds(
         for col, part in zip(cols, chunk):
             col[start:stop] = part
         rows = RoundLog(*(col[start:stop] for col in cols))
-        runs.append(_SiftedBits.of(Tally.of(ai, aj, bu, bv, rows.clicked, 0), s, bit))
+        runs.append(Tally.of(ai, aj, bu, bv, rows.clicked, np.flatnonzero(rows.sifted), s, bit))
         counts += _outcome_counts(rows, spec.order)
-    return _SiftedBits.join(runs), counts
+    return Tally.join(runs), counts
 
 
 def run_session(cfg: SessionConfig) -> SessionOutput:
@@ -655,8 +626,8 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     shorter than a quarter engine chunk: the calling thread runs the
     first, a thread started here each other one, and all are joined
     before this returns or raises.  Besides the round log the session
-    holds only the spans' sifted bits, which are joined and released
-    before the tail runs.
+    holds only the spans' tallies, which are joined and released before
+    the tail runs.
     """
     spec = field_spec(cfg.n, cfg.modulus)
     model = resolve_channel(cfg.channel, spec)
@@ -690,16 +661,16 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
             worker.join()
     if errors:
         raise errors[0]
-    sifted = _SiftedBits.join(run for run, _ in results)
+    tally = Tally.join(run for run, _ in results)
     counts = sum(count for _, count in results)
     results.clear()
-    return _finish_session(cfg, RoundLog(*cols), sifted, counts, streams[STREAM_SAMPLE])
+    return _finish_session(cfg, RoundLog(*cols), tally, counts, streams[STREAM_SAMPLE])
 
 
 def _finish_session(
-    cfg: SessionConfig, log: RoundLog, sifted: _SiftedBits, counts: np.ndarray, sample_rng
+    cfg: SessionConfig, log: RoundLog, tally: Tally, counts: np.ndarray, sample_rng
 ) -> SessionOutput:
-    """Sample, estimate and decide on a session's sifted bits and outcome counts.
+    """Sample, estimate and decide on a session's two-sided tally and outcome counts.
 
     Never reads the round log, which it only returns: the sample is
     drawn over the sifted positions, and the sample bits and the keys
@@ -707,7 +678,7 @@ def _finish_session(
     sifted round ends "insufficient-sift" with empty keys and undefined
     sample rates.
     """
-    clicked, ec, alice, bob = sifted
+    clicked, ec, (alice, bob) = tally
     count = len(clicked)
     sample_pos = draw_sample(count, cfg.sample_fraction, sample_rng)
     e_b, e_b_all, e_c, lhs, verdict = estimate_session(

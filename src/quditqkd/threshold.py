@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .field import MAX_N, MIN_N
+from .field import check_degree
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ class FeasibilityPoint:
     n: int = 2
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("need n >= 2 (order >= 4)")
+        check_degree(self.n)
         for name in ("e_b", "e_c", "e_11"):
             v = getattr(self, name)
             if not 0 <= v <= 1:
@@ -86,8 +85,7 @@ def ec_star(e_b, n: int):
     N / [2(N - 1 - (N-2) e_b)].  Values above 1 mean the slice is
     empty (which happens exactly for e_b > 1/2).
     """
-    if n < 2:
-        raise ValueError("need n >= 2 (order >= 4)")
+    check_degree(n)
     if not 0 <= e_b <= 1:
         raise ValueError("e_b must lie in [0, 1]")
     order = 1 << n
@@ -156,8 +154,7 @@ def e_max_scan(n: int, grid: int = 2000) -> ScanResult:
     exactly, whose degenerate slice reports "boundary (f = 0)" rather
     than infeasible.
     """
-    if not MIN_N <= n <= MAX_N:
-        raise ValueError(f"n must be in [{MIN_N}, {MAX_N}], got {n}")
+    check_degree(n)
     if grid < 1000:
         raise ValueError("grid must be >= 1000 points")
     order = 1 << n

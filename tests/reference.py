@@ -25,18 +25,22 @@ per slice, the reference for the named-tuple rows that
 ``threshold.e_max_scan`` builds in bulk.
 
 Unlike :mod:`oracles`, this module imports ``quditqkd``: the scalar
-replay reuses the engine's tally and post-round stages (``Tally.of``,
-``_SiftedBits.of`` and ``_outcome_counts`` on its whole log as one
+replay reuses the engine's tally and post-round stages (``Tally.of``
+with both sides' bits and ``_outcome_counts`` on its whole log as one
 chunk, then ``_finish_session``), so a differential test pins only the
 per-round stages.  :func:`reference_finish_session` keeps the earlier
 tail that sifts, estimates and counts in passes over the whole log,
 with e_c counted from line offsets by :func:`accepted_counts`, the
 reference for the offset-free counts of ``Tally``.
+:func:`reference_sift_digest` hashes a whole sift list at once, the
+reference for the SIFT_ACCEPT digest that the wire roles feed window
+by window.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
@@ -66,7 +70,6 @@ from quditqkd.protocol import (
     SessionOutput,
     SessionStats,
     Tally,
-    _SiftedBits,
     _finish_session,
     _outcome_counts,
     condition_verdict,
@@ -435,10 +438,18 @@ def replay_session_scalar(cfg: SessionConfig) -> SessionOutput:
         rows.append((i, j, s, u, v, int(out), bit, off))
     cols = np.array(rows, np.int64).T
     log = RoundLog(*(col.astype(dtype) for col, dtype in zip(cols, _LOG_DTYPES)))
-    tally = Tally.of(log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked, 0)
-    sifted = _SiftedBits.of(tally, log.alice_s, log.bob_bit)
+    tally = Tally.of(
+        log.alice_i,
+        log.alice_j,
+        log.bob_i,
+        log.bob_j,
+        log.clicked,
+        np.flatnonzero(log.sifted),
+        log.alice_s,
+        log.bob_bit,
+    )
     counts = _outcome_counts(log, spec.order)
-    return _finish_session(cfg, log, sifted, counts, streams[STREAM_SAMPLE])
+    return _finish_session(cfg, log, tally, counts, streams[STREAM_SAMPLE])
 
 
 def accepted_counts(offset, clicked) -> tuple[int, int]:
@@ -493,6 +504,11 @@ def reference_finish_session(cfg: SessionConfig, log: RoundLog, sample_rng) -> S
     )
     alice_key = log.alice_s[keep].astype(np.uint8)
     return SessionOutput(alice_key, log.bob_bit[keep].astype(np.uint8), stats, log)
+
+
+def reference_sift_digest(sift_idx) -> bytes:
+    """SHA-256 of a whole sift list as little-endian int64, hashed at once."""
+    return hashlib.sha256(np.ascontiguousarray(sift_idx, "<i8")).digest()
 
 
 # -- earlier vectorised stage bodies --------------------------------------------

@@ -15,6 +15,8 @@ from quditqkd.field import (
     is_irreducible,
     smallest_irreducible,
 )
+from quditqkd.protocol import pm_condition_lhs
+from quditqkd.threshold import FeasibilityPoint, e_max_scan, ec_star, f_value
 
 from oracles import slow_gf_mul
 from reference import FieldElement, FieldMismatchError
@@ -114,6 +116,25 @@ def test_degree_bounds():
         field_spec(1)
     with pytest.raises(ValueError):
         field_spec(9)
+
+
+# every entry point that takes a degree, through the one field check
+DEGREE_CALLS = {
+    "FieldSpec": FieldSpec,
+    "e_max_scan": e_max_scan,
+    "FeasibilityPoint": lambda n: f_value(FeasibilityPoint(0.1, 0.9, 0.0, n)),
+    "ec_star": lambda n: ec_star(0.1, n),
+    "pm_condition_lhs": lambda n: pm_condition_lhs(0.1, 0.9, n),
+}
+
+
+@pytest.mark.parametrize("n", [1, 9, 600, 1100])
+@pytest.mark.parametrize("call", sorted(DEGREE_CALLS))
+def test_degree_outside_the_field_range(call, n):
+    # ec_star and pm_condition_lhs once answered 600 quietly, and f_value
+    # and pm_condition_lhs overflowed float64 at 1100
+    with pytest.raises(ValueError, match=rf"^n must be in \[2, 8\], got {n}$"):
+        DEGREE_CALLS[call](n)
 
 
 def test_reducible_modulus_rejected():

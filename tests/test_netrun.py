@@ -65,7 +65,13 @@ from quditqkd.protocol import (
     spawn_streams,
 )
 
-from reference import SparseKet, encode_outcome_announce, encode_pair, serialize_ket
+from reference import (
+    SparseKet,
+    encode_outcome_announce,
+    encode_pair,
+    reference_sift_digest,
+    serialize_ket,
+)
 
 JOIN_TIMEOUT = 60.0
 
@@ -92,9 +98,24 @@ class TestCodecs:
     def test_sift_digest_hashes_little_endian_int64(self):
         sift = np.array([0, 2, 2**40 + 5])
         want = hashlib.sha256(struct.pack("<3q", *sift.tolist())).digest()
-        assert sift_digest(sift) == want
-        assert sift_digest(sift.astype(">i8")) == want
-        assert sift_digest(np.zeros(0, np.int64)) == hashlib.sha256(b"").digest()
+        assert sift_digest([sift]) == reference_sift_digest(sift) == want
+        assert sift_digest([sift[:1], sift[1:].astype(">i8")]) == want
+        empty = hashlib.sha256(b"").digest()
+        assert sift_digest([]) == sift_digest([np.zeros(0, np.int64)]) == empty
+        assert reference_sift_digest(np.zeros(0, np.int64)) == empty
+
+    @pytest.mark.parametrize("cut", [1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5])
+    def test_sift_digest_by_window_equals_one_shot(self, cut):
+        """Fed in windows of rounds cut at ``cut``, the digest is the whole list's."""
+        rounds = 4 * WINDOW
+        sift = np.flatnonzero(np.random.default_rng(cut).random(rounds) < 1 / 6)
+        want = reference_sift_digest(sift)
+        # one cut at ``cut``, then windows of ``cut`` rounds each
+        for edges in ([0, cut, rounds], list(range(0, rounds + cut, cut))):
+            pieces = [sift[(lo <= sift) & (sift < hi)] for lo, hi in zip(edges, edges[1:])]
+            assert sum(map(len, pieces)) == len(sift)
+            assert sift_digest(iter(pieces)) == want, edges
+        assert sift_digest(iter([sift[:0], sift, sift[:0]])) == want
 
     @settings(max_examples=100)
     @given(data=st.lists(st.tuples(st.booleans(), st.integers(0, 1)), max_size=67))
@@ -751,6 +772,10 @@ class TestHostileTail:
         "peer-abort:protocol-error",
         "peer-abort:condition-2-failed",
     }
+    # a dropped frame may stall both sides until their socket deadline
+    STALLED = {"peer-timeout", "peer-disconnect"}
+    # seconds each role waits for its peer's next frame
+    DEADLINE = 1.0
 
     @staticmethod
     def _mangle(payload: bytes, how: str) -> bytes:
@@ -768,26 +793,39 @@ class TestHostileTail:
         return _patched(payload, at, bytes([payload[at] ^ 0xFF]))
 
     def _run_mangled(self, ftype, from_alice: bool, how: str):
-        """Alice and bob through a relay that mangles the first ``ftype`` one of them sends."""
+        """Alice and bob through a relay that mangles the first ``ftype`` one of them sends.
+
+        "drop" forwards nothing of that frame, and "swap" forwards the
+        sender's next frame ahead of it.
+        """
         # 482 sifted, 48 sampled: flipping the last byte flips eight sample bits
         session = SessionConfig(n=2, rounds=3000, seed=15)
         params = DistillParams(1, 3)
         a_end, relay_a = socket.socketpair()
         b_end, relay_b = socket.socketpair()
+        a_end.settimeout(self.DEADLINE)
+        b_end.settimeout(self.DEADLINE)
         la, lb = Link(relay_a), Link(relay_b)
         out: dict[str, RoleReport] = {}
 
         def relay(src: Link, dst: Link, pending: bool) -> None:
+            held = []
             try:
                 while True:
                     got, payload = src.recv()
                     if pending and got == ftype:
                         pending = False
+                        if how == "swap":
+                            held.append((got, payload))
+                        if how in ("drop", "swap"):
+                            continue
                         if how == "duplicate":
                             dst.send(got, payload)
                         else:
                             payload = self._mangle(payload, how)
                     dst.send(got, payload)
+                    while held:
+                        dst.send(*held.pop())
             except (ProtocolViolation, OSError):
                 pass
             finally:
@@ -818,6 +856,20 @@ class TestHostileTail:
         rep_a, rep_b = self._run_mangled(ftype, from_alice, how)
         assert {rep_a.status, rep_b.status} <= self.NAMED
         assert "protocol-error" in (rep_a.status, rep_b.status)
+
+    def test_swapped_sift_accept(self):
+        # bob reads alice's SAMPLE_REVEAL where her SIFT_ACCEPT belongs
+        rep_a, rep_b = self._run_mangled(FrameType.SIFT_ACCEPT, True, "swap")
+        assert (rep_a.status, rep_b.status) == ("peer-abort:protocol-error", "protocol-error")
+
+    @pytest.mark.parametrize(
+        "ftype, from_alice", FRAMES, ids=["sift-to-bob", "reveal-to-bob", "reveal-to-alice"]
+    )
+    def test_dropped_frame_ends_in_a_named_status(self, ftype, from_alice):
+        # a lost SIFT_ACCEPT puts the next frame out of order; a lost
+        # SAMPLE_REVEAL leaves both sides waiting until their deadline
+        rep_a, rep_b = self._run_mangled(ftype, from_alice, "drop")
+        assert {rep_a.status, rep_b.status} <= self.NAMED | self.STALLED
 
 
 def _patched(payload: bytes, offset: int, data: bytes) -> bytes:
@@ -984,9 +1036,9 @@ class TestRoleTally:
         seen = {}
         tail = roles._session_tail
 
-        def capture(report, link, cfg, streams, tally, my_bits, leader):
-            seen[report.role] = tally, my_bits
-            return tail(report, link, cfg, streams, tally, my_bits, leader)
+        def capture(report, link, cfg, streams, tally, digest, leader):
+            seen[report.role] = tally, digest
+            return tail(report, link, cfg, streams, tally, digest, leader)
 
         monkeypatch.setattr(roles, "_session_tail", capture)
         session = SessionConfig(n=2, rounds=rounds, seed=31)
@@ -995,25 +1047,30 @@ class TestRoleTally:
             _role_cfg("alice", session), _role_cfg("bob", session), _role_cfg("eve", channel)
         )
         engine = run_session(channel)
-        sifted = np.flatnonzero(engine.log.sifted)
+        log = engine.log
+        sifted = np.flatnonzero(protocol.sift_mask(log.alice_i, log.alice_j, log.bob_i, log.bob_j))
         # Outside rounds are among the sifted ones, so the flags are checked
-        assert not engine.log.clicked[sifted].all()
-        for rep, bits in ((rep_a, engine.log.alice_s), (rep_b, engine.log.bob_bit)):
-            tally, my_bits = seen[rep.role]
-            assert len(my_bits) == len(tally.sift_idx) == rep.shared["sifted"]
-            assert np.array_equal(tally.sift_idx, sifted)
-            assert np.array_equal(tally.clicked, engine.log.clicked[sifted])
-            assert np.array_equal(my_bits, bits[sifted])
-            assert rep.shared["e_c"] == [engine.stats.e_c.successes, engine.stats.e_c.trials]
+        assert not log.clicked[sifted].all()
+        for rep, bits in ((rep_a, log.alice_s), (rep_b, log.bob_bit)):
+            tally, digest = seen[rep.role]
+            # the sift positions, through the digest fed window by window
+            assert digest == reference_sift_digest(sifted)
+            assert len(tally.clicked) == rep.shared["sifted"] == len(sifted)
+            assert np.array_equal(tally.clicked, log.clicked[sifted])
+            (my_bits,) = tally.bits
+            assert my_bits.dtype == np.uint8 and np.array_equal(my_bits, bits[sifted])
+            assert tally.ec == (engine.stats.e_c.successes, engine.stats.e_c.trials)
+            assert rep.shared["e_c"] == list(tally.ec)
 
     def test_tail_leaves_my_bits_unchanged(self, monkeypatch):
         """The pairing stages shuffle the tail's own copy of the kept bits."""
         checked = []
         tail = roles._session_tail
 
-        def guard(report, link, cfg, streams, tally, my_bits, leader):
+        def guard(report, link, cfg, streams, tally, digest, leader):
+            (my_bits,) = tally.bits
             before = my_bits.copy()
-            tail(report, link, cfg, streams, tally, my_bits, leader)
+            tail(report, link, cfg, streams, tally, digest, leader)
             assert np.array_equal(my_bits, before)
             checked.append(report.role)
 
@@ -1134,7 +1191,7 @@ class TestSampleRevealChecks:
 
     # alice's pair equals bob's on the even rounds: 25 sifted, floor(0.1 * 25) = 2 sampled
     SIFTED = np.arange(0, 50, 2)
-    DIGEST = sift_digest(SIFTED)
+    DIGEST = reference_sift_digest(SIFTED)
     GOOD = encode_sample_reveal([3, 9], 25, [0, 0])
 
     @pytest.mark.parametrize(

@@ -483,7 +483,7 @@ def _announced_columns(n, rng, count):
 
 
 def _tally_fields(tally):
-    return tally.sift_idx.tolist(), tally.clicked.tolist(), tally.ec
+    return tally.clicked.tolist(), tally.ec, [side.tolist() for side in tally.bits]
 
 
 class TestDrawSample:
@@ -526,17 +526,23 @@ class TestAnnouncedTally:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_ec_counts_match_line_offset_reference(self, n):
-        spec, ai, aj, bi, bj, clicked = _announced_columns(n, np.random.default_rng(n), 5000)
+        rng = np.random.default_rng(n)
+        spec, ai, aj, bi, bj, clicked = _announced_columns(n, rng, 5000)
         offset = protocol.line_offsets(spec, ai, aj, bi, bj)
         sifted = protocol.sift_mask(ai, aj, bi, bj)
         # off-line, on-line but unsifted, sifted, and Outside rounds all occur
         assert (offset < 0).any() and ((offset >= 0) & ~sifted).any() and sifted.any()
         assert not clicked.all() and not clicked[sifted].all()
-        tally = protocol.Tally.of(ai, aj, bi, bj, clicked, 0)
-        assert tally.ec == accepted_counts(offset, clicked)
-        assert all(type(c) is int for c in tally.ec)
-        assert np.array_equal(tally.sift_idx, np.flatnonzero(sifted))
-        assert np.array_equal(tally.clicked, clicked[sifted])
+        sides = (rng.random(5000) < 0.5).view(np.int8), rng.integers(0, 2, 5000)
+        pos = np.flatnonzero(sifted)
+        for bits in ((), sides[:1], sides):
+            tally = protocol.Tally.of(ai, aj, bi, bj, clicked, pos, *bits)
+            assert tally.ec == accepted_counts(offset, clicked)
+            assert all(type(c) is int for c in tally.ec)
+            assert np.array_equal(tally.clicked, clicked[sifted])
+            assert len(tally.bits) == len(bits)
+            for got, side in zip(tally.bits, bits):
+                assert got.dtype == np.uint8 and np.array_equal(got, side[sifted])
 
     @pytest.mark.parametrize(
         "n,channel", [(2, "shift_noise:0.3"), (3, "shift_noise:0.4"), (5, "shift_noise:0.2")]
@@ -547,10 +553,13 @@ class TestAnnouncedTally:
         cols = (log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked)
 
         def tally(lo, hi):
-            return protocol.Tally.of(*(c[lo:hi] for c in cols), lo)
+            pos = np.flatnonzero(log.sifted[lo:hi])
+            bits = log.alice_s[lo:hi], log.bob_bit[lo:hi]
+            return protocol.Tally.of(*(c[lo:hi] for c in cols), pos, *bits)
 
         whole = tally(0, rounds)
-        assert whole.sift_idx.size and not whole.clicked.all()
+        assert whole.clicked.size and not whole.clicked.all()
+        assert np.array_equal(whole.bits[1], log.bob_bit[log.sifted])
         for cuts in (
             [1], [500], [WINDOW], [WINDOW - 1], [WINDOW + 1], [3, 4, WINDOW - 1, WINDOW + 5]
         ):
