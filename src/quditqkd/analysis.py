@@ -11,13 +11,18 @@ distribution e_{a,l}, from which every protocol observable follows:
     1 - e_c     = (N - 2) * (e_{1,0} + e_{1,1})
 
 The kept-index error matrix (p_I, p_z; p_x, p_y) is the top two rows of
-the table divided by e_c.  All arithmetic here is exact rational.
+the table divided by e_c.  All arithmetic here is exact: a table is held
+as integer numerators over one denominator, every decision is made on
+those integers, and a Fraction is formed only for a returned quantity.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,23 +39,69 @@ from .field import FieldSpec
 Probability = Fraction | float
 
 
-@dataclass(frozen=True)
+def _ratio(num, den) -> Probability:
+    """num / den: an exact Fraction for two ints, else float division."""
+    if isinstance(num, int) and isinstance(den, int):
+        return Fraction(num, den)
+    return num / den
+
+
 class BellDistribution:
     """Distribution over entangled-basis outcome labels (a, ell).
 
-    Missing keys mean probability zero.  Entries are Fractions when
-    produced by :func:`bell_distribution`; float-valued tables are
-    accepted for sampled data.
+    Missing keys mean probability zero.  An exact table holds integer
+    numerators ``num`` over one positive denominator ``den``, and every
+    check and observable below is decided on them; ``e`` forms the
+    Fractions on first use.  The constructor takes a dict of
+    probabilities: Fraction (or int) entries are put over the lcm of
+    their denominators, and a table with any float entry, as sampled
+    data has, keeps its entries as ``num`` over ``den = 1``, so its
+    arithmetic is float.  :func:`bell_distribution` builds its tables
+    with :meth:`from_numerators`.
     """
 
-    spec: FieldSpec
-    e: dict[tuple[int, int], Probability]
+    __slots__ = ("spec", "num", "den", "_e")
+
+    def __init__(self, spec: FieldSpec, e: dict[tuple[int, int], Probability]):
+        self.spec = spec
+        self._e = e
+        if all(isinstance(p, Rational) for p in e.values()):
+            den = math.lcm(*(int(p.denominator) for p in e.values()))
+            self.num = {k: int(p.numerator) * (den // int(p.denominator)) for k, p in e.items()}
+            self.den = den
+        else:
+            self.num, self.den = e, 1
+
+    @classmethod
+    def from_numerators(
+        cls, spec: FieldSpec, num: dict[tuple[int, int], int], den: int
+    ) -> "BellDistribution":
+        """The exact table of int numerators ``num`` over the int ``den`` > 0."""
+        d = cls.__new__(cls)
+        d.spec, d.num, d.den, d._e = spec, num, den, None
+        return d
+
+    @property
+    def e(self) -> dict[tuple[int, int], Probability]:
+        if self._e is None:
+            self._e = {k: Fraction(v, self.den) for k, v in self.num.items()}
+        return self._e
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, BellDistribution):
+            return NotImplemented
+        return self.spec == other.spec and self.e == other.e
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"BellDistribution({self.spec!r}, {self.e!r})"
 
     def get(self, a: int, ell: int) -> Probability:
         return self.e.get((a, ell), Fraction(0))
 
     def total(self) -> Probability:
-        return sum(self.e.values())
+        return _ratio(sum(self.num.values()), self.den)
 
     def validate(self, tol: float = 0.0) -> None:
         """Check normalisation, positivity, and the per-index sum rule.
@@ -58,21 +109,50 @@ class BellDistribution:
         The sum rule: e_{a,0} + e_{a,1} takes the same value for every
         nonzero index a.
         """
-        for (a, ell), p in self.e.items():
+        for (a, ell), p in self.num.items():
             self.spec.check(a)
             if ell not in (0, 1):
                 raise ValueError(f"bad ell {ell}")
             # written so that NaN fails: every comparison with it is false
             if not p >= 0:
                 raise ValueError(f"negative or NaN probability at {(a, ell)}")
-        if not abs(self.total() - 1) <= tol:
-            raise ValueError(f"probabilities sum to {self.total()}")
-        masses = {
-            a: self.get(a, 0) + self.get(a, 1) for a in range(1, self.spec.order)
-        }
-        lo, hi = min(masses.values()), max(masses.values())
-        if hi - lo > tol:
+        total = sum(self.num.values())
+        if total != self.den and not abs(_ratio(total - self.den, self.den)) <= tol:
+            raise ValueError(f"probabilities sum to {_ratio(total, self.den)}")
+        get = self.num.get
+        masses = [get((a, 0), 0) + get((a, 1), 0) for a in range(1, self.spec.order)]
+        lo, hi = min(masses), max(masses)
+        if hi != lo and _ratio(hi - lo, self.den) > tol:
             raise ValueError("per-index sum rule violated")
+
+
+class _Kept(NamedTuple):
+    """A table's kept-index quantities, as numerators over its ``den``.
+
+    The numerators are ints for an exact table, floats for a float one.
+    """
+
+    e00: int
+    e10: int
+    e01: int
+    e11: int
+    e_c: int
+    # e_b * e_c, the phase-flipped kept mass
+    phase: int
+    # the distillation left side of :func:`check_ed_condition`
+    ed_lhs: int
+    # the two routes to e_c agree: 1 - e_c = (N - 2)(e_{1,0} + e_{1,1})
+    consistent: bool
+
+
+def _kept(d: BellDistribution) -> _Kept:
+    N = d.spec.order
+    get = d.num.get
+    e00, e10, e01, e11 = get((0, 0), 0), get((1, 0), 0), get((0, 1), 0), get((1, 1), 0)
+    e_c = e00 + e10 + e01 + e11
+    phase = e01 + e11
+    ed_lhs = phase + (N - 1) * (e10 + e11)
+    return _Kept(e00, e10, e01, e11, e_c, phase, ed_lhs, d.den - e_c == (N - 2) * (e10 + e11))
 
 
 def _distinct_masks(sign_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -101,7 +181,9 @@ def bell_distribution(model: ChannelModel) -> BellDistribution:
     counted as integers, #{beta : f(beta) != f(beta ^ lam)}; a
     RandomDephase term flips for exactly half of the beta, since the two
     support labels differ.
-    Fractions are formed once per distinct term probability, at the end.
+    The table is integer numerators over weight_den * N(N - 1): per
+    outcome cell, the counts of each distinct term probability times its
+    numerator ``model.weight_num``.
     Intercept-resend terms are not unitary and are rejected.
     """
     if model.has_intercept():
@@ -120,15 +202,14 @@ def bell_distribution(model: ChannelModel) -> BellDistribution:
     # mul_table is uint8, and the int64 weight ids widen the cell index
     # before it could wrap at n = 8
     cell = (model.weight_id[:, None] * N + land[..., 0]) * 2
-    counts = np.zeros((len(model.weights), N, 2), np.int64)
+    counts = np.zeros((len(model.weights), 2 * N), np.int64)
     np.add.at(counts.reshape(-1), cell, N - flips)
     np.add.at(counts.reshape(-1), cell + 1, flips)
-    scale = Fraction(1, N * (N - 1))
-    e = {
-        (int(a), int(ell)): scale * model.weighted(counts[:, a, ell])
-        for a, ell in zip(*np.nonzero(counts.any(axis=0)))
-    }
-    return BellDistribution(spec, e)
+    # cell a * 2 + ell; the numerators are Python ints, which do not wrap
+    cells = np.flatnonzero(counts.any(axis=0))
+    nums = np.array(model.weight_num, dtype=object) @ counts[:, cells]
+    num = {divmod(c, 2): v for c, v in zip(cells.tolist(), nums.tolist())}
+    return BellDistribution.from_numerators(spec, num, model.weight_den * N * (N - 1))
 
 
 @dataclass(frozen=True)
@@ -146,13 +227,9 @@ class ObservablePrediction:
 
 
 def predict_observables(d: BellDistribution) -> ObservablePrediction:
-    N = d.spec.order
-    e_c = d.get(0, 0) + d.get(1, 0) + d.get(0, 1) + d.get(1, 1)
-    phase_mass = d.get(0, 1) + d.get(1, 1)
-    e_b = None if e_c == 0 else phase_mass / e_c
-    alt = (N - 2) * (d.get(1, 0) + d.get(1, 1))
-    consistent = (1 - e_c) == alt
-    return ObservablePrediction(e_b, e_c, consistent)
+    k = _kept(d)
+    e_b = None if k.e_c == 0 else _ratio(k.phase, k.e_c)
+    return ObservablePrediction(e_b, _ratio(k.e_c, d.den), k.consistent)
 
 
 @dataclass(frozen=True)
@@ -190,15 +267,10 @@ def error_matrix(d: BellDistribution) -> ErrorMatrix:
     Layout: p_I and p_z are the index-0 masses (sign unflipped/flipped),
     p_x and p_y the index-1 masses, all divided by e_c.
     """
-    e_c = d.get(0, 0) + d.get(1, 0) + d.get(0, 1) + d.get(1, 1)
-    if e_c == 0:
+    k = _kept(d)
+    if k.e_c == 0:
         raise ValueError("e_c = 0, error matrix undefined")
-    return ErrorMatrix(
-        d.get(0, 0) / e_c,
-        d.get(1, 0) / e_c,
-        d.get(1, 1) / e_c,
-        d.get(0, 1) / e_c,
-    )
+    return ErrorMatrix(*(_ratio(x, k.e_c) for x in (k.e00, k.e10, k.e11, k.e01)))
 
 
 @dataclass(frozen=True)
@@ -217,9 +289,8 @@ def check_ed_condition(d: BellDistribution) -> EdVerdict:
     reports whether e_{0,0} exceeds 1/2, i.e. whether the identity
     outcome dominates the table.
     """
-    N = d.spec.order
-    lhs = d.get(0, 1) + d.get(1, 1) + (N - 1) * (d.get(1, 0) + d.get(1, 1))
-    return EdVerdict(lhs < Fraction(1, 2), lhs, d.get(0, 0) > Fraction(1, 2))
+    k = _kept(d)
+    return EdVerdict(2 * k.ed_lhs < d.den, _ratio(k.ed_lhs, d.den), 2 * k.e00 > d.den)
 
 
 def intercept_distribution(eta, spec: FieldSpec) -> tuple[Fraction, Fraction]:
@@ -267,32 +338,31 @@ def analysis_report(model: ChannelModel) -> dict:
         return report
     d = bell_distribution(model)
     d.validate()
-    pred = predict_observables(d)
-    ed = check_ed_condition(d)
+    k = _kept(d)
+    den = d.den
     report.update(
         {
             "kind": "unitary",
-            "outcome_table": {
-                f"{a},{ell}": float(p) for (a, ell), p in sorted(d.e.items())
-            },
-            "e_b": None if pred.e_b is None else float(pred.e_b),
-            "e_c": float(pred.e_c),
-            "consistent": pred.consistent,
-            "distill_lhs": float(ed.lhs),
-            "distill_pass": ed.passes,
-            "identity_outcome_dominates": ed.e00_exceeds_half,
+            "outcome_table": {f"{a},{ell}": p / den for (a, ell), p in sorted(d.num.items())},
+            "e_b": None if k.e_c == 0 else k.phase / k.e_c,
+            "e_c": k.e_c / den,
+            "consistent": k.consistent,
+            "distill_lhs": k.ed_lhs / den,
+            "distill_pass": 2 * k.ed_lhs < den,
+            "identity_outcome_dominates": 2 * k.e00 > den,
         }
     )
-    if pred.e_b is not None:
-        passes = check_pm_condition(pred.e_b, pred.e_c, spec.n)
-        report["continuation_lhs"] = float(pm_condition_lhs(pred.e_b, pred.e_c, spec.n))
-        report["continuation_pass"] = passes
-    if pred.e_c > 0:
-        m = error_matrix(d)
+    if k.e_c > 0:
+        # protocol.pm_condition_lhs at e_b = phase / e_c and e_c, over the
+        # one denominator (N - 2) * den
+        N = spec.order
+        lhs, lhs_den = (N - 2) * k.phase + (N - 1) * (den - k.e_c), (N - 2) * den
+        report["continuation_lhs"] = lhs / lhs_den
+        report["continuation_pass"] = 2 * lhs < lhs_den
         report["error_matrix"] = {
-            "p_i": float(m.p_i),
-            "p_x": float(m.p_x),
-            "p_y": float(m.p_y),
-            "p_z": float(m.p_z),
+            "p_i": k.e00 / k.e_c,
+            "p_x": k.e10 / k.e_c,
+            "p_y": k.e11 / k.e_c,
+            "p_z": k.e01 / k.e_c,
         }
     return report

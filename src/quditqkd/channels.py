@@ -15,9 +15,11 @@ Each model is compiled once, at construction, into read-only term
 arrays: ``kind`` (one of KIND_UNITARY, KIND_DEPHASE, KIND_INTERCEPT),
 ``shift``, ``sign_bits`` (bit y of each term's mask for every index
 y < N, zero for non-unitary terms) and ``weight_id`` into the distinct
-probabilities ``weights``, plus the term search's ``cum_weights`` and its
-guide table (Chen and Asau's indexed search: per bucket of [0, 1), the
-first term a uniform there can draw).  The session engine and the
+probabilities ``weights``, which ``weight_num`` also holds as integer
+numerators over their common denominator ``weight_den``, plus the term
+search's ``cum_weights`` and its guide table (Chen and Asau's indexed
+search: per bucket of [0, 1), the first term a uniform there can
+draw).  The session engine and the
 closed-form analysis read these arrays by term index; the scalar
 reference that applies one action to one ket is kept in
 tests/reference.py.
@@ -30,7 +32,9 @@ Probabilities written in decimal are parsed exactly.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -107,39 +111,59 @@ class ChannelModel:
     def __init__(self, spec: FieldSpec, terms: list[tuple[Fraction, Action]]):
         if not terms:
             raise ValueError("channel model needs at least one term")
-        total = Fraction(0)
-        for p, act in terms:
-            if not isinstance(p, Fraction) or p < 0:
-                raise ValueError("term probabilities must be nonnegative Fractions")
-            if isinstance(act, UnitaryTerm):
-                spec.check(act.shift)
-                if not 0 <= act.mask < (1 << spec.order):
-                    raise ValueError(f"mask {act.mask:#x} out of range")
-            elif type(act) not in _KINDS:
-                raise TypeError(f"unknown action {act!r}")
-            total += p
-        if total != 1:
-            raise ValueError(f"term probabilities sum to {total}, expected 1")
+        if not all(issubclass(t, Fraction) for t in {type(p) for p, _ in terms}):
+            raise ValueError("term probabilities must be nonnegative Fractions")
+        acts = [a for _, a in terms]
+        kinds = [_KINDS.get(type(a)) for a in acts]
+        if None in kinds:
+            raise TypeError(f"unknown action {acts[kinds.index(None)]!r}")
+        # non-unitary actions read as shift 0 and mask 0
+        shifts = [getattr(a, "shift", 0) for a in acts]
+        masks = [getattr(a, "mask", 0) for a in acts]
+        spec.check(min(shifts))
+        spec.check(max(shifts))
+        for mask in (min(masks), max(masks)):
+            if not 0 <= mask < (1 << spec.order):
+                raise ValueError(f"mask {mask:#x} out of range")
+        nums = [p.numerator for p, _ in terms]
+        dens = [p.denominator for p, _ in terms]
+        # sign and sum on integers, over the lcm of the distinct denominators
+        tally = Counter(zip(nums, dens))
+        if min(nums) < 0:
+            raise ValueError("term probabilities must be nonnegative Fractions")
+        den = math.lcm(*{d for _, d in tally})
+        total = sum(c * num * (den // d) for (num, d), c in tally.items())
+        if total != den:
+            raise ValueError(f"term probabilities sum to {Fraction(total, den)}, expected 1")
         self.spec = spec
+        # zero-probability terms are dropped
+        keep = [num > 0 for num in nums]
         self.terms: tuple[tuple[Fraction, Action], ...] = tuple(
-            (p, a) for p, a in terms if p > 0
+            term for term, kept in zip(terms, keep) if kept
         )
+        # distinct weights by (numerator, denominator), each also kept as an
+        # integer numerator over ``weight_den``
+        ids: dict[tuple[int, int], int] = {}
+        self.weight_id = np.array(
+            [ids.setdefault(pair, len(ids)) for pair in zip(nums, dens) if pair[0]]
+        )
+        self.weights: tuple[Fraction, ...] = tuple(Fraction(num, d) for num, d in ids)
+        self.weight_den = den
+        self.weight_num = tuple(num * (den // d) for num, d in ids)
         # cumulative float weights used for term sampling
-        self.cum_weights = np.cumsum([float(p) for p, _ in self.terms])
+        per_weight = np.array([num / d for num, d in ids])
+        self.cum_weights = np.cumsum(per_weight[self.weight_id])
         self.cum_weights[-1] = 1.0
         self._compile_guide()
-        acts = [a for _, a in self.terms]
-        self.kind = np.array([_KINDS[type(a)] for a in acts], np.int8)
-        self.shift = np.array([getattr(a, "shift", 0) for a in acts], np.int16)
+        self.kind = np.array(kinds, np.int8)[keep]
+        self.shift = np.array(shifts, np.int16)[keep]
         width = (spec.order + 7) // 8
-        masks = b"".join(getattr(a, "mask", 0).to_bytes(width, "little") for a in acts)
-        raw = np.frombuffer(masks, np.uint8).reshape(len(acts), width)
-        bits = np.unpackbits(raw, axis=1, bitorder="little")
+        raw = np.frombuffer(
+            b"".join(mask.to_bytes(width, "little") for mask in masks), np.uint8
+        ).reshape(len(acts), width)
+        bits = np.unpackbits(raw[keep], axis=1, bitorder="little")
         # contiguous, so the engine's flat gathers read it without a copy
         self.sign_bits = np.ascontiguousarray(bits[:, : spec.order]).view(np.int8)
-        ids: dict[Fraction, int] = {}
-        self.weight_id = np.array([ids.setdefault(p, len(ids)) for p, _ in self.terms])
-        self.weights = tuple(ids)
         for arr in (
             self.cum_weights, self._bounds, self._guide, self._dense,
             self.kind, self.shift, self.sign_bits, self.weight_id,
@@ -212,7 +236,8 @@ class ChannelModel:
 
     def weighted(self, counts) -> Fraction:
         """Exact sum of counts[w] * weights[w] over the distinct probabilities."""
-        return sum((p * int(c) for p, c in zip(self.weights, counts) if c), Fraction(0))
+        num = sum(int(c) * w for w, c in zip(self.weight_num, counts) if c)
+        return Fraction(num, self.weight_den)
 
     def __repr__(self) -> str:
         return f"ChannelModel({self.spec!r}, {len(self.terms)} terms)"

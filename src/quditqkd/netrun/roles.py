@@ -167,12 +167,17 @@ def _abort(report: RoleReport, link: Link, reason: str, exit_code: int = 1) -> N
     report.exit_code = exit_code
 
 
-def _exchange(link: Link, leader: bool, ftype: FrameType, payload: bytes) -> bytes:
-    """The peer's ``ftype`` payload; the leader sends first, the follower answers."""
+def _exchange(link: Link, leader: bool, ftype: FrameType, payload: bytes, check):
+    """``check`` of the peer's ``ftype`` payload; the leader sends first.
+
+    The follower checks the leader's payload before it answers, so a
+    check that raises :class:`ProtocolViolation` has it send ABORT in
+    place of its own frame.
+    """
     if leader:
         link.send(ftype, payload)
-        return link.expect(ftype)
-    theirs = link.expect(ftype)
+        return check(link.expect(ftype))
+    theirs = check(link.expect(ftype))
     link.send(ftype, payload)
     return theirs
 
@@ -277,12 +282,17 @@ def _session_tail(
 
     n_blocks = len(bits) // params.r
     mine_blocks = block_parities(bits, params.r)
-    blocks_payload = _exchange(
-        link, leader, FrameType.BLOCK_PARITY, encode_block_parity(params.r, mine_blocks)
+
+    def their_blocks_of(payload: bytes) -> np.ndarray:
+        r_echo, blocks = decode_block_parity(payload, n_blocks)
+        if r_echo != params.r:
+            raise ProtocolViolation(f"block size {r_echo} != agreed {params.r}")
+        return blocks
+
+    their_blocks = _exchange(
+        link, leader, FrameType.BLOCK_PARITY, encode_block_parity(params.r, mine_blocks),
+        their_blocks_of,
     )
-    r_echo, their_blocks = decode_block_parity(blocks_payload, n_blocks)
-    if r_echo != params.r:
-        raise ProtocolViolation(f"block size {r_echo} != agreed {params.r}")
     disagreements = int((mine_blocks ^ their_blocks).astype(np.int64).sum())
 
     shared.update(
@@ -294,8 +304,12 @@ def _session_tail(
             "disagreements": disagreements,
         }
     )
-    if decode_json(_exchange(link, leader, FrameType.VERDICT, encode_json(shared))) != shared:
-        raise ProtocolViolation("verdict facts differ between endpoints")
+
+    def same_facts(payload: bytes) -> None:
+        if decode_json(payload) != shared:
+            raise ProtocolViolation("verdict facts differ between endpoints")
+
+    _exchange(link, leader, FrameType.VERDICT, encode_json(shared), same_facts)
 
     report.final_key = [int(b) for b in mine_blocks]
     report.status = "pass"

@@ -96,30 +96,35 @@ def random_exact_distribution(rng: np.random.Generator, order: int, denom: int =
     """A random normalized outcome table satisfying the per-index sum rule.
 
     Index masses for a != 0 must be equal, so one shared mass is drawn
-    and split per index between the two sign bits.
+    and split per index between the two sign bits.  The table is
+    ``(num, den)``, integer numerators over one denominator: the masses
+    scaled by ``denom``, so that every split is whole.
     """
-    weights = rng.integers(0, denom, size=3)
-    e00 = Fraction(int(weights[0]), 1)
-    e01 = Fraction(int(weights[1]), 1)
-    shared = Fraction(int(weights[2]), 1)
-    parts = []
-    for _ in range(order - 1):
-        cut = Fraction(int(rng.integers(0, denom + 1)), denom)
-        parts.append((shared * cut, shared * (1 - cut)))
-    total = e00 + e01 + shared * (order - 1)
+    m00, m01, shared = rng.integers(0, denom, size=3).tolist()
+    cuts = rng.integers(0, denom + 1, size=order - 1).tolist()
+    total = m00 + m01 + shared * (order - 1)
     if total == 0:
-        return {(0, 0): Fraction(1)}
-    dist = {}
-    if e00:
-        dist[(0, 0)] = e00 / total
-    if e01:
-        dist[(0, 1)] = e01 / total
-    for a, (p0, p1) in enumerate(parts, start=1):
-        if p0:
-            dist[(a, 0)] = p0 / total
-        if p1:
-            dist[(a, 1)] = p1 / total
-    return dist
+        return {(0, 0): 1}, 1
+    return split_table(m00 * denom, m01 * denom, shared, cuts, denom), total * denom
+
+
+def split_table(n00: int, n01: int, shared: int, cuts: list[int], denom: int) -> dict:
+    """Numerators of an outcome table whose index a >= 1 splits ``shared``
+    as cuts[a - 1] : denom - cuts[a - 1] between its two sign bits.
+
+    Zero entries are left out.
+    """
+    num = {}
+    if n00:
+        num[(0, 0)] = n00
+    if n01:
+        num[(0, 1)] = n01
+    for a, cut in enumerate(cuts, start=1):
+        if shared * cut:
+            num[(a, 0)] = shared * cut
+        if shared * (denom - cut):
+            num[(a, 1)] = shared * (denom - cut)
+    return num
 
 
 def pump_pair_once(p: tuple) -> tuple:

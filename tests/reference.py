@@ -47,6 +47,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from quditqkd.analysis import (
+    EdVerdict,
+    ErrorMatrix,
+    ObservablePrediction,
+    intercept_distribution,
+)
 from quditqkd.channels import (
     KIND_DEPHASE,
     KIND_INTERCEPT,
@@ -72,14 +78,16 @@ from quditqkd.protocol import (
     Tally,
     _finish_session,
     _outcome_counts,
+    check_pm_condition,
     condition_verdict,
     draw_sample,
     kept_rounds,
     pair_table,
+    pm_condition_lhs,
     sample_rates,
     spawn_streams,
 )
-from quditqkd.qstates import DiagonalPhase, Outcome
+from quditqkd.qstates import DiagonalPhase, Outcome, conjugate_frame
 from quditqkd.threshold import (
     STATUS_BOUNDARY,
     STATUS_FEASIBLE,
@@ -694,3 +702,194 @@ def reference_e_max_scan(n: int, grid: int) -> ScanResult:
     return ScanResult(
         n=n, grid=grid, rows=tuple(rows), e_max=e_b[last], resolution=1.0 / grid
     )
+
+
+# -- the Fraction path of the exact analysis ------------------------------------
+
+
+def fraction_channel_weights(terms):
+    """``(terms, weights, weight_id, cum_weights)`` as a per-term Fraction sum built them.
+
+    Raises as ``ChannelModel`` does on a probability that is not a
+    nonnegative Fraction or on a sum other than 1.
+    """
+    total = Fraction(0)
+    for p, _ in terms:
+        if not isinstance(p, Fraction) or p < 0:
+            raise ValueError("term probabilities must be nonnegative Fractions")
+        total += p
+    if total != 1:
+        raise ValueError(f"term probabilities sum to {total}, expected 1")
+    kept = tuple((p, a) for p, a in terms if p > 0)
+    cum_weights = np.cumsum([float(p) for p, _ in kept])
+    cum_weights[-1] = 1.0
+    ids: dict[Fraction, int] = {}
+    weight_id = np.array([ids.setdefault(p, len(ids)) for p, _ in kept])
+    return kept, tuple(ids), weight_id, cum_weights
+
+
+def fraction_weighted(weights, counts) -> Fraction:
+    return sum((p * int(c) for p, c in zip(weights, counts) if c), Fraction(0))
+
+
+def fraction_bell_distribution(model: ChannelModel) -> dict:
+    """The outcome table ``e``, weighted per distinct probability in Fractions."""
+    spec = model.spec
+    N = spec.order
+    masks, mask_id = reference_distinct_masks(model.sign_bits)
+    land, sign = conjugate_frame(
+        spec, np.arange(1, N)[:, None], np.arange(N), model.shift[:, None, None], masks, 0, 0
+    )
+    flips = np.where((model.kind == KIND_DEPHASE)[:, None], N // 2, sign.sum(axis=2)[mask_id])
+    cell = (model.weight_id[:, None] * N + land[..., 0]) * 2
+    counts = np.zeros((len(model.weights), N, 2), np.int64)
+    np.add.at(counts.reshape(-1), cell, N - flips)
+    np.add.at(counts.reshape(-1), cell + 1, flips)
+    scale = Fraction(1, N * (N - 1))
+    return {
+        (int(a), int(ell)): scale * fraction_weighted(model.weights, counts[:, a, ell])
+        for a, ell in zip(*np.nonzero(counts.any(axis=0)))
+    }
+
+
+@dataclass(frozen=True)
+class FractionBellDistribution:
+    """An outcome table whose checks and sums run on its own entries."""
+
+    spec: FieldSpec
+    e: dict
+
+    def get(self, a: int, ell: int):
+        return self.e.get((a, ell), Fraction(0))
+
+    def total(self):
+        return sum(self.e.values())
+
+    def validate(self, tol: float = 0.0) -> None:
+        for (a, ell), p in self.e.items():
+            self.spec.check(a)
+            if ell not in (0, 1):
+                raise ValueError(f"bad ell {ell}")
+            if not p >= 0:
+                raise ValueError(f"negative or NaN probability at {(a, ell)}")
+        if not abs(self.total() - 1) <= tol:
+            raise ValueError(f"probabilities sum to {self.total()}")
+        masses = {a: self.get(a, 0) + self.get(a, 1) for a in range(1, self.spec.order)}
+        if max(masses.values()) - min(masses.values()) > tol:
+            raise ValueError("per-index sum rule violated")
+
+
+def fraction_predict_observables(d: FractionBellDistribution) -> ObservablePrediction:
+    N = d.spec.order
+    e_c = d.get(0, 0) + d.get(1, 0) + d.get(0, 1) + d.get(1, 1)
+    phase_mass = d.get(0, 1) + d.get(1, 1)
+    e_b = None if e_c == 0 else phase_mass / e_c
+    alt = (N - 2) * (d.get(1, 0) + d.get(1, 1))
+    return ObservablePrediction(e_b, e_c, (1 - e_c) == alt)
+
+
+def fraction_error_matrix(d: FractionBellDistribution) -> ErrorMatrix:
+    e_c = d.get(0, 0) + d.get(1, 0) + d.get(0, 1) + d.get(1, 1)
+    if e_c == 0:
+        raise ValueError("e_c = 0, error matrix undefined")
+    return ErrorMatrix(d.get(0, 0) / e_c, d.get(1, 0) / e_c, d.get(1, 1) / e_c, d.get(0, 1) / e_c)
+
+
+def fraction_check_ed_condition(d: FractionBellDistribution) -> EdVerdict:
+    N = d.spec.order
+    lhs = d.get(0, 1) + d.get(1, 1) + (N - 1) * (d.get(1, 0) + d.get(1, 1))
+    return EdVerdict(lhs < Fraction(1, 2), lhs, d.get(0, 0) > Fraction(1, 2))
+
+
+def fraction_analysis_report(model: ChannelModel) -> dict:
+    """``analysis_report`` with every float taken from a Fraction."""
+    spec = model.spec
+    report: dict = {"n": spec.n, "modulus": hex(spec.modulus)}
+    if model.has_intercept():
+        intercept = model.kind == KIND_INTERCEPT
+        counts = np.bincount(model.weight_id[intercept], minlength=len(model.weights))
+        e_b, e_c = intercept_distribution(fraction_weighted(model.weights, counts), spec)
+        lhs = pm_condition_lhs(e_b, e_c, spec.n)
+        report.update(
+            {
+                "kind": "intercept",
+                "e_b": float(e_b),
+                "e_c": float(e_c),
+                "continuation_lhs": float(lhs),
+                "continuation_pass": check_pm_condition(e_b, e_c, spec.n),
+            }
+        )
+        return report
+    d = FractionBellDistribution(spec, fraction_bell_distribution(model))
+    d.validate()
+    pred = fraction_predict_observables(d)
+    ed = fraction_check_ed_condition(d)
+    report.update(
+        {
+            "kind": "unitary",
+            "outcome_table": {f"{a},{ell}": float(p) for (a, ell), p in sorted(d.e.items())},
+            "e_b": None if pred.e_b is None else float(pred.e_b),
+            "e_c": float(pred.e_c),
+            "consistent": pred.consistent,
+            "distill_lhs": float(ed.lhs),
+            "distill_pass": ed.passes,
+            "identity_outcome_dominates": ed.e00_exceeds_half,
+        }
+    )
+    if pred.e_b is not None:
+        passes = check_pm_condition(pred.e_b, pred.e_c, spec.n)
+        report["continuation_lhs"] = float(pm_condition_lhs(pred.e_b, pred.e_c, spec.n))
+        report["continuation_pass"] = passes
+    if pred.e_c > 0:
+        m = fraction_error_matrix(d)
+        report["error_matrix"] = {
+            "p_i": float(m.p_i),
+            "p_x": float(m.p_x),
+            "p_y": float(m.p_y),
+            "p_z": float(m.p_z),
+        }
+    return report
+
+
+def fraction_random_exact_distribution(rng: np.random.Generator, order: int, denom: int = 64):
+    """``oracles.random_exact_distribution``'s table, built in Fractions one draw at a time."""
+    weights = rng.integers(0, denom, size=3)
+    e00 = Fraction(int(weights[0]), 1)
+    e01 = Fraction(int(weights[1]), 1)
+    shared = Fraction(int(weights[2]), 1)
+    parts = []
+    for _ in range(order - 1):
+        cut = Fraction(int(rng.integers(0, denom + 1)), denom)
+        parts.append((shared * cut, shared * (1 - cut)))
+    total = e00 + e01 + shared * (order - 1)
+    if total == 0:
+        return {(0, 0): Fraction(1)}
+    return _fraction_table(e00, e01, parts, total)
+
+
+def fraction_heavy_outcome_table(rng: np.random.Generator, order: int):
+    """Criterion 3's heavy-identity table, built in Fractions one draw at a time."""
+    m00 = int(rng.integers(3 * order, 12 * order))
+    m01 = int(rng.integers(0, 4))
+    shared = int(rng.integers(0, 3))
+    denom = 16
+    parts = []
+    for _ in range(order - 1):
+        cut = Fraction(int(rng.integers(0, denom + 1)), denom)
+        parts.append((shared * cut, shared * (1 - cut)))
+    total = Fraction(m00 + m01 + shared * (order - 1))
+    return _fraction_table(m00, m01, parts, total)
+
+
+def _fraction_table(e00, e01, parts, total) -> dict:
+    table = {}
+    if e00:
+        table[(0, 0)] = e00 / total
+    if e01:
+        table[(0, 1)] = e01 / total
+    for a, (p0, p1) in enumerate(parts, start=1):
+        if p0:
+            table[(a, 0)] = p0 / total
+        if p1:
+            table[(a, 1)] = p1 / total
+    return table

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from conftest import record_criterion
 
-from oracles import conjugation_matches, random_exact_distribution
+from oracles import conjugation_matches, random_exact_distribution, split_table
 from quditqkd.analysis import (
     BellDistribution,
     analysis_report,
@@ -57,6 +57,7 @@ from quditqkd.threshold import (
     ec_star,
     f_value,
 )
+from reference import fraction_heavy_outcome_table, fraction_random_exact_distribution
 
 
 def _record(number: int, description: str, passed: bool, detail: str = "") -> None:
@@ -109,52 +110,47 @@ def test_criterion_2_strict_frontier_sign():
 
 
 def _heavy_outcome_table(rng: np.random.Generator, order: int):
-    """Outcome table with a dominant identity mass, exact fractions."""
+    """Outcome table with a dominant identity mass, as ``(num, den)``."""
+    denom = 16
     m00 = int(rng.integers(3 * order, 12 * order))
     m01 = int(rng.integers(0, 4))
     shared = int(rng.integers(0, 3))
-    denom = 16
-    parts = []
-    for _ in range(order - 1):
-        cut = Fraction(int(rng.integers(0, denom + 1)), denom)
-        parts.append((shared * cut, shared * (1 - cut)))
-    total = Fraction(m00 + m01 + shared * (order - 1))
-    table = {(0, 0): m00 / total}
-    if m01:
-        table[(0, 1)] = m01 / total
-    for a, (p0, p1) in enumerate(parts, start=1):
-        if p0:
-            table[(a, 0)] = p0 / total
-        if p1:
-            table[(a, 1)] = p1 / total
-    return table
+    cuts = rng.integers(0, denom + 1, size=order - 1).tolist()
+    total = m00 + m01 + shared * (order - 1)
+    return split_table(m00 * denom, m01 * denom, shared, cuts, denom), total * denom
+
+
+def _criterion_3_tables(rng: np.random.Generator, heavy, uniform):
+    """Criterion 3's draws: per draw its field spec and one table.
+
+    Half the draws use uniform masses (their rare accepts hug the
+    boundary of the distillable region), half use a heavy identity
+    mass (interior points), so acceptance covers the whole region.
+    """
+    specs = [field_spec(n) for n in (2, 3, 4)]
+    for draws in itertools.count():
+        spec = specs[draws % 3]
+        yield spec, (heavy if rng.integers(0, 2) else uniform)(rng, spec.order)
 
 
 def test_criterion_3_distill_condition_implies_continuation():
-    # Half the draws use uniform masses (their rare accepts hug the
-    # boundary of the distillable region), half use a heavy identity
-    # mass (interior points), so acceptance covers the whole region.
     target = 100_000
     accepted = 0
     violations = 0
-    rng = np.random.default_rng(33)
-    specs = [field_spec(n) for n in (2, 3, 4)]
+    tables = _criterion_3_tables(
+        np.random.default_rng(33), _heavy_outcome_table, random_exact_distribution
+    )
     t0 = time.monotonic()
-    for draws in itertools.count():
-        if accepted >= target or draws >= 2_000_000:
-            break
-        spec = specs[draws % 3]
-        if rng.integers(0, 2):
-            table = _heavy_outcome_table(rng, spec.order)
-        else:
-            table = random_exact_distribution(rng, spec.order)
-        d = BellDistribution(spec, table)
+    for spec, (num, den) in itertools.islice(tables, 2_000_000):
+        d = BellDistribution.from_numerators(spec, num, den)
         if not check_ed_condition(d).passes:
             continue
         accepted += 1
         obs = predict_observables(d)
         if obs.e_b is None or not check_pm_condition(obs.e_b, obs.e_c, spec.n):
             violations += 1
+        if accepted == target:
+            break
     dt = time.monotonic() - t0
     _record(
         3,
@@ -162,6 +158,20 @@ def test_criterion_3_distill_condition_implies_continuation():
         accepted == target and violations == 0,
         f"{accepted} accepted, {violations} violations in {dt:.1f}s",
     )
+
+
+def test_criterion_3_tables_equal_the_fraction_built_ones():
+    # criterion 3 draws integer tables for speed; the same seed through
+    # the Fraction generators gives the same first 2000 tables
+    rngs = np.random.default_rng(33), np.random.default_rng(33)
+    ints = _criterion_3_tables(rngs[0], _heavy_outcome_table, random_exact_distribution)
+    fracs = _criterion_3_tables(
+        rngs[1], fraction_heavy_outcome_table, fraction_random_exact_distribution
+    )
+    for (spec, (num, den)), (ref_spec, ref) in itertools.islice(zip(ints, fracs), 2000):
+        assert spec == ref_spec
+        assert [(k, Fraction(v, den)) for k, v in num.items()] == list(ref.items())
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def _frame_images(spec, cases: list[tuple[int, ...]]) -> list[tuple[int, int]]:

@@ -294,7 +294,8 @@ class TestEdCondition:
         for n in (2, 3):
             spec = field_spec(n)
             for _ in range(200):
-                e = random_exact_distribution(rng, spec.order)
+                num, den = random_exact_distribution(rng, spec.order)
+                e = {k: Fraction(v, den) for k, v in num.items()}
                 d = BellDistribution(spec, e)
                 assert check_ed_condition(d).lhs == exact_distill_lhs(e, spec.order)
 
@@ -366,7 +367,8 @@ class TestEdImpliesPm:
         for n in (2, 3, 4):
             spec = field_spec(n)
             for _ in range(500):
-                e = random_exact_distribution(rng, spec.order)
+                num, den = random_exact_distribution(rng, spec.order)
+                e = {k: Fraction(v, den) for k, v in num.items()}
                 d = BellDistribution(spec, e)
                 d.validate()
                 if not check_ed_condition(d).passes:

@@ -862,6 +862,14 @@ class TestHostileTail:
         rep_a, rep_b = self._run_mangled(FrameType.SIFT_ACCEPT, True, "swap")
         assert (rep_a.status, rep_b.status) == ("peer-abort:protocol-error", "protocol-error")
 
+    @pytest.mark.parametrize("how", FAULTS[:5])
+    def test_mangled_alice_verdict(self, how):
+        # bob checks alice's VERDICT before he answers, so he aborts in
+        # place of sending his own and neither side passes
+        rep_a, rep_b = self._run_mangled(FrameType.VERDICT, True, how)
+        assert (rep_a.status, rep_b.status) == ("peer-abort:protocol-error", "protocol-error")
+        assert rep_a.final_key is None and rep_b.final_key is None
+
     @pytest.mark.parametrize(
         "ftype, from_alice", FRAMES, ids=["sift-to-bob", "reveal-to-bob", "reveal-to-alice"]
     )
