@@ -34,7 +34,13 @@ with e_c counted from line offsets by :func:`accepted_counts`, the
 reference for the offset-free counts of ``Tally``.
 :func:`reference_sift_digest` hashes a whole sift list at once, the
 reference for the SIFT_ACCEPT digest that the wire roles feed window
-by window.
+by window.  The ``fraction_*`` functions and
+:class:`FractionBellDistribution` keep the exact analysis as it ran in
+``Fraction``s, a per-term sum for the channel weights and per-entry
+sums for the outcome table, its checks and observables: the reference
+for the integer numerators of ``ChannelModel`` and
+``analysis.BellDistribution``, and for criterion 3's integer table
+generators.
 """
 
 from __future__ import annotations

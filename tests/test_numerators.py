@@ -24,8 +24,13 @@ from quditqkd.analysis import (
     error_matrix,
     predict_observables,
 )
-from quditqkd.channels import ChannelModel, InterceptResend, RandomDephase, UnitaryTerm, custom
-from quditqkd.channels import resolve_channel
+from quditqkd.channels import (
+    ChannelModel,
+    InterceptResend,
+    RandomDephase,
+    UnitaryTerm,
+    resolve_channel,
+)
 from quditqkd.field import field_spec
 from reference import (
     FractionBellDistribution,
@@ -41,7 +46,7 @@ from reference import (
 TINY = Fraction(1, 10**30)
 
 
-def _mixed_terms(spec) -> list:
+def _mixed_terms() -> list:
     """Mixed denominators, a 1e-30 term, a repeated weight and a zero term."""
     rest = 1 - Fraction(1, 3) - 2 * Fraction(2, 7) - TINY
     return [
@@ -73,7 +78,7 @@ def _model(n: int, name: str) -> tuple[ChannelModel, list]:
     """The model and the term list it is built from."""
     spec = field_spec(n)
     if name == "mixed":
-        terms = _mixed_terms(spec)
+        terms = _mixed_terms()
         return ChannelModel(spec, terms), terms
     model = resolve_channel(name, spec)
     return model, list(model.terms)
