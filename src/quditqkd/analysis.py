@@ -39,38 +39,30 @@ from .field import FieldSpec
 Probability = Fraction | float
 
 
-def _ratio(num, den) -> Probability:
-    """num / den: an exact Fraction for two ints, else float division."""
-    if isinstance(num, int) and isinstance(den, int):
-        return Fraction(num, den)
-    return num / den
-
-
 class BellDistribution:
     """Distribution over entangled-basis outcome labels (a, ell).
 
-    Missing keys mean probability zero.  An exact table holds integer
-    numerators ``num`` over one positive denominator ``den``, and every
-    check and observable below is decided on them; ``e`` forms the
-    Fractions on first use.  The constructor takes a dict of
-    probabilities: Fraction (or int) entries are put over the lcm of
-    their denominators, and a table with any float entry, as sampled
-    data has, keeps its entries as ``num`` over ``den = 1``, so its
-    arithmetic is float.  :func:`bell_distribution` builds its tables
-    with :meth:`from_numerators`.
+    Missing keys mean probability zero.  A table is exact: it holds
+    integer numerators ``num`` over one positive denominator ``den``,
+    and every check and observable below is decided on them; ``e`` forms
+    the Fractions on first use.  The constructor takes a dict of
+    Fraction (or int) probabilities, put over the lcm of their
+    denominators, and rejects any other entry, a float or NaN among
+    them.  :func:`bell_distribution` builds its tables with
+    :meth:`from_numerators`.
     """
 
     __slots__ = ("spec", "num", "den", "_e")
 
-    def __init__(self, spec: FieldSpec, e: dict[tuple[int, int], Probability]):
+    def __init__(self, spec: FieldSpec, e: dict[tuple[int, int], Fraction]):
+        for k, p in e.items():
+            if not isinstance(p, Rational):
+                raise ValueError(f"probability at {k} is not exact: {p!r}")
+        den = math.lcm(*(int(p.denominator) for p in e.values()))
         self.spec = spec
         self._e = e
-        if all(isinstance(p, Rational) for p in e.values()):
-            den = math.lcm(*(int(p.denominator) for p in e.values()))
-            self.num = {k: int(p.numerator) * (den // int(p.denominator)) for k, p in e.items()}
-            self.den = den
-        else:
-            self.num, self.den = e, 1
+        self.num = {k: int(p.numerator) * (den // int(p.denominator)) for k, p in e.items()}
+        self.den = den
 
     @classmethod
     def from_numerators(
@@ -82,7 +74,7 @@ class BellDistribution:
         return d
 
     @property
-    def e(self) -> dict[tuple[int, int], Probability]:
+    def e(self) -> dict[tuple[int, int], Fraction]:
         if self._e is None:
             self._e = {k: Fraction(v, self.den) for k, v in self.num.items()}
         return self._e
@@ -97,13 +89,13 @@ class BellDistribution:
     def __repr__(self) -> str:
         return f"BellDistribution({self.spec!r}, {self.e!r})"
 
-    def get(self, a: int, ell: int) -> Probability:
+    def get(self, a: int, ell: int) -> Fraction:
         return self.e.get((a, ell), Fraction(0))
 
-    def total(self) -> Probability:
-        return _ratio(sum(self.num.values()), self.den)
+    def total(self) -> Fraction:
+        return Fraction(sum(self.num.values()), self.den)
 
-    def validate(self, tol: float = 0.0) -> None:
+    def validate(self) -> None:
         """Check normalisation, positivity, and the per-index sum rule.
 
         The sum rule: e_{a,0} + e_{a,1} takes the same value for every
@@ -113,24 +105,18 @@ class BellDistribution:
             self.spec.check(a)
             if ell not in (0, 1):
                 raise ValueError(f"bad ell {ell}")
-            # written so that NaN fails: every comparison with it is false
-            if not p >= 0:
-                raise ValueError(f"negative or NaN probability at {(a, ell)}")
-        total = sum(self.num.values())
-        if total != self.den and not abs(_ratio(total - self.den, self.den)) <= tol:
-            raise ValueError(f"probabilities sum to {_ratio(total, self.den)}")
+            if p < 0:
+                raise ValueError(f"negative probability at {(a, ell)}")
+        if sum(self.num.values()) != self.den:
+            raise ValueError(f"probabilities sum to {self.total()}")
         get = self.num.get
         masses = [get((a, 0), 0) + get((a, 1), 0) for a in range(1, self.spec.order)]
-        lo, hi = min(masses), max(masses)
-        if hi != lo and _ratio(hi - lo, self.den) > tol:
+        if min(masses) != max(masses):
             raise ValueError("per-index sum rule violated")
 
 
 class _Kept(NamedTuple):
-    """A table's kept-index quantities, as numerators over its ``den``.
-
-    The numerators are ints for an exact table, floats for a float one.
-    """
+    """A table's kept-index quantities, as int numerators over its ``den``."""
 
     e00: int
     e10: int
@@ -221,15 +207,15 @@ class ObservablePrediction:
     nonkept masses) agree exactly.  ``e_b`` is None when e_c = 0.
     """
 
-    e_b: Probability | None
-    e_c: Probability
+    e_b: Fraction | None
+    e_c: Fraction
     consistent: bool
 
 
 def predict_observables(d: BellDistribution) -> ObservablePrediction:
     k = _kept(d)
-    e_b = None if k.e_c == 0 else _ratio(k.phase, k.e_c)
-    return ObservablePrediction(e_b, _ratio(k.e_c, d.den), k.consistent)
+    e_b = None if k.e_c == 0 else Fraction(k.phase, k.e_c)
+    return ObservablePrediction(e_b, Fraction(k.e_c, d.den), k.consistent)
 
 
 @dataclass(frozen=True)
@@ -270,7 +256,7 @@ def error_matrix(d: BellDistribution) -> ErrorMatrix:
     k = _kept(d)
     if k.e_c == 0:
         raise ValueError("e_c = 0, error matrix undefined")
-    return ErrorMatrix(*(_ratio(x, k.e_c) for x in (k.e00, k.e10, k.e11, k.e01)))
+    return ErrorMatrix(*(Fraction(x, k.e_c) for x in (k.e00, k.e10, k.e11, k.e01)))
 
 
 @dataclass(frozen=True)
@@ -278,7 +264,7 @@ class EdVerdict:
     """Distillability check on the raw outcome distribution."""
 
     passes: bool
-    lhs: Probability
+    lhs: Fraction
     e00_exceeds_half: bool
 
 
@@ -290,7 +276,7 @@ def check_ed_condition(d: BellDistribution) -> EdVerdict:
     outcome dominates the table.
     """
     k = _kept(d)
-    return EdVerdict(2 * k.ed_lhs < d.den, _ratio(k.ed_lhs, d.den), 2 * k.e00 > d.den)
+    return EdVerdict(2 * k.ed_lhs < d.den, Fraction(k.ed_lhs, d.den), 2 * k.e00 > d.den)
 
 
 def intercept_distribution(eta, spec: FieldSpec) -> tuple[Fraction, Fraction]:

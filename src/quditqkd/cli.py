@@ -63,12 +63,12 @@ def _from_merged(cls, merged: dict):
 
 SESSION_DEFAULTS = _defaults(SessionConfig)
 
-ANALYZE_DEFAULTS = _defaults(SessionConfig, "n", "channel", "modulus")
+ANALYZE_DEFAULTS = _defaults(SessionConfig, "n", "channel")
 
 DISTILL_DEFAULTS = {
     "matrix": None,
     "channel": None,
-    **_defaults(SessionConfig, "n", "modulus"),
+    **_defaults(SessionConfig, "n"),
     "auto_params": False,
     "k": None,
     "r": None,
@@ -107,7 +107,7 @@ def _config_value_ok(action: argparse.Action, value) -> bool:
         # a config may also give --matrix's four entries as a list
         listed = action.dest == "matrix" and isinstance(value, list)
         return isinstance(value, str) or listed
-    return isinstance(value, int)  # int and _parse_modulus
+    return isinstance(value, int)
 
 
 def _layer(args: argparse.Namespace, defaults: dict) -> dict:
@@ -148,10 +148,6 @@ def _dump_json(data: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _parse_modulus(text: str) -> int:
-    return int(text, 0)
 
 
 def _format_rate(name: str, est) -> str:
@@ -196,7 +192,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     merged = _layer(args, ANALYZE_DEFAULTS)
-    spec = field_spec(merged["n"], merged["modulus"])
+    spec = field_spec(merged["n"])
     model = resolve_channel(merged["channel"], spec)
     report = analysis_report(model)
     quiet = args.json == "-"
@@ -240,7 +236,7 @@ def _distill_matrix(merged: dict):
         return tuple(float(p) for p in parts)
     if merged["channel"] is None:
         raise ValueError("distill needs --matrix or --channel")
-    spec = field_spec(merged["n"], merged["modulus"])
+    spec = field_spec(merged["n"])
     model = resolve_channel(merged["channel"], spec)
     dist = bell_distribution(model)
     return error_matrix(dist)
@@ -395,7 +391,6 @@ def _add_session_flags(p: argparse.ArgumentParser) -> None:
         help="fraction of sifted rounds revealed",
     )
     p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--modulus", type=_parse_modulus, help="field modulus override")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="closed-form channel statistics")
     p.add_argument("--n", type=int)
     p.add_argument("--channel")
-    p.add_argument("--modulus", type=_parse_modulus)
     p.add_argument("--config", help="JSON file with flag defaults")
     p.add_argument("--json", help="write the JSON report here ('-' for stdout)")
     p.set_defaults(func=cmd_analyze)
@@ -425,7 +419,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", help="p_i,p_x,p_y,p_z")
     p.add_argument("--channel", help="derive the matrix from this channel")
     p.add_argument("--n", type=int)
-    p.add_argument("--modulus", type=_parse_modulus)
     p.add_argument(
         "--auto-params", dest="auto_params", action=argparse.BooleanOptionalAction,
         help="search for the smallest workable depth",

@@ -2,10 +2,9 @@
 
 Field elements are integers in [0, 2^n) interpreted as bit vectors of
 polynomial coefficients over GF(2).  Addition is XOR.  Multiplication is
-polynomial multiplication reduced modulo an irreducible polynomial of
-degree n, itself stored as a bit mask with the leading coefficient
-included.  The default moduli are the lexicographically smallest
-irreducible polynomials:
+polynomial multiplication reduced modulo ``MODULI[n]``, the
+lexicographically smallest irreducible polynomial of degree n, stored
+as a bit mask with the leading coefficient included:
 
     n = 2:  x^2 + x + 1        0b111       0x7
     n = 3:  x^3 + x + 1        0b1011      0xb
@@ -15,14 +14,14 @@ irreducible polynomials:
     n = 7:  x^7 + x + 1        0b10000011  0x83
     n = 8:  x^8 + x^4 + x^3 + x + 1        0x11b
 
-Any other irreducible polynomial of the right degree may be supplied;
-irreducibility is verified at construction by exhaustive trial division.
-A ``FieldSpec`` is a frozen value, safe to share across threads.  Its
-multiplication table is built with array operations, one shift-and-add
-over every (a, b) pair at once, and the inverse of each a is the column
-where row a of that table holds 1; both are read-only uint8 numpy arrays
-for vectorised callers.  ``field_spec`` is the cached constructor: it
-returns one shared spec per (n, modulus).
+Every irreducible modulus of degree n gives an isomorphic field, so the
+choice only relabels elements and the scheme's statistics do not depend
+on it.  A ``FieldSpec`` is a frozen value, safe to share across threads.
+Its multiplication table is built with array operations, one
+shift-and-add over every (a, b) pair at once, and the inverse of each a
+is the column where row a of that table holds 1; both are read-only
+uint8 numpy arrays for vectorised callers.  ``field_spec`` is the cached
+constructor: it returns one shared spec per degree.
 """
 
 from __future__ import annotations
@@ -34,6 +33,9 @@ import numpy as np
 MIN_N = 2
 MAX_N = 8
 
+# the reduction modulus of GF(2^n), keyed by n
+MODULI = {2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B}
+
 
 def check_degree(n: int) -> int:
     """``n``, if GF(2^n) is a field this package builds; else a ValueError."""
@@ -42,64 +44,25 @@ def check_degree(n: int) -> int:
     return n
 
 
-def poly_degree(p: int) -> int:
-    """Degree of a GF(2) polynomial bit mask (-1 for the zero polynomial)."""
-    return p.bit_length() - 1
-
-
-def poly_mod(a: int, m: int) -> int:
-    """Remainder of a GF(2) polynomial a modulo m."""
-    dm = poly_degree(m)
-    while poly_degree(a) >= dm:
-        a ^= m << (poly_degree(a) - dm)
-    return a
-
-
-def is_irreducible(p: int) -> bool:
-    """Exhaustive trial division by every polynomial of degree 1..deg/2."""
-    d = poly_degree(p)
-    if d < 1:
-        return False
-    for q in range(2, 1 << (d // 2 + 1)):
-        if poly_degree(q) >= 1 and poly_mod(p, q) == 0:
-            return False
-    return True
-
-
-def smallest_irreducible(n: int) -> int:
-    """Lexicographically smallest irreducible polynomial of degree n."""
-    for p in range(1 << n, 1 << (n + 1)):
-        if is_irreducible(p):
-            return p
-    raise AssertionError("no irreducible polynomial of degree %d" % n)
-
-
 @dataclass(frozen=True)
 class FieldSpec:
-    """An instance of GF(2^n) with a fixed reduction modulus.
+    """GF(2^n), reduced modulo ``MODULI[n]``.
 
     Provides raw integer arithmetic (``mul``, ``inv``, ``pow``, ``norm``)
     plus the read-only tables ``mul_table`` (N, N) and ``inv_table``
     (length N, entry 0 unused) for vectorised code.  Two specs are
-    equal when their degree and resolved modulus are.
+    equal when their degrees are.
     """
 
     n: int
-    modulus: int | None = None
+    modulus: int = field(init=False, compare=False)
     order: int = field(init=False, compare=False)
     mul_table: np.ndarray = field(init=False, compare=False)
     inv_table: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, modulus = check_degree(self.n), self.modulus
-        if modulus is None:
-            modulus = smallest_irreducible(n)
-        if poly_degree(modulus) != n:
-            raise ValueError(
-                f"modulus {modulus:#x} has degree {poly_degree(modulus)}, expected {n}"
-            )
-        if not is_irreducible(modulus):
-            raise ValueError(f"modulus {modulus:#x} is reducible")
+        n = check_degree(self.n)
+        modulus = MODULI[n]
         order = 1 << n
         # shift-and-add over every (a, b) at once: ``row`` holds a * x^k
         # mod the modulus for every a, added wherever bit k of b is set
@@ -157,12 +120,12 @@ class FieldSpec:
         return f"FieldSpec(n={self.n}, modulus={self.modulus:#x})"
 
 
-_SPECS: dict[tuple[int, int | None], FieldSpec] = {}
+_SPECS: dict[int, FieldSpec] = {}
 
 
-def field_spec(n: int, modulus: int | None = None) -> FieldSpec:
-    """The cached constructor: one shared :class:`FieldSpec` per (n, modulus)."""
-    spec = _SPECS.get((n, modulus))
+def field_spec(n: int) -> FieldSpec:
+    """The cached constructor: one shared :class:`FieldSpec` per degree."""
+    spec = _SPECS.get(n)
     if spec is None:
-        spec = _SPECS[n, modulus] = FieldSpec(n, modulus)
+        spec = _SPECS[n] = FieldSpec(n)
     return spec

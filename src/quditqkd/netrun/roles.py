@@ -146,7 +146,7 @@ class RoleReport:
 
 def handshake_facts(cfg: RoleConfig) -> dict:
     """The parameters alice and bob must hold identically."""
-    spec = field_spec(cfg.session.n, cfg.session.modulus)
+    spec = field_spec(cfg.session.n)
     return {
         "n": cfg.session.n,
         "modulus": spec.modulus,
@@ -321,7 +321,7 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
     link = Link(sock)
     report = RoleReport(role=role)
     session = cfg.session
-    spec = field_spec(session.n, session.modulus)
+    spec = field_spec(session.n)
     table = pair_table(spec)
     streams = spawn_streams(session.seed)
     rounds = session.rounds
@@ -413,7 +413,7 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     int32 array until then.
     """
     session = cfg.session
-    spec = field_spec(session.n, session.modulus)
+    spec = field_spec(session.n)
     model = resolve_channel(session.channel, spec)
     rng = spawn_streams(session.seed)[STREAM_CHANNEL]
     la = Link(sock_alice)

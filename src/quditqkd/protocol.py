@@ -195,7 +195,6 @@ class SessionConfig:
     channel: ChannelModel | str = "identity"
     sample_fraction: float = 0.1
     seed: int = 0
-    modulus: int | None = None
 
     def __post_init__(self) -> None:
         if self.rounds < 1:
@@ -629,7 +628,7 @@ def run_session(cfg: SessionConfig) -> SessionOutput:
     holds only the spans' tallies, which are joined and released before
     the tail runs.
     """
-    spec = field_spec(cfg.n, cfg.modulus)
+    spec = field_spec(cfg.n)
     model = resolve_channel(cfg.channel, spec)
     streams = spawn_streams(cfg.seed)
     table = pair_table(spec)

@@ -26,6 +26,27 @@ def slow_gf_mul(a: int, b: int, modulus: int, n: int) -> int:
     return acc
 
 
+def poly_mod(a: int, m: int) -> int:
+    """Remainder of the GF(2) polynomial bit mask a modulo m."""
+    dm = m.bit_length()
+    while a.bit_length() >= dm:
+        a ^= m << (a.bit_length() - dm)
+    return a
+
+
+def is_irreducible(p: int) -> bool:
+    """Exhaustive trial division by every polynomial of degree 1..deg/2."""
+    d = p.bit_length() - 1
+    if d < 1:
+        return False
+    return all(poly_mod(p, q) for q in range(2, 1 << (d // 2 + 1)))
+
+
+def smallest_irreducible(n: int) -> int:
+    """Lexicographically smallest irreducible polynomial of degree n."""
+    return next(p for p in range(1 << n, 1 << (n + 1)) if is_irreducible(p))
+
+
 def dense_frame(spec, lam: int, beta: int, b: int, kappa: int) -> np.ndarray:
     """Integer amplitude vector of the (b, kappa) frame on the (lam, beta) line.
 

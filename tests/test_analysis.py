@@ -98,20 +98,10 @@ class TestBellDistribution:
             ).validate()
 
     def test_validate_rejects_nan(self):
+        # a table is exact, so a NaN entry fails at construction
         spec = field_spec(2)
-        with pytest.raises(ValueError, match="NaN"):
-            BellDistribution(spec, {(0, 0): float("nan")}).validate()
-
-    def test_validate_tolerance_for_floats(self):
-        spec = field_spec(2)
-        third = 1 / 6
-        d = BellDistribution(
-            spec,
-            {(0, 0): 0.5, (1, 0): third, (2, 0): third, (3, 0): third + 1e-12},
-        )
-        d.validate(tol=1e-9)
-        with pytest.raises(ValueError):
-            d.validate(tol=1e-15)
+        with pytest.raises(ValueError, match=r"^probability at \(0, 0\) is not exact: nan$"):
+            BellDistribution(spec, {(0, 0): float("nan")})
 
 
 def _per_term_bell(model):

@@ -280,21 +280,33 @@ class TestConfigLayering:
         assert merged["seed"] == 3  # file wins over builtin 0
         assert merged["n"] == 2  # builtin survives
 
-    @pytest.mark.parametrize("flags", [["--ec-mode", "in_pair"], ["--no-strict"], ["--strict"]])
+    @pytest.mark.parametrize(
+        "flags", [["--ec-mode", "in_pair"], ["--no-strict"], ["--strict"], ["--modulus", "0xb"]]
+    )
     def test_removed_session_flags_are_usage_errors(self, capsys, flags):
-        # one e_c estimator and one strict verdict leave nothing to choose
+        # one e_c estimator, one strict verdict and one modulus per degree
+        # leave nothing to choose
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--rounds", "200", *flags)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["analyze", "distill", "netrun"])
+    def test_no_subcommand_takes_a_modulus(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--modulus", "0xb")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --modulus 0xb" in capsys.readouterr().err
+
     def test_removed_session_keys_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.json"
-        cfg.write_text(json.dumps({"ec_mode": "in_pair", "condition_strict": True}))
+        cfg.write_text(
+            json.dumps({"ec_mode": "in_pair", "condition_strict": True, "modulus": 11})
+        )
         code = run_cli("simulate", "--config", str(cfg))
         assert code == 1
         err = capsys.readouterr().err
-        assert "unknown config keys: ['condition_strict', 'ec_mode']" in err
+        assert "unknown config keys: ['condition_strict', 'ec_mode', 'modulus']" in err
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "defaults.json"

@@ -9,16 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quditqkd.field import (
-    FieldSpec,
-    field_spec,
-    is_irreducible,
-    smallest_irreducible,
-)
+from quditqkd.field import MODULI, FieldSpec, field_spec
 from quditqkd.protocol import pm_condition_lhs
 from quditqkd.threshold import FeasibilityPoint, e_max_scan, ec_star, f_value
 
-from oracles import slow_gf_mul
+from oracles import is_irreducible, slow_gf_mul, smallest_irreducible
 from reference import FieldElement, FieldMismatchError
 
 DEGREES = range(2, 9)
@@ -36,10 +31,8 @@ EXPECTED_MODULI = {
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_default_modulus_is_smallest_irreducible(n):
-    spec = field_spec(n)
-    assert spec.modulus == EXPECTED_MODULI[n]
-    assert spec.modulus == smallest_irreducible(n)
-    assert is_irreducible(spec.modulus)
+    assert field_spec(n).modulus == MODULI[n] == EXPECTED_MODULI[n]
+    assert MODULI[n] == smallest_irreducible(n)
 
 
 @pytest.mark.parametrize("n", DEGREES)
@@ -137,13 +130,6 @@ def test_degree_outside_the_field_range(call, n):
         DEGREE_CALLS[call](n)
 
 
-def test_reducible_modulus_rejected():
-    # x^2 + 1 = (x + 1)^2 over GF(2)
-    assert not is_irreducible(0b101)
-    with pytest.raises(ValueError):
-        FieldSpec(2, 0b101)
-
-
 @pytest.mark.parametrize(
     "n, modulus",
     [
@@ -154,21 +140,32 @@ def test_reducible_modulus_rejected():
     ],
 )
 def test_custom_irreducible_modulus_accepted(n, modulus):
-    # every irreducible modulus of the degree gives tables satisfying the axioms
-    spec = FieldSpec(n, modulus)
-    assert spec.modulus == modulus
+    # another modulus needs no option: x -> a root of it in field_spec(n)
+    # carries the field it defines onto field_spec(n), a relabelling
+    spec = field_spec(n)
+
+    def evaluate(poly: int, x: int) -> int:
+        acc, power = 0, 1
+        for k in range(poly.bit_length()):
+            if poly >> k & 1:
+                acc ^= power
+            power = spec.mul(power, x)
+        return acc
+
+    roots = [x for x in range(spec.order) if evaluate(modulus, x) == 0]
+    assert len(roots) == n
+    image = [evaluate(a, roots[0]) for a in range(spec.order)]
+    assert sorted(image) == list(range(spec.order))
     for a in range(spec.order):
         for b in range(spec.order):
-            assert spec.mul(a, b) == slow_gf_mul(a, b, modulus, n)
-        if a:
-            assert spec.mul(a, spec.inv(a)) == 1
+            assert image[slow_gf_mul(a, b, modulus, n)] == spec.mul(image[a], image[b])
 
 
 def test_spec_cache_and_equality():
     assert field_spec(3) is field_spec(3)
     assert field_spec(3) is field_spec(n=3)
-    assert field_spec(3) == field_spec(3, 0b1011)
-    assert hash(field_spec(3)) == hash(FieldSpec(3, 0b1011))
+    assert field_spec(3) == FieldSpec(3)
+    assert hash(field_spec(3)) == hash(FieldSpec(3))
     assert field_spec(3) != field_spec(4)
     spec = field_spec(3)
     with pytest.raises(FrozenInstanceError):

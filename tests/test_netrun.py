@@ -8,6 +8,7 @@ import socket
 import struct
 import threading
 import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -774,6 +775,24 @@ class TestHostileTail:
     }
     # a dropped frame may stall both sides until their socket deadline
     STALLED = {"peer-timeout", "peer-disconnect"}
+    # (frame, sent by alice, fault) after the sample: each parity frame
+    # and VERDICT against its receiver, every fault but "rotate", plus
+    # bob's VERDICT dropped and swapped; the other frames' drops and swaps
+    # each stall for the whole deadline
+    TAIL = list(
+        product(
+            (FrameType.PARITY_ROUND, FrameType.BLOCK_PARITY, FrameType.VERDICT),
+            (True, False),
+            FAULTS[:5] + ("duplicate",),
+        )
+    ) + [(FrameType.VERDICT, False, "drop"), (FrameType.VERDICT, False, "swap")]
+    # the only cases that may end with one side at "pass", always bob's:
+    # his VERDICT is the session's last frame, which alice checks after
+    # he has passed, and a duplicate of his BLOCK_PARITY reaches her
+    # where his VERDICT belongs
+    ONE_SIDED = {
+        (FrameType.VERDICT, False, how) for how in FAULTS[:5] + ("drop", "swap")
+    } | {(FrameType.BLOCK_PARITY, False, "duplicate")}
     # seconds each role waits for its peer's next frame
     DEADLINE = 1.0
 
@@ -869,6 +888,26 @@ class TestHostileTail:
         rep_a, rep_b = self._run_mangled(FrameType.VERDICT, True, how)
         assert (rep_a.status, rep_b.status) == ("peer-abort:protocol-error", "protocol-error")
         assert rep_a.final_key is None and rep_b.final_key is None
+
+    @pytest.mark.parametrize(
+        "ftype, from_alice, how",
+        TAIL,
+        ids=[f"{f.name.lower()}-to-{'bob' if a else 'alice'}-{how}" for f, a, how in TAIL],
+    )
+    def test_tail_frame_ends_one_sided_only_where_listed(self, ftype, from_alice, how):
+        rep_a, rep_b = self._run_mangled(ftype, from_alice, how)
+        assert {rep_a.status, rep_b.status} <= self.NAMED | self.STALLED | {"pass"}
+        passed = (rep_a.status == "pass", rep_b.status == "pass")
+        if (ftype, from_alice, how) in self.ONE_SIDED:
+            assert passed == (False, True)
+        else:
+            assert passed[0] == passed[1]
+        if all(passed):
+            assert rep_a.final_key == rep_b.final_key
+
+    def test_one_sided_cases(self):
+        assert len(self.ONE_SIDED) == 8
+        assert self.ONE_SIDED <= set(self.TAIL)
 
     @pytest.mark.parametrize(
         "ftype, from_alice", FRAMES, ids=["sift-to-bob", "reveal-to-bob", "reveal-to-alice"]

@@ -197,17 +197,13 @@ class TestTables:
                 assert _decisions(d, predict_observables, check_ed_condition, error_matrix) == ref
 
     def test_float_tables(self):
-        # sampled tables: the same float arithmetic in the same order
+        # a table is exact: the first float entry fails the constructor
         for spec, _, _, e in _random_tables(300):
             floats = {k: float(p) for k, p in e.items()}
-            d, ref_d = BellDistribution(spec, floats), FractionBellDistribution(spec, floats)
-            assert d.e is floats
-            assert d.total() == ref_d.total()
-            got = _decisions(d, predict_observables, check_ed_condition, error_matrix)
-            want = _decisions(
-                ref_d, fraction_predict_observables, fraction_check_ed_condition, fraction_error_matrix
-            )
-            assert got == want
+            key, p = next(iter(floats.items()))
+            with pytest.raises(ValueError) as exc:
+                BellDistribution(spec, floats)
+            assert str(exc.value) == f"probability at {key} is not exact: {p!r}"
 
     def test_missing_kept_entries(self):
         spec = field_spec(3)
@@ -219,34 +215,48 @@ class TestTables:
 
 THIRD = 1 / 6
 VALIDATE_CASES = {
-    "exact": ({(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)}, 0.0),
-    "exact-short": ({(0, 0): Fraction(1, 2)}, 0.0),
-    "exact-short-in-tol": ({(0, 0): 1 - TINY, (0, 1): Fraction(0)}, 1e-9),
-    "negative": ({(0, 0): Fraction(3, 2), (1, 0): Fraction(-1, 2)}, 0.0),
-    "bad-ell": ({(0, 2): Fraction(1)}, 0.0),
-    "bad-index": ({(4, 0): Fraction(1)}, 0.0),
-    "sum-rule": ({(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)}, 0.0),
-    "nan": ({(0, 0): float("nan")}, 0.0),
-    "nan-among-fractions": ({(0, 0): Fraction(1, 2), (0, 1): float("nan")}, 1.0),
-    "float-negative": ({(0, 0): 1.5, (0, 1): -0.5}, 0.0),
-    "float-in-tol": ({(0, 0): 0.5, (1, 0): THIRD, (2, 0): THIRD, (3, 0): THIRD + 1e-12}, 1e-9),
-    "float-out-of-tol": ({(0, 0): 0.5, (1, 0): THIRD, (2, 0): THIRD, (3, 0): THIRD + 1e-12}, 1e-15),
-    "float-short": ({(0, 0): 0.75}, 0.1),
-    "empty": ({}, 0.0),
+    "exact": {(0, 0): Fraction(1, 2), (0, 1): Fraction(1, 2)},
+    "exact-short": {(0, 0): Fraction(1, 2)},
+    # short by 1e-30, which a 1e-9 tolerance once let pass
+    "exact-short-in-tol": {(0, 0): 1 - TINY, (0, 1): Fraction(0)},
+    "negative": {(0, 0): Fraction(3, 2), (1, 0): Fraction(-1, 2)},
+    "bad-ell": {(0, 2): Fraction(1)},
+    "bad-index": {(4, 0): Fraction(1)},
+    "sum-rule": {(0, 0): Fraction(1, 2), (1, 0): Fraction(1, 2)},
+    "nan": {(0, 0): float("nan")},
+    "nan-among-fractions": {(0, 0): Fraction(1, 2), (0, 1): float("nan")},
+    "float-negative": {(0, 0): 1.5, (0, 1): -0.5},
+    "float-in-tol": {(0, 0): 0.5, (1, 0): THIRD, (2, 0): THIRD, (3, 0): THIRD + 1e-12},
+    "float-out-of-tol": {(0, 0): 0.5, (1, 0): THIRD, (2, 0): THIRD, (3, 0): THIRD + 1e-12},
+    "float-short": {(0, 0): 0.75},
+    "empty": {},
+}
+# the first entry of each that is not exact, which the constructor names
+NOT_EXACT = {
+    "nan": ((0, 0), "nan"),
+    "nan-among-fractions": ((0, 1), "nan"),
+    "float-negative": ((0, 0), "1.5"),
+    "float-in-tol": ((0, 0), "0.5"),
+    "float-out-of-tol": ((0, 0), "0.5"),
+    "float-short": ((0, 0), "0.75"),
 }
 
 
 @pytest.mark.parametrize("case", VALIDATE_CASES)
 def test_validate_matches_the_fraction_checks(case):
-    table, tol = VALIDATE_CASES[case]
+    table = VALIDATE_CASES[case]
     spec = field_spec(2)
+    if case in NOT_EXACT:
+        key, shown = NOT_EXACT[case]
+        want = f"probability at {key} is not exact: {shown}"
+    else:
+        try:
+            FractionBellDistribution(spec, table).validate()
+            want = None
+        except ValueError as exc:
+            want = str(exc)
     try:
-        FractionBellDistribution(spec, table).validate(tol)
-        want = None
-    except ValueError as exc:
-        want = str(exc)
-    try:
-        BellDistribution(spec, table).validate(tol)
+        BellDistribution(spec, table).validate()
         got = None
     except ValueError as exc:
         got = str(exc)

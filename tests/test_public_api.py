@@ -109,6 +109,10 @@ GONE = [
     (field, "FieldElement"),
     (field, "FieldMismatchError"),
     (field.FieldSpec, "el"),
+    (field, "poly_degree"),
+    (field, "poly_mod"),
+    (field, "is_irreducible"),
+    (field, "smallest_irreducible"),
 ]
 
 
