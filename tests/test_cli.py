@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 
 import pytest
 
@@ -14,6 +15,50 @@ from quditqkd.netrun import RoleReport
 
 def run_cli(*argv: str) -> int:
     return cli.main(list(argv))
+
+
+# The JSON type of every setting a config file may hold, per subcommand;
+# a trailing "?" marks a setting whose built-in is None, which null may set.
+CONFIG_TYPES = {
+    "simulate": {
+        "n": "int", "rounds": "int", "channel": "str", "sample_fraction": "float",
+        "seed": "int",
+    },
+    "analyze": {"n": "int", "channel": "str"},
+    "distill": {
+        "matrix": "str?", "channel": "str?", "n": "int", "auto_params": "bool",
+        "k": "int?", "r": "int?", "k_max": "int", "r_max": "int",
+        "css_target": "float", "z_budget": "float", "margin": "float",
+        "count": "int?", "seed": "int",
+    },
+    "threshold": {"n": "int", "grid": "int"},
+    "verify": {"samples": "int", "seed": "int"},
+    "netrun": {
+        "role": "str?", "n": "int", "rounds": "int", "channel": "str",
+        "sample_fraction": "float", "seed": "int", "k": "int", "r": "int",
+        "listen": "str?", "connect_alice": "str?", "connect_bob": "str?",
+    },
+}
+SETTING_PAIRS = [(command, name) for command in CONFIG_TYPES for name in CONFIG_TYPES[command]]
+# One value of each JSON type, and the JSON types a setting of each type takes
+JSON_VALUES = {"str": "x", "int": 3, "float": 0.5, "bool": True, "list": [1], "object": {"a": 1}}
+ACCEPTS = {"str": {"str"}, "int": {"int"}, "float": {"int", "float"}, "bool": {"bool"}}
+
+
+def _merge(tmp_path, command: str, data: dict) -> dict:
+    """The merged settings of ``command`` run with ``data`` as its config file."""
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(data))
+    args = cli.build_parser().parse_args([command, "--config", str(path)])
+    defaults = {
+        "simulate": cli.SESSION_DEFAULTS,
+        "analyze": cli.ANALYZE_DEFAULTS,
+        "distill": cli.DISTILL_DEFAULTS,
+        "threshold": cli.THRESHOLD_DEFAULTS,
+        "verify": cli.VERIFY_DEFAULTS,
+        "netrun": cli.NETRUN_DEFAULTS,
+    }
+    return cli._layer(args, defaults[command])
 
 
 class TestSimulate:
@@ -353,6 +398,33 @@ class TestConfigLayering:
         blob = json.loads(capsys.readouterr().out)
         assert code == 0
         assert blob["manual"]["k"] == 1
+
+    def test_config_types_cover_every_setting(self):
+        assert len(SETTING_PAIRS) == 35
+        outputs = {"command", "func", "config", "json", "csv", "round_log", "report"}
+        for command, settings in CONFIG_TYPES.items():
+            dests = set(vars(cli.build_parser().parse_args([command])))
+            assert dests - outputs == set(settings), command
+
+    @pytest.mark.parametrize("command, name", SETTING_PAIRS)
+    def test_config_value_types(self, tmp_path, command, name):
+        """A value of the setting's JSON type merges in and any other fails;
+        null is accepted exactly where the built-in is None."""
+        kind = CONFIG_TYPES[command][name]
+        nullable = kind.endswith("?")
+        accepted = ACCEPTS[kind.rstrip("?")] | ({"list"} if name == "matrix" else set())
+        wrong = re.escape(f"config key {name!r} has the wrong type")
+        for json_type, value in JSON_VALUES.items():
+            if json_type in accepted:
+                assert _merge(tmp_path, command, {name: value})[name] == value
+            else:
+                with pytest.raises(ValueError, match=wrong):
+                    _merge(tmp_path, command, {name: value})
+        if nullable:
+            assert _merge(tmp_path, command, {name: None})[name] is None
+        else:
+            with pytest.raises(ValueError, match=wrong):
+                _merge(tmp_path, command, {name: None})
 
     @pytest.mark.parametrize(
         "command, defaults",
