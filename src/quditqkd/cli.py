@@ -6,8 +6,13 @@ key-distillation parameters, ``threshold`` scans the feasibility
 frontier, ``verify`` runs the built-in consistency suites and
 ``netrun`` launches one networked role.
 
-Every subcommand takes ``--config FILE`` holding JSON defaults keyed by
-flag name; explicit flags win over the file, which wins over built-ins.
+Every setting is declared once, in ``SETTINGS``, which gives its flag,
+its config key and its type.  Every subcommand takes ``--config FILE``,
+a JSON object keyed by setting name: the flag without its dashes, with
+underscores inside (``sample_fraction``, not ``sample-fraction``).  A
+value must have the setting's type, and null is allowed only where the
+built-in default is None.  Explicit flags win over the file, which wins
+over built-ins.
 Exit status is 0 on success, 2 for an expected negative outcome (the
 continuation condition failed, no feasible parameters), 1 on errors or
 verification mismatch.
@@ -25,11 +30,10 @@ import numpy as np
 
 from . import verify as verify_mod
 from .analysis import analysis_report, bell_distribution, error_matrix
-from .channels import UnsupportedModelError, resolve_channel
+from .channels import resolve_channel
 from .distill import (
     DistillBudget,
     DistillParams,
-    InsufficientKeyError,
     check_secure_condition,
     ep_recursion,
     majority_stage,
@@ -39,6 +43,7 @@ from .distill import (
 )
 from .field import field_spec
 from .netrun import RoleConfig, run_role
+from .netrun.roles import ROLES
 from .protocol import SessionConfig, run_session
 from .threshold import e_max_scan
 
@@ -61,80 +66,99 @@ def _from_merged(cls, merged: dict):
     return cls(**{f.name: merged[f.name] for f in fields(cls)})
 
 
-SESSION_DEFAULTS = _defaults(SessionConfig)
-
-ANALYZE_DEFAULTS = _defaults(SessionConfig, "n", "channel")
-
-DISTILL_DEFAULTS = {
-    "matrix": None,
-    "channel": None,
-    **_defaults(SessionConfig, "n"),
-    "auto_params": False,
-    "k": None,
-    "r": None,
-    **_defaults(DistillBudget),
-    "count": None,
-    "seed": 0,
+# The one place settings are declared: each subcommand's settings in flag
+# order, name -> built-in default.  A setting's flag is --name-with-dashes,
+# its config key is its name, and both take the type ``_kind`` gives it.
+SETTINGS = {
+    "simulate": _defaults(SessionConfig),
+    "analyze": _defaults(SessionConfig, "n", "channel"),
+    "distill": {
+        "matrix": None,
+        "channel": None,
+        **_defaults(SessionConfig, "n"),
+        "auto_params": False,
+        "k": None,
+        "r": None,
+        **_defaults(DistillBudget),
+        "count": None,
+        "seed": 0,
+    },
+    "threshold": {**_defaults(SessionConfig, "n"), **_defaults(e_max_scan, "grid")},
+    "verify": _defaults(verify_mod.run_all),
+    "netrun": {
+        "role": None,
+        **_defaults(SessionConfig),
+        "k": 0,
+        "r": 1,
+        "listen": None,
+        "connect_alice": None,
+        "connect_bob": None,
+    },
 }
 
-THRESHOLD_DEFAULTS = {
-    **_defaults(SessionConfig, "n"),
-    **_defaults(e_max_scan, "grid"),
+# Types of the settings whose built-in is None; the others are strings.
+_NONE_TYPES = {"k": int, "r": int, "count": int}
+
+# Help line of each flag, by setting or output name
+_HELP = {
+    "n": "field degree, 2..8",
+    "rounds": "transmission rounds",
+    "channel": "channel string, e.g. z_flip:0.3",
+    "sample_fraction": "fraction of sifted rounds revealed",
+    "seed": "master seed",
+    "matrix": "p_i,p_x,p_y,p_z",
+    "auto_params": "search for the smallest workable depth",
+    "k": "pumping depth",
+    "r": "majority block size (odd)",
+    "count": "also run this many sampled labels",
+    "samples": "random draws per sampled suite",
+    "listen": "host:port to listen on",
+    "connect_alice": "host:port of alice",
+    "connect_bob": "host:port of bob",
+    "config": "JSON file of setting defaults",
+    "round_log": "write per-round CSV here",
+    "csv": "write per-slice rows here",
+    "json": "write the JSON report here ('-' for stdout)",
+    "report": "write the JSON role report here ('-' for stdout)",
 }
 
-VERIFY_DEFAULTS = _defaults(verify_mod.run_all)
 
-NETRUN_DEFAULTS = dict(
-    SESSION_DEFAULTS,
-    role=None,
-    k=0,
-    r=1,
-    listen=None,
-    connect_alice=None,
-    connect_bob=None,
-)
+def _kind(name: str, default) -> type:
+    """The type of a setting: its built-in's type, or its ``_NONE_TYPES`` entry."""
+    return _NONE_TYPES.get(name, str) if default is None else type(default)
 
 
-def _config_value_ok(action: argparse.Action, value) -> bool:
-    """Whether a config value has the type the key's own flag stores."""
-    if isinstance(action, argparse.BooleanOptionalAction):
-        return isinstance(value, bool)
-    if isinstance(value, bool):
-        return False
-    if action.type is float:
-        return isinstance(value, (int, float))
-    if action.type is None:
+def _config_value_ok(name: str, default, value) -> bool:
+    """Whether a config value has its setting's type; null only for a None built-in."""
+    if value is None:
+        return default is None
+    kind = _kind(name, default)
+    if isinstance(value, bool) or kind is bool:
+        return isinstance(value, bool) and kind is bool
+    if name == "matrix":
         # a config may also give --matrix's four entries as a list
-        listed = action.dest == "matrix" and isinstance(value, list)
-        return isinstance(value, str) or listed
-    return isinstance(value, int)
+        return isinstance(value, (str, list))
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
-def _layer(args: argparse.Namespace, defaults: dict) -> dict:
-    """Built-in defaults, overridden by --config JSON, then by flags.
-
-    A config value must have the type its flag would give; null is
-    allowed where the built-in default is None.
-    """
-    merged = dict(defaults)
-    if getattr(args, "config", None):
+def _layer(args: argparse.Namespace) -> dict:
+    """Built-in defaults, overridden by --config JSON, then by flags."""
+    settings = SETTINGS[args.command]
+    merged = dict(settings)
+    if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ValueError("config file must hold a JSON object")
-        unknown = set(data) - set(defaults)
+        unknown = set(data) - set(settings)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        flags = build_parser().command_parsers[args.command]._actions
-        actions = {a.dest: a for a in flags}
         for key, value in data.items():
-            if value is None and defaults[key] is None:
-                continue
-            if not _config_value_ok(actions[key], value):
+            if not _config_value_ok(key, settings[key], value):
                 raise ValueError(f"config key {key!r} has the wrong type: {value!r}")
         merged.update(data)
-    for key in defaults:
-        value = getattr(args, key, None)
+    for key in settings:
+        value = getattr(args, key)
         if value is not None:
             merged[key] = value
     return merged
@@ -160,7 +184,7 @@ def _format_rate(name: str, est) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    merged = _layer(args, SESSION_DEFAULTS)
+    merged = _layer(args)
     out = run_session(_from_merged(SessionConfig, merged))
     stats = out.stats
     if args.round_log:
@@ -191,7 +215,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    merged = _layer(args, ANALYZE_DEFAULTS)
+    merged = _layer(args)
     spec = field_spec(merged["n"])
     model = resolve_channel(merged["channel"], spec)
     report = analysis_report(model)
@@ -243,7 +267,7 @@ def _distill_matrix(merged: dict):
 
 
 def cmd_distill(args: argparse.Namespace) -> int:
-    merged = _layer(args, DISTILL_DEFAULTS)
+    merged = _layer(args)
     matrix = _distill_matrix(merged)
     budget = _from_merged(DistillBudget, merged)
     m = ep_recursion(matrix, 0)
@@ -310,7 +334,7 @@ def cmd_distill(args: argparse.Namespace) -> int:
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
-    merged = _layer(args, THRESHOLD_DEFAULTS)
+    merged = _layer(args)
     result = e_max_scan(merged["n"], grid=merged["grid"])
     report = result.to_json_dict()
     quiet = args.json == "-"
@@ -331,7 +355,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    merged = _layer(args, VERIFY_DEFAULTS)
+    merged = _layer(args)
     results = verify_mod.run_all(samples=merged["samples"], seed=merged["seed"])
     for suite in results:
         print(suite.line())
@@ -343,7 +367,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_netrun(args: argparse.Namespace) -> int:
-    merged = _layer(args, NETRUN_DEFAULTS)
+    merged = _layer(args)
     if merged["role"] is None:
         raise ValueError("netrun needs --role alice|bob|eve")
     cfg = RoleConfig(
@@ -382,86 +406,36 @@ def cmd_netrun(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-def _add_session_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, help="field degree, 2..8")
-    p.add_argument("--rounds", type=int, help="transmission rounds")
-    p.add_argument("--channel", help="channel string, e.g. z_flip:0.3")
-    p.add_argument(
-        "--sample-fraction", dest="sample_fraction", type=float,
-        help="fraction of sifted rounds revealed",
-    )
-    p.add_argument("--seed", type=int, help="master seed")
+# Per subcommand: handler, help line and output flags.
+_COMMANDS = {
+    "simulate": (cmd_simulate, "run one seeded local session", ("round_log", "json")),
+    "analyze": (cmd_analyze, "closed-form channel statistics", ("json",)),
+    "distill": (cmd_distill, "select and run distillation parameters", ("json",)),
+    "threshold": (cmd_threshold, "feasibility frontier scan", ("csv", "json")),
+    "verify": (cmd_verify, "built-in consistency suites", ()),
+    "netrun": (cmd_netrun, "launch one networked role", ("report",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, its setting flags generated from ``SETTINGS``."""
     parser = argparse.ArgumentParser(
         prog="quditqkd",
         description="qudit prepare-and-measure key distribution workbench",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.command_parsers = sub.choices
-
-    p = sub.add_parser("simulate", help="run one seeded local session")
-    _add_session_flags(p)
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.add_argument("--round-log", dest="round_log", help="write per-round CSV here")
-    p.add_argument("--json", help="write the JSON report here ('-' for stdout)")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("analyze", help="closed-form channel statistics")
-    p.add_argument("--n", type=int)
-    p.add_argument("--channel")
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.add_argument("--json", help="write the JSON report here ('-' for stdout)")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("distill", help="select and run distillation parameters")
-    p.add_argument("--matrix", help="p_i,p_x,p_y,p_z")
-    p.add_argument("--channel", help="derive the matrix from this channel")
-    p.add_argument("--n", type=int)
-    p.add_argument(
-        "--auto-params", dest="auto_params", action=argparse.BooleanOptionalAction,
-        help="search for the smallest workable depth",
-    )
-    p.add_argument("--k", type=int, help="pumping depth")
-    p.add_argument("--r", type=int, help="majority block size (odd)")
-    p.add_argument("--k-max", dest="k_max", type=int)
-    p.add_argument("--r-max", dest="r_max", type=int)
-    p.add_argument("--css-target", dest="css_target", type=float)
-    p.add_argument("--z-budget", dest="z_budget", type=float)
-    p.add_argument("--margin", type=float)
-    p.add_argument("--count", type=int, help="also run this many sampled labels")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.add_argument("--json", help="write the JSON report here ('-' for stdout)")
-    p.set_defaults(func=cmd_distill)
-
-    p = sub.add_parser("threshold", help="feasibility frontier scan")
-    p.add_argument("--n", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--csv", help="write per-slice rows here")
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.add_argument("--json", help="write the JSON report here ('-' for stdout)")
-    p.set_defaults(func=cmd_threshold)
-
-    p = sub.add_parser("verify", help="built-in consistency suites")
-    p.add_argument("--samples", type=int, help="random draws per sampled suite")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("netrun", help="launch one networked role")
-    p.add_argument("--role", choices=("alice", "bob", "eve"))
-    _add_session_flags(p)
-    p.add_argument("--k", type=int, help="pumping depth")
-    p.add_argument("--r", type=int, help="majority block size (odd)")
-    p.add_argument("--listen", help="host:port to listen on")
-    p.add_argument("--connect-alice", dest="connect_alice", help="host:port of alice")
-    p.add_argument("--connect-bob", dest="connect_bob", help="host:port of bob")
-    p.add_argument("--config", help="JSON file with flag defaults")
-    p.add_argument("--report", help="write the JSON role report here ('-' for stdout)")
-    p.set_defaults(func=cmd_netrun)
-
+    for command, (func, about, outputs) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        settings = SETTINGS[command]
+        # --config and the output flags are strings, like a None setting
+        for name in (*settings, "config", *outputs):
+            kind = _kind(name, settings.get(name))
+            if kind is bool:
+                how = {"action": argparse.BooleanOptionalAction}
+            else:
+                how = {"type": kind, "choices": ROLES if name == "role" else None}
+            p.add_argument("--" + name.replace("_", "-"), help=_HELP.get(name), **how)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -470,13 +444,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        ValueError,
-        UnsupportedModelError,
-        InsufficientKeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # bad channels, short keys, bad JSON too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

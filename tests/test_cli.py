@@ -49,16 +49,7 @@ def _merge(tmp_path, command: str, data: dict) -> dict:
     """The merged settings of ``command`` run with ``data`` as its config file."""
     path = tmp_path / "defaults.json"
     path.write_text(json.dumps(data))
-    args = cli.build_parser().parse_args([command, "--config", str(path)])
-    defaults = {
-        "simulate": cli.SESSION_DEFAULTS,
-        "analyze": cli.ANALYZE_DEFAULTS,
-        "distill": cli.DISTILL_DEFAULTS,
-        "threshold": cli.THRESHOLD_DEFAULTS,
-        "verify": cli.VERIFY_DEFAULTS,
-        "netrun": cli.NETRUN_DEFAULTS,
-    }
-    return cli._layer(args, defaults[command])
+    return cli._layer(cli.build_parser().parse_args([command, "--config", str(path)]))
 
 
 class TestSimulate:
@@ -186,6 +177,24 @@ class TestDistill:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # UnsupportedModelError: an intercept channel has no error matrix
+            (["--channel", "partial_intercept:0.2", "--k", "1", "--r", "3"],
+             "bell_distribution requires a unitary-mixture channel"),
+            # InsufficientKeyError: 10 labels are short of 2**3 * 5
+            (["--matrix", "0.9,0.02,0.03,0.05", "--k", "3", "--r", "5", "--count", "10"],
+             "need at least 2**k * r = 40 labeled bits, got 10"),
+        ],
+        ids=["unsupported-model", "insufficient-key"],
+    )
+    def test_value_error_subclasses_exit_one(self, capsys, argv, message):
+        code = run_cli("distill", *argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == f"error: {message}\n"
 
     def test_negative_count_rejected(self, capsys):
         code = run_cli(
@@ -429,12 +438,12 @@ class TestConfigLayering:
     @pytest.mark.parametrize(
         "command, defaults",
         [
-            ("simulate", cli.SESSION_DEFAULTS),
-            ("analyze", cli.ANALYZE_DEFAULTS),
-            ("distill", cli.DISTILL_DEFAULTS),
-            ("threshold", cli.THRESHOLD_DEFAULTS),
-            ("verify", cli.VERIFY_DEFAULTS),
-            ("netrun", cli.NETRUN_DEFAULTS),
+            ("simulate", cli.SETTINGS["simulate"]),
+            ("analyze", cli.SETTINGS["analyze"]),
+            ("distill", cli.SETTINGS["distill"]),
+            ("threshold", cli.SETTINGS["threshold"]),
+            ("verify", cli.SETTINGS["verify"]),
+            ("netrun", cli.SETTINGS["netrun"]),
         ],
     )
     def test_flags_match_defaults(self, command, defaults):
