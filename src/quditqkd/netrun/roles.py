@@ -8,8 +8,9 @@ record per round; then alice's digest of the sift list (bob checks it
 against his own), the sample reveal as bitmaps over the sift list, the
 continuation gate, k pairing-parity exchanges, block parities, and a
 VERDICT cross-check.
-Eve is an optional middlebox that relays every classical frame untouched
-and pushes each QUDIT window through her channel model.
+Eve is an optional middlebox that checks alice's CONFIG against the
+facts her decoding relies on, relays every classical frame untouched and
+pushes each QUDIT window through her channel model.
 
 Both endpoints consume randomness through the same five-stream layout
 as :func:`quditqkd.protocol.run_session` and call its vectorised stages
@@ -93,8 +94,16 @@ ABORT_INSUFFICIENT_KEY = "insufficient-key"
 
 # Rounds per round-phase window: one QUDIT frame of 4096 kets is 24 KiB.
 WINDOW = 4096
-# Seconds a role waits for its peer's next bytes before ending the session.
+# Seconds a role waits for its peer's next bytes, or for a listener's
+# peer to dial in, before ending the session.
 PEER_TIMEOUT = 60.0
+# Dialling: attempts, seconds between them, and seconds per attempt.
+CONNECT_ATTEMPTS = 40
+CONNECT_DELAY = 0.25
+CONNECT_TIMEOUT = 30.0
+# The handshake facts eve's decoding relies on: the degree that sizes each
+# ket, the round count that sizes the last window, and the window size.
+EVE_FACTS = ("n", "rounds", "window")
 
 
 @dataclass(frozen=True)
@@ -157,6 +166,10 @@ def handshake_facts(cfg: RoleConfig) -> dict:
         "r": cfg.params.r,
         "window": WINDOW,
     }
+
+
+class _ConfigMismatch(ProtocolViolation):
+    """Alice's CONFIG differs from eve's own in a fact of ``EVE_FACTS``."""
 
 
 def _abort(report: RoleReport, link: Link, reason: str, exit_code: int = 1) -> None:
@@ -403,7 +416,10 @@ def run_bob(cfg: RoleConfig, sock: socket.socket) -> RoleReport:
 def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket) -> RoleReport:
     """Relay both directions; push QUDIT windows through the channel model.
 
-    Classical frames pass through byte-identical.  Each QUDIT window goes
+    Eve first checks alice's CONFIG: if it differs from her own facts in
+    any of ``EVE_FACTS``, she sends ABORT config-mismatch both ways in
+    place of relaying it.  Classical frames otherwise pass through
+    byte-identical.  Each QUDIT window goes
     through the engine's ``transmit`` stage, which consumes the channel
     stream exactly as the in-process engine does (two uniforms per qudit,
     term index then auxiliary), so a shared master seed keeps the relayed
@@ -416,6 +432,7 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     spec = field_spec(session.n)
     model = resolve_channel(session.channel, spec)
     rng = spawn_streams(session.seed)[STREAM_CHANNEL]
+    mine = handshake_facts(cfg)
     la = Link(sock_alice)
     lb = Link(sock_bob)
     report = RoleReport(role="eve")
@@ -437,8 +454,10 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             pass
         except ProtocolViolation as exc:
             errors.append(str(exc))
-            la.send_abort(ABORT_PROTOCOL)
-            lb.send_abort(ABORT_PROTOCOL)
+            reason = ABORT_CONFIG if isinstance(exc, _ConfigMismatch) else ABORT_PROTOCOL
+            la.send_abort(reason)
+            lb.send_abort(reason)
+            report.abort_sent = reason
         except TimeoutError as exc:
             timeouts.append(str(exc))
         except OSError as exc:
@@ -449,6 +468,11 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
 
     def push_qudits(ftype: FrameType, payload: bytes) -> bytes:
         nonlocal relayed
+        if ftype == FrameType.CONFIG:
+            theirs = decode_json(payload)
+            differ = [key for key in EVE_FACTS if theirs.get(key) != mine[key]]
+            if differ:
+                raise _ConfigMismatch(f"alice's CONFIG differs from eve's in {differ}")
         if ftype != FrameType.QUDIT:
             return payload
         # after the last window the expected count is 0
@@ -473,8 +497,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
         "timeouts": timeouts,
         "io_notes": io_notes,
     }
-    if errors:
-        report.status = "protocol-error"
+    if report.abort_sent is not None:
+        report.status = report.abort_sent
         report.exit_code = 1
     elif timeouts:
         report.status = "peer-timeout"
@@ -503,24 +527,24 @@ def _role_socket(sock: socket.socket) -> socket.socket:
     return sock
 
 
-def _accept_one(addr: tuple[str, int], timeout: float = 60.0) -> socket.socket:
+def _accept_one(addr: tuple[str, int]) -> socket.socket:
     server = socket.create_server(addr)
     try:
-        server.settimeout(timeout)
+        server.settimeout(PEER_TIMEOUT)
         conn, _ = server.accept()
         return _role_socket(conn)
     finally:
         server.close()
 
 
-def _connect(addr: tuple[str, int], attempts: int = 40, delay: float = 0.25) -> socket.socket:
+def _connect(addr: tuple[str, int]) -> socket.socket:
     last: OSError | None = None
-    for _ in range(attempts):
+    for _ in range(CONNECT_ATTEMPTS):
         try:
-            return _role_socket(socket.create_connection(addr, timeout=30.0))
+            return _role_socket(socket.create_connection(addr, timeout=CONNECT_TIMEOUT))
         except OSError as exc:
             last = exc
-            time.sleep(delay)
+            time.sleep(CONNECT_DELAY)
     raise ConnectionError(f"could not connect to {addr}: {last}")
 
 

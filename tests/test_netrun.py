@@ -409,6 +409,29 @@ class TestAbortPaths:
         assert rep_a.status == "peer-abort:config-mismatch"
         assert rep_a.exit_code == 1
 
+    @pytest.mark.parametrize(
+        "n, eve_n, eve_rounds",
+        [(2, 3, 5000), (3, 2, 5000), (2, 2, 3000)],
+        ids=["eve-wider-field", "eve-narrower-field", "eve-fewer-rounds"],
+    )
+    def test_eve_config_mismatch(self, n, eve_n, eve_rounds):
+        # relayed unread, the first ended all three at pass with audit terms
+        # drawn from a GF(8) model, the others at protocol-error mid-rounds
+        session = SessionConfig(n=n, rounds=5000, seed=4)
+        eve_session = SessionConfig(n=eve_n, rounds=eve_rounds, seed=4, channel="z_flip:0.1")
+        rep_a, rep_b, rep_e = _run_triple(
+            _role_cfg("alice", session),
+            _role_cfg("bob", session),
+            _role_cfg("eve", eve_session),
+        )
+        assert rep_e.status == rep_e.abort_sent == "config-mismatch"
+        assert rep_e.exit_code == 1
+        assert rep_e.extra["audit_terms"] == []
+        for rep in (rep_a, rep_b):
+            assert rep.status == "peer-abort:config-mismatch"
+            assert rep.exit_code == 1
+            assert rep.shared is None
+
     def test_insufficient_sift(self):
         session = SessionConfig(n=4, rounds=3, seed=0)
         rep_a, rep_b = _run_pair(_role_cfg("alice", session), _role_cfg("bob", session))
@@ -1154,6 +1177,15 @@ class TestDeadlines:
         assert out["r"].status == "peer-timeout"
         assert out["r"].exit_code == 1
         assert elapsed < JOIN_TIMEOUT / 10
+
+    def test_listener_nobody_dials_times_out(self, monkeypatch):
+        monkeypatch.setattr(roles, "PEER_TIMEOUT", 0.3)
+        port = TestRunRoleTopology._free_port()
+        cfg = _role_cfg("bob", SessionConfig(n=2, rounds=50, seed=0), listen=f"127.0.0.1:{port}")
+        started = time.monotonic()
+        with pytest.raises(TimeoutError):
+            run_role(cfg)
+        assert time.monotonic() - started < 5
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
     def test_run_role_sockets_have_a_deadline(self, monkeypatch, role):
