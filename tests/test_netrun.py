@@ -415,8 +415,8 @@ class TestAbortPaths:
         ids=["eve-wider-field", "eve-narrower-field", "eve-fewer-rounds"],
     )
     def test_eve_config_mismatch(self, n, eve_n, eve_rounds):
-        # relayed unread, the first ended all three at pass with audit terms
-        # drawn from a GF(8) model, the others at protocol-error mid-rounds
+        # eve decodes kets by her own n and sizes windows by her own rounds,
+        # so she must not relay a session that differs in either
         session = SessionConfig(n=n, rounds=5000, seed=4)
         eve_session = SessionConfig(n=eve_n, rounds=eve_rounds, seed=4, channel="z_flip:0.1")
         rep_a, rep_b, rep_e = _run_triple(
