@@ -30,7 +30,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .analysis import analysis_report, bell_distribution, error_matrix
-from .channels import resolve_channel
+from .channels import UnsupportedModelError, resolve_channel
 from .distill import (
     DistillBudget,
     DistillParams,
@@ -260,10 +260,13 @@ def _distill_matrix(merged: dict):
         return tuple(float(p) for p in parts)
     if merged["channel"] is None:
         raise ValueError("distill needs --matrix or --channel")
-    spec = field_spec(merged["n"])
-    model = resolve_channel(merged["channel"], spec)
-    dist = bell_distribution(model)
-    return error_matrix(dist)
+    model = resolve_channel(merged["channel"], field_spec(merged["n"]))
+    if model.has_intercept():
+        raise UnsupportedModelError(
+            "distill --channel needs a unitary-mixture channel;"
+            " give an intercept channel's error matrix with --matrix"
+        )
+    return error_matrix(bell_distribution(model))
 
 
 def cmd_distill(args: argparse.Namespace) -> int:

@@ -23,10 +23,11 @@ index.  The tail then runs the engine's post-round stages
 (``draw_sample``, ``estimate_session``, ``kept_rounds``) and
 :func:`quditqkd.distill.pair_stage`, which shuffles the tail's own copy
 of the kept bits in place each stage, so a session with a shared master
-seed reproduces the in-process engine's keys exactly (the shared seed is this artifact's reproducibility contract,
-not a security model).  All estimate and keep decisions are computed
-independently by both sides from announced data; any divergence
-surfaces as a VERDICT mismatch and a protocol-error abort.
+seed reproduces the in-process engine's keys exactly (the shared seed is
+this artifact's reproducibility contract, not a security model).  Both
+sides draw the sample and the stage seeds themselves; alice only sends
+first, and bob checks each of her frames against his own draw or facts
+before he answers (:func:`_exchange`), sending ABORT on a mismatch.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ def handshake_facts(cfg: RoleConfig) -> dict:
 
 
 class _ConfigMismatch(ProtocolViolation):
-    """Alice's CONFIG differs from eve's own in a fact of ``EVE_FACTS``."""
+    """A peer's CONFIG differs from this side's facts (eve's: those of ``EVE_FACTS``)."""
 
 
 def _abort(report: RoleReport, link: Link, reason: str, exit_code: int = 1) -> None:
@@ -208,12 +209,12 @@ def _session_tail(
 
     ``tally`` is the session's tally, with this side's bits of its
     sifted rounds, and ``digest`` the SIFT_ACCEPT digest of their round
-    indices, as this side computed it.  ``leader`` marks
-    the side that sends first in each exchange (alice) and owns the
-    sample and pairing streams; the follower validates the leader's
-    announcements against its own computation.  Sample, estimates and
-    pairing are the post-round stages of :mod:`quditqkd.protocol` and
-    :func:`quditqkd.distill.pair_stage`.
+    indices, as this side computed it.  Both sides draw the sample and
+    the stage seeds themselves; ``leader`` marks the side that sends
+    first (alice), and each side checks the peer's sample, seeds, block
+    size and facts against its own, the follower before it answers.
+    Sample, estimates and pairing are the post-round stages of
+    :mod:`quditqkd.protocol` and :func:`quditqkd.distill.pair_stage`.
     """
     session = cfg.session
     params = cfg.params
@@ -228,23 +229,21 @@ def _session_tail(
         _abort(report, link, ABORT_INSUFFICIENT_SIFT)
         return
 
-    n_samp = int(session.sample_fraction * n_sift)
-    if leader:
-        sample_pos = draw_sample(n_sift, session.sample_fraction, streams[STREAM_SAMPLE])
-    else:
-        sample_pos, their_bits = decode_sample_reveal(
-            link.expect(FrameType.SAMPLE_REVEAL), n_sift, n_samp
-        )
+    sample_pos = draw_sample(n_sift, session.sample_fraction, streams[STREAM_SAMPLE])
     my_sample = my_bits[sample_pos]
-    link.send(FrameType.SAMPLE_REVEAL, encode_sample_reveal(sample_pos, n_sift, my_sample))
-    if leader:
-        # the echo is load-bearing: a sample changed in transit would give
-        # both sides the same e_b over different kept rounds
-        echo_pos, their_bits = decode_sample_reveal(
-            link.expect(FrameType.SAMPLE_REVEAL), n_sift, n_samp
-        )
-        if not np.array_equal(echo_pos, sample_pos):
-            raise ProtocolViolation("sample reveal does not echo the sampled rounds")
+
+    def their_sample_of(payload: bytes) -> np.ndarray:
+        # a sample changed in transit would give both sides the same e_b
+        # over different kept rounds
+        their_pos, their_bits = decode_sample_reveal(payload, n_sift, len(sample_pos))
+        if not np.array_equal(their_pos, sample_pos):
+            raise ProtocolViolation("sample reveal does not match own sample")
+        return their_bits
+
+    their_bits = _exchange(
+        link, leader, FrameType.SAMPLE_REVEAL,
+        encode_sample_reveal(sample_pos, n_sift, my_sample), their_sample_of,
+    )
 
     e_b, e_b_all, e_c, lhs, verdict = estimate_session(
         session, tally.clicked, tally.ec, sample_pos, my_sample, their_bits
@@ -271,24 +270,21 @@ def _session_tail(
         _abort(report, link, ABORT_INSUFFICIENT_KEY)
         return
 
-    seeds = draw_stage_seeds(params.k, streams[STREAM_PAIRING]) if leader else None
     kept_per_stage: list[int] = []
-    for t in range(params.k):
-        if leader:
-            seed = int(seeds[t])
-        else:
-            seed, theirs = decode_parity_round(
-                link.expect(FrameType.PARITY_ROUND), len(bits) // 2
-            )
+    for seed in draw_stage_seeds(params.k, streams[STREAM_PAIRING]).tolist():
         first, second = pair_stage(bits, seed)
         mine = first ^ second
-        link.send(FrameType.PARITY_ROUND, encode_parity_round(seed, mine))
-        if leader:
-            echo_seed, theirs = decode_parity_round(
-                link.expect(FrameType.PARITY_ROUND), len(first)
-            )
-            if echo_seed != seed:
-                raise ProtocolViolation("parity round echoed a different seed")
+
+        def their_parities_of(payload: bytes) -> np.ndarray:
+            their_seed, theirs = decode_parity_round(payload, len(first))
+            if their_seed != seed:
+                raise ProtocolViolation("parity round seed does not match own draw")
+            return theirs
+
+        theirs = _exchange(
+            link, leader, FrameType.PARITY_ROUND, encode_parity_round(seed, mine),
+            their_parities_of,
+        )
         keep = mine == theirs
         bits = first[keep]
         kept_per_stage.append(int(np.count_nonzero(keep)))
@@ -340,13 +336,12 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
     rounds = session.rounds
     try:
         mine = handshake_facts(cfg)
-        if leader:
-            link.send(FrameType.CONFIG, encode_json(mine))
-        if decode_json(link.expect(FrameType.CONFIG)) != mine:
-            _abort(report, link, ABORT_CONFIG)
-            return report
-        if not leader:
-            link.send(FrameType.CONFIG, encode_json(mine))
+
+        def same_config(payload: bytes) -> None:
+            if decode_json(payload) != mine:
+                raise _ConfigMismatch("CONFIG differs from own handshake facts")
+
+        _exchange(link, leader, FrameType.CONFIG, encode_json(mine), same_config)
 
         tallies = []
 
@@ -380,7 +375,7 @@ def _run_endpoint(cfg: RoleConfig, sock: socket.socket, leader: bool) -> RoleRep
         digest = sift_digest(windows())
         _session_tail(report, link, cfg, streams, Tally.join(tallies), digest, leader)
     except ProtocolViolation as exc:
-        _abort(report, link, ABORT_PROTOCOL)
+        _abort(report, link, ABORT_CONFIG if isinstance(exc, _ConfigMismatch) else ABORT_PROTOCOL)
         report.extra["detail"] = str(exc)
     except FrameTooLarge as exc:
         _abort(report, link, ABORT_FRAME_TOO_LARGE)
@@ -531,7 +526,11 @@ def _accept_one(addr: tuple[str, int]) -> socket.socket:
     server = socket.create_server(addr)
     try:
         server.settimeout(PEER_TIMEOUT)
-        conn, _ = server.accept()
+        try:
+            conn, _ = server.accept()
+        except TimeoutError:
+            host, port = addr
+            raise TimeoutError(f"no peer dialled {host}:{port} within {PEER_TIMEOUT} s") from None
         return _role_socket(conn)
     finally:
         server.close()

@@ -165,9 +165,6 @@ class RateEstimate:
     def half_width(self) -> float:
         return (self.high - self.low) / 2
 
-    def covers(self, value: float) -> bool:
-        return self.low <= value <= self.high
-
     def to_json_dict(self) -> dict:
         return {
             "successes": self.successes,

@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import re
+import socket
 
 import pytest
 
 from quditqkd import cli
 from quditqkd.distill import DistillParams
-from quditqkd.netrun import RoleReport
+from quditqkd.netrun import RoleReport, roles
 
 
 def run_cli(*argv: str) -> int:
@@ -183,7 +184,8 @@ class TestDistill:
         [
             # UnsupportedModelError: an intercept channel has no error matrix
             (["--channel", "partial_intercept:0.2", "--k", "1", "--r", "3"],
-             "bell_distribution requires a unitary-mixture channel"),
+             "distill --channel needs a unitary-mixture channel;"
+             " give an intercept channel's error matrix with --matrix"),
             # InsufficientKeyError: 10 labels are short of 2**3 * 5
             (["--matrix", "0.9,0.02,0.03,0.05", "--k", "3", "--r", "5", "--count", "10"],
              "need at least 2**k * r = 40 labeled bits, got 10"),
@@ -318,6 +320,18 @@ class TestNetrunWiring:
         code = run_cli("netrun", "--listen", "127.0.0.1:9")
         assert code == 1
         assert "needs --role" in capsys.readouterr().err
+
+    def test_listener_nobody_dials_names_address_and_deadline(self, monkeypatch, capsys):
+        monkeypatch.setattr(roles, "PEER_TIMEOUT", 0.3)
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+        probe.close()
+        code = run_cli("netrun", "--role", "bob", "--listen", f"127.0.0.1:{port}")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"127.0.0.1:{port}" in err and "0.3 s" in err
 
 
 class TestConfigLayering:

@@ -780,8 +780,8 @@ class TestHostileTail:
     """A tail frame mangled in transit between two real roles."""
 
     # "rotate" moves sample bits of the first nonzero byte and keeps the
-    # popcount, so only alice's check of bob's echo can catch it;
-    # "duplicate" forwards the frame unchanged, twice
+    # popcount, so only the receiver's check against its own draw can
+    # catch it; "duplicate" forwards the frame unchanged, twice
     FAULTS = ("truncate", "extend", "empty", "flip-first", "flip-last", "rotate", "duplicate")
     # (frame, sent by alice): SIFT_ACCEPT against bob, each SAMPLE_REVEAL
     # against its receiver
@@ -927,6 +927,21 @@ class TestHostileTail:
             assert passed[0] == passed[1]
         if all(passed):
             assert rep_a.final_key == rep_b.final_key
+
+    @pytest.mark.parametrize(
+        "ftype, how, detail",
+        [
+            (FrameType.SAMPLE_REVEAL, "rotate", "sample"),
+            (FrameType.PARITY_ROUND, "flip-first", "seed"),
+        ],
+        ids=["reveal-rotate", "parity-flip-first"],
+    )
+    def test_follower_checks_the_leaders_draw(self, ftype, how, detail):
+        # bob draws the sample and the stage seeds himself, so he rejects
+        # alice's changed draw before he reveals his own bits or parities
+        rep_a, rep_b = self._run_mangled(ftype, True, how)
+        assert (rep_a.status, rep_b.status) == ("peer-abort:protocol-error", "protocol-error")
+        assert detail in rep_b.extra["detail"]
 
     def test_one_sided_cases(self):
         assert len(self.ONE_SIDED) == 8

@@ -83,7 +83,7 @@ class TestWilson:
     def test_rate_estimate_from_counts(self):
         est = RateEstimate.from_counts(8, 34)
         assert est.rate == 8 / 34
-        assert est.covers(8 / 34)
+        assert est.low <= 8 / 34 <= est.high
         assert est.half_width == (est.high - est.low) / 2
         assert RateEstimate.from_counts(0, 0).rate is None
         d = est.to_json_dict()
@@ -579,8 +579,8 @@ class TestSessionStatistics:
 
     def test_z_flip_error_rate_near_half_q(self):
         out = run_session(SessionConfig(n=2, rounds=40000, channel="z_flip:0.3", seed=1))
-        assert out.stats.e_b.covers(0.15)
-        assert out.stats.e_c.covers(1.0)
+        assert out.stats.e_b.low <= 0.15 <= out.stats.e_b.high
+        assert out.stats.e_c.low <= 1.0 <= out.stats.e_c.high
         assert out.stats.condition_pass
 
     def test_full_dephase_fails_condition(self):
@@ -590,7 +590,7 @@ class TestSessionStatistics:
         out = run_session(
             SessionConfig(n=2, rounds=40000, channel="full_dephase", seed=4)
         )
-        assert out.stats.e_b.covers(0.5)
+        assert out.stats.e_b.low <= 0.5 <= out.stats.e_b.high
         assert out.stats.e_b.rate > 0.5
         assert not out.stats.condition_pass
 
@@ -598,7 +598,8 @@ class TestSessionStatistics:
         cfg = SessionConfig(n=2, rounds=40000, channel="shift_noise:0.2", seed=3)
         in_pair = run_session(cfg).stats
         # the in-pair estimator tracks the channel's kept mass
-        assert in_pair.e_c.covers(float(Fraction(4, 5) + Fraction(1, 15)))
+        kept_mass = float(Fraction(4, 5) + Fraction(1, 15))
+        assert in_pair.e_c.low <= kept_mass <= in_pair.e_c.high
 
     def test_insufficient_sift(self):
         out = run_session(SessionConfig(n=4, rounds=2, seed=0))

@@ -84,6 +84,7 @@ GONE = [
     (protocol, "estimate_ec"),
     (protocol, "RoundRecord"),
     (protocol.RoundLog, "record"),
+    (protocol.RateEstimate, "covers"),
     (channels, "apply_term"),
     (channels, "apply_error"),
     (channels, "transmit"),
