@@ -42,7 +42,6 @@ from numbers import Rational
 import numpy as np
 
 from .field import FieldSpec
-from .qstates import DiagonalPhase
 
 FULL_DEPHASE_ENUM_MAX_N = 4  # explicit 2^N mask mixture up to this n
 
@@ -253,7 +252,8 @@ def identity(spec: FieldSpec) -> ChannelModel:
 def z_flip(spec: FieldSpec, q) -> ChannelModel:
     """Apply the norm-sign operator Z with probability q."""
     q = as_probability(q)
-    z = DiagonalPhase.norm_mask(spec).mask
+    # Z's sign mask: every label but 0
+    z = (1 << spec.order) - 2
     return ChannelModel(
         spec, [(1 - q, UnitaryTerm(0, 0)), (q, UnitaryTerm(0, z))]
     )

@@ -176,9 +176,8 @@ def ep_recursion(m, k: int) -> ErrorMatrix:
     if k < 0:
         raise ValueError("k must be >= 0")
     a, b, c, d = _pumped_coeffs(m, k)
+    # A or C is exactly 1 after rescaling, so the denominator is at least 2
     denom = 2 * (a + c)
-    if denom == 0:
-        raise ValueError("degenerate error matrix: A + C = 0")
     return ErrorMatrix(
         (a + b) / denom, (a - b) / denom, (c - d) / denom, (c + d) / denom
     )

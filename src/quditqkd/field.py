@@ -20,8 +20,9 @@ on it.  A ``FieldSpec`` is a frozen value, safe to share across threads.
 Its multiplication table is built with array operations, one
 shift-and-add over every (a, b) pair at once, and the inverse of each a
 is the column where row a of that table holds 1; both are read-only
-uint8 numpy arrays for vectorised callers.  ``field_spec`` is the cached
-constructor: it returns one shared spec per degree.
+uint8 numpy arrays, and every product or inverse in the package is a
+lookup in them.  ``field_spec`` is the cached constructor: it returns
+one shared spec per degree.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ def check_degree(n: int) -> int:
 class FieldSpec:
     """GF(2^n), reduced modulo ``MODULI[n]``.
 
-    Provides raw integer arithmetic (``mul``, ``inv``, ``pow``, ``norm``)
-    plus the read-only tables ``mul_table`` (N, N) and ``inv_table``
-    (length N, entry 0 unused) for vectorised code.  Two specs are
-    equal when their degrees are.
+    Products and inverses are lookups, by scalar or by array, in the
+    read-only tables ``mul_table`` (N, N) and ``inv_table`` (length N,
+    entry 0 unused); ``check`` bounds an element and ``norm`` maps it
+    onto GF(2).  Two specs are equal when their degrees are.
     """
 
     n: int
@@ -82,31 +83,10 @@ class FieldSpec:
         object.__setattr__(self, "mul_table", mul_table)
         object.__setattr__(self, "inv_table", inv_table)
 
-    # -- raw integer arithmetic ----------------------------------------------
-
     def check(self, value: int) -> int:
         if not 0 <= value < self.order:
             raise ValueError(f"value {value} out of range for GF(2^{self.n})")
         return value
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return int(self.inv_table[a])
-
-    def pow(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inv(a), -k
-        r, base = 1, a
-        while k:
-            if k & 1:
-                r = self.mul(r, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return r
 
     def norm(self, a: int) -> int:
         """Field norm onto GF(2): 0 for the zero element, 1 otherwise.

@@ -320,7 +320,7 @@ def _session_tail(
 
     _exchange(link, leader, FrameType.VERDICT, encode_json(shared), same_facts)
 
-    report.final_key = [int(b) for b in mine_blocks]
+    report.final_key = mine_blocks.tolist()
     report.status = "pass"
     report.exit_code = 0
 

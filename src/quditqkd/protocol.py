@@ -35,6 +35,11 @@ and the keys from those bits alone.
 The sample stream is consumed once (a single permutation of the sifted
 rounds); the pairing stream is left untouched here and feeds the
 post-processing stage seeds downstream.
+
+Bob's Born rule is one table over the 18 cases a ket can present to a
+pair basis: ``measure`` reads its outcome thresholds from it and
+``born_weights``, which the ``verify`` Born suite checks, reads the
+weights, both through the one case map ``_born_case``.
 """
 
 from __future__ import annotations
@@ -363,67 +368,52 @@ def transmit(model: ChannelModel, k1, k2, sigma, rng):
     return m1, m2, sig, t
 
 
-def born_weights(u, v, k1, k2, sigma):
-    """Plus and minus weights of each ket in its pair basis {u, v}.
-
-    The ket is (|k1> + (-1)^sigma |k2>) / sqrt(2), or |k1> when k2 < 0;
-    the basis states are (|u> +- |v>) / sqrt(2).  Arguments broadcast.
-    :func:`measure` reads its outcome thresholds from these weights,
-    tabulated per case of :func:`_born_case`.
-    """
-    sign2 = 1 - 2 * sigma.astype(np.int64)
-    c_u = (u == k1) * 1 + (u == k2) * sign2
-    c_v = (v == k1) * 1 + (v == k2) * sign2
-    # Squared projections are dyadic rationals, exact in float64, so
-    # the thresholds equal the exact rational Born weights.
-    width = np.where(k2 < 0, 2.0, 4.0)
-    return (c_u + c_v) ** 2 / width, (c_u - c_v) ** 2 / width
-
-
-# The weights depend on a ket only through its case: the coefficients
-# c_u, c_v in {-1, 0, 1} of born_weights and whether it has one term.
+# The weights depend on a ket only through its case: its coefficients
+# c_u, c_v in {-1, 0, 1} on the basis pair and whether it has one term.
 _BORN_CASES = 18
 
 
 def _born_case(u, v, k1, k2, sigma) -> np.ndarray:
-    """Index in [0, _BORN_CASES) of each ket's (c_u, c_v, single-term) case."""
+    """Index 6(c_u+1) + 2(c_v+1) + single of each ket's (c_u, c_v, single-term) case."""
     sign2 = 1 - 2 * sigma
     c_u = (u == k1).view(np.int8) + (u == k2) * sign2
     c_v = (v == k1).view(np.int8) + (v == k2) * sign2
     return (6 * c_u + 2 * c_v + (k2 < 0) + 8).astype(np.intp)
 
 
-def _case_kets() -> np.ndarray:
-    """Columns (u, v, k1, k2, sigma) of one ket per case a canonical ket reaches.
-
-    Every ket against every pair basis over four indices reaches them all.
-    """
-    pairs = [(u, v) for u in range(4) for v in range(u + 1, 4)]
-    kets = [(k, -1, 0) for k in range(4)] + [(i, j, s) for i, j in pairs for s in (0, 1)]
-    cols = np.array([p + k for p in pairs for k in kets], np.int16).T
-    _, first = np.unique(_born_case(*cols), return_index=True)
-    return cols[:, first]
-
-
-_CASE_KETS = _case_kets()
-
-
 def _outcome_thresholds() -> tuple[np.ndarray, np.ndarray]:
     """Per case, the outcome uniform's lowest Minus and lowest Outside value.
 
-    p_plus and p_plus + p_minus from :func:`born_weights`; the cases no
-    canonical ket reaches read Outside.
+    These are p_plus and p_plus + p_minus, with p_plus = (c_u + c_v)^2 / w
+    and p_minus = (c_u - c_v)^2 / w, w = 2 for a single-term ket and 4
+    for a pair, in :func:`_born_case`'s index order.  Squared projections
+    are dyadic rationals, exact in float64, so the thresholds equal the
+    exact rational Born weights.  The 8 cases no canonical ket reaches
+    hold the formula's values too; nothing reads them, as ``transmit``
+    emits only canonical kets and the QUDIT decoder admits only those.
     """
-    p_plus, p_minus = born_weights(*_CASE_KETS)
-    case = _born_case(*_CASE_KETS)
-    minus = np.zeros(_BORN_CASES)
-    outside = np.zeros(_BORN_CASES)
-    minus[case] = p_plus
-    outside[case] = p_plus + p_minus
-    return minus, outside
+    c_u, c_v, single = np.unravel_index(np.arange(_BORN_CASES), (3, 3, 2))
+    c_u, c_v = c_u - 1, c_v - 1
+    width = np.where(single, 2.0, 4.0)
+    p_plus = (c_u + c_v) ** 2 / width
+    return p_plus, p_plus + (c_u - c_v) ** 2 / width
 
 
 _OUTCOME_THRESHOLDS = _outcome_thresholds()
+
+
+def born_weights(u, v, k1, k2, sigma):
+    """Plus and minus weights of each ket in its pair basis {u, v}.
+
+    The ket is (|k1> + (-1)^sigma |k2>) / sqrt(2), or |k1> when k2 < 0;
+    the basis states are (|u> +- |v>) / sqrt(2).  Arguments broadcast.
+    The weights are read through :func:`_born_case` from the table
+    :func:`measure` reads, so a check of them checks the engine's one
+    Born rule.
+    """
+    minus, outside = _OUTCOME_THRESHOLDS
+    case = _born_case(u, v, k1, k2, sigma)
+    return minus[case], outside[case] - minus[case]
 
 
 def measure(table: np.ndarray, k1, k2, sigma, rng):

@@ -10,17 +10,17 @@ the random affine relabelling L_{lam,beta}: |c> -> |lam*c + beta>, moves
 one basis state to another.  For a shift by ``a`` composed with a
 diagonal sign mask f, the image of Psi_{b,kappa} is Psi_{b + a/lam, kappa'}
 where kappa' flips exactly when f(lam*b + beta) differs from
-f(lam*(b+1) + beta).  The norm-sign operator Z (which flips the sign of
-every nonzero basis label) is the mask ``DiagonalPhase.norm_mask``.
-The rule is one array function, shared by ``analysis.bell_distribution``
-and the ``verify`` conjugation suite.
+f(lam*(b+1) + beta).  A mask is N bits, bit y the sign of label y; the
+norm-sign operator Z (which flips the sign of every nonzero basis label)
+is the mask (1 << N) - 2.  The rule is one array function, shared by
+``analysis.bell_distribution`` and the ``verify`` conjugation suite.
 
-Bob's pair-basis measurement itself is ``protocol.born_weights``.
+Bob's pair-basis measurement is the one Born table of ``protocol``,
+read by ``protocol.measure`` and ``protocol.born_weights``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -34,31 +34,6 @@ class Outcome(IntEnum):
     PLUS = 0
     MINUS = 1
     OUTSIDE = 2
-
-
-@dataclass(frozen=True)
-class DiagonalPhase:
-    """Diagonal sign operator |b> -> (-1)^f(b) |b> given by an N-bit mask."""
-
-    spec: FieldSpec
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.mask < (1 << self.spec.order):
-            raise ValueError("phase mask out of range")
-
-    @classmethod
-    def zero(cls, spec: FieldSpec) -> "DiagonalPhase":
-        return cls(spec, 0)
-
-    @classmethod
-    def norm_mask(cls, spec: FieldSpec) -> "DiagonalPhase":
-        """The operator Z: sign flip on every nonzero basis label."""
-        return cls(spec, (1 << spec.order) - 2)
-
-    def __call__(self, index: int) -> int:
-        self.spec.check(index)
-        return (self.mask >> index) & 1
 
 
 def conjugate_frame(spec: FieldSpec, lam, beta, shift, sign_bits, b, kappa):

@@ -6,8 +6,9 @@ tallies agreements, so a table or sign regression cannot pass silently:
 - field tables: ``mul_table`` against bitwise polynomial arithmetic,
   ``inv_table`` by multiplying back to 1, and ``norm`` against the
   Lagrange power a^(N-1);
-- born completeness: the engine's ``protocol.born_weights`` against
-  dense integer amplitudes, for every ket and pair basis;
+- born completeness: the engine's Born table, read through
+  ``protocol.born_weights`` by the case map ``protocol.measure`` runs,
+  against dense integer amplitudes, for every ket and pair basis;
 - conjugation: the array rule ``qstates.conjugate_frame``, which
   ``analysis.bell_distribution`` runs, against a dense matrix action on
   the two-register frame.
@@ -92,7 +93,9 @@ def check_born_completeness(n: int) -> SuiteResult:
 
     ``protocol.born_weights`` over all single-index and signed pair
     kets against dense integer amplitudes, (amp[u] +- amp[v])^2 /
-    (2 |amp|^2), with the two weights summing to at most one.
+    (2 |amp|^2), with the two weights summing to at most one.  The
+    weights are the table ``protocol.measure`` reads, through the same
+    case map, so a fault in either is a mismatch here.
     """
     spec = field_spec(n)
     order = spec.order

@@ -54,8 +54,8 @@ def dense_frame(spec, lam: int, beta: int, b: int, kappa: int) -> np.ndarray:
     """
     order = spec.order
     vec = np.zeros(2 * order, dtype=np.int64)
-    vec[spec.mul(lam, b) ^ beta] += 1
-    vec[order + (spec.mul(lam, b ^ 1) ^ beta)] += (-1) ** kappa
+    vec[slow_gf_mul(lam, b, spec.modulus, spec.n) ^ beta] += 1
+    vec[order + (slow_gf_mul(lam, b ^ 1, spec.modulus, spec.n) ^ beta)] += (-1) ** kappa
     return vec
 
 

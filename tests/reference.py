@@ -16,7 +16,9 @@ pairing of a distillation stage (:func:`pair_stage_permutation` and
 ``distill.pair_stage``, and :func:`toeplitz_compress`, a
 non-cryptographic stand-in for key
 compression that the package never calls, and the scalar field layer:
-:class:`FieldElement` and the one-case-at-a-time frame rule
+:class:`FieldElement` (its products and inverses read the spec's
+tables), the sign-mask operator :class:`DiagonalPhase`, and the
+one-case-at-a-time frame rule
 :func:`conjugate_bell_mask` (with its norm-mask case
 :func:`conjugate_bell`), the reference for the array rule
 ``qstates.conjugate_frame``.  :func:`reference_e_max_scan` keeps the
@@ -93,7 +95,7 @@ from quditqkd.protocol import (
     sample_rates,
     spawn_streams,
 )
-from quditqkd.qstates import DiagonalPhase, Outcome, conjugate_frame
+from quditqkd.qstates import Outcome, conjugate_frame
 from quditqkd.threshold import (
     STATUS_BOUNDARY,
     STATUS_FEASIBLE,
@@ -139,17 +141,23 @@ class FieldElement:
 
     def __mul__(self, other: "FieldElement") -> "FieldElement":
         self._joint(other)
-        return FieldElement(self.spec, self.spec.mul(self.value, other.value))
+        return FieldElement(self.spec, int(self.spec.mul_table[self.value, other.value]))
 
     def __truediv__(self, other: "FieldElement") -> "FieldElement":
         self._joint(other)
         return self * other.inv()
 
     def __pow__(self, k: int) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.pow(self.value, k))
+        base = self.inv() if k < 0 else self
+        out = FieldElement(self.spec, 1)
+        for _ in range(abs(k)):
+            out = out * base
+        return out
 
     def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
+        if self.value == 0:
+            raise ZeroDivisionError("0 has no multiplicative inverse")
+        return FieldElement(self.spec, int(self.spec.inv_table[self.value]))
 
     def norm(self) -> int:
         return self.spec.norm(self.value)
@@ -168,6 +176,31 @@ def _check_same_spec(spec: FieldSpec, *els: FieldElement) -> None:
     for e in els:
         if e.spec != spec:
             raise FieldMismatchError(f"element of {e.spec} used with {spec}")
+
+
+@dataclass(frozen=True)
+class DiagonalPhase:
+    """Diagonal sign operator |b> -> (-1)^f(b) |b> given by an N-bit mask."""
+
+    spec: FieldSpec
+    mask: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.mask < (1 << self.spec.order):
+            raise ValueError("phase mask out of range")
+
+    @classmethod
+    def zero(cls, spec: FieldSpec) -> "DiagonalPhase":
+        return cls(spec, 0)
+
+    @classmethod
+    def norm_mask(cls, spec: FieldSpec) -> "DiagonalPhase":
+        """The operator Z: sign flip on every nonzero basis label."""
+        return cls(spec, (1 << spec.order) - 2)
+
+    def __call__(self, index: int) -> int:
+        self.spec.check(index)
+        return (self.mask >> index) & 1
 
 
 @dataclass(frozen=True)
@@ -204,10 +237,11 @@ def conjugate_bell_mask(
         raise ValueError("lam must be nonzero")
     if kappa not in (0, 1):
         raise ValueError("kappa must be 0 or 1")
-    lb = spec.mul(lam.value, b.value) ^ beta.value
-    lb1 = spec.mul(lam.value, b.value ^ 1) ^ beta.value
+    mul = spec.mul_table
+    lb = int(mul[lam.value, b.value]) ^ beta.value
+    lb1 = int(mul[lam.value, b.value ^ 1]) ^ beta.value
     flip = phase(lb) ^ phase(lb1)
-    idx = b.value ^ spec.mul(spec.inv(lam.value), a.value)
+    idx = b.value ^ int(mul[spec.inv_table[lam.value], a.value])
     return BellIndex(FieldElement(spec, idx), kappa ^ flip)
 
 
@@ -328,8 +362,8 @@ def decide_outcome(p_plus: float, p_minus: float, u: float) -> Outcome:
     (:func:`draw_bob_round`).  The session engine's
     ``protocol.measure`` counts the thresholds p_plus and
     p_plus + p_minus that u reaches (u >= threshold), which picks the
-    same outcome since p_minus >= 0; its thresholds are
-    ``protocol.born_weights`` tabulated per ket case.
+    same outcome since p_minus >= 0; its thresholds are the one Born
+    table of ``protocol``, a row per ket case.
     """
     if u < p_plus:
         return Outcome.PLUS
@@ -403,7 +437,7 @@ def pair_offset(spec: FieldSpec, i: int, j: int, u: int, v: int) -> int:
     delta = i ^ j
     if (u ^ v) != delta:
         return -1
-    return spec.mul(u ^ i, spec.inv(delta))
+    return int(spec.mul_table[u ^ i, spec.inv_table[delta]])
 
 
 def draw_alice_round(table: np.ndarray, rng) -> tuple[int, int, int]:

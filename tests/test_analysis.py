@@ -31,10 +31,14 @@ from quditqkd.channels import (
     z_flip,
 )
 from quditqkd.field import field_spec
-from quditqkd.qstates import DiagonalPhase
 
 from oracles import exact_distill_lhs, observed_rates, random_exact_distribution
-from reference import FieldElement, conjugate_bell_mask, reference_distinct_masks
+from reference import (
+    DiagonalPhase,
+    FieldElement,
+    conjugate_bell_mask,
+    reference_distinct_masks,
+)
 
 
 class TestBellDistribution:

@@ -40,26 +40,26 @@ def test_mul_table_matches_slow_polynomial_product(n):
     spec = field_spec(n)
     for a in range(spec.order):
         for b in range(spec.order):
-            assert spec.mul(a, b) == slow_gf_mul(a, b, spec.modulus, n)
+            assert spec.mul_table[a, b] == slow_gf_mul(a, b, spec.modulus, n)
 
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_inverses_and_norm(n):
     spec = field_spec(n)
     for a in range(1, spec.order):
-        assert spec.mul(a, spec.inv(a)) == 1
+        assert spec.mul_table[a, spec.inv_table[a]] == 1
         assert spec.norm(a) == 1
     assert spec.norm(0) == 0
-    with pytest.raises(ZeroDivisionError):
-        spec.inv(0)
 
 
 @pytest.mark.parametrize("n", DEGREES)
 def test_fermat_power(n):
     spec = field_spec(n)
     for a in range(1, spec.order):
-        assert spec.pow(a, spec.order - 1) == 1
-        assert spec.pow(a, 0) == 1
+        power = 1
+        for _ in range(spec.order - 1):
+            power = spec.mul_table[power, a]
+        assert power == 1
 
 
 @settings(max_examples=200)
@@ -149,7 +149,7 @@ def test_custom_irreducible_modulus_accepted(n, modulus):
         for k in range(poly.bit_length()):
             if poly >> k & 1:
                 acc ^= power
-            power = spec.mul(power, x)
+            power = int(spec.mul_table[power, x])
         return acc
 
     roots = [x for x in range(spec.order) if evaluate(modulus, x) == 0]
@@ -158,7 +158,7 @@ def test_custom_irreducible_modulus_accepted(n, modulus):
     assert sorted(image) == list(range(spec.order))
     for a in range(spec.order):
         for b in range(spec.order):
-            assert image[slow_gf_mul(a, b, modulus, n)] == spec.mul(image[a], image[b])
+            assert image[slow_gf_mul(a, b, modulus, n)] == spec.mul_table[image[a], image[b]]
 
 
 def test_spec_cache_and_equality():

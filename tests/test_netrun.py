@@ -1228,8 +1228,40 @@ class TestDeadlines:
         assert out["r"].status == "peer-timeout"
         assert out["r"].exit_code == 1
 
+    def test_eve_between_silent_peers(self):
+        session = SessionConfig(n=2, rounds=50, seed=0)
+        a_end, eve_a = socket.socketpair()
+        b_end, eve_b = socket.socketpair()
+        eve_a.settimeout(0.3)
+        eve_b.settimeout(0.3)
+        out: dict[str, RoleReport] = {}
+        t = threading.Thread(
+            target=lambda: out.__setitem__("e", run_eve(_role_cfg("eve", session), eve_a, eve_b))
+        )
+        started = time.monotonic()
+        t.start()
+        _join_or_fail([t], [eve_a, eve_b])
+        elapsed = time.monotonic() - started
+        a_end.close()
+        b_end.close()
+        report = out["e"]
+        assert (report.status, report.exit_code) == ("peer-timeout", 1)
+        assert len(report.extra["timeouts"]) == 2
+        assert report.extra["audit_terms"] == []
+        assert elapsed < 3.0
+
 
 class TestOversizedFrames:
+    def test_qudit_window_past_the_cap_aborts(self, monkeypatch):
+        # one full QUDIT window is 6 * WINDOW bytes, one byte over the cap
+        monkeypatch.setattr(wire, "MAX_PAYLOAD", 6 * WINDOW - 1)
+        session = SessionConfig(n=2, rounds=WINDOW, seed=0)
+        rep_a, rep_b = _run_pair(_role_cfg("alice", session), _role_cfg("bob", session))
+        assert (rep_a.status, rep_a.exit_code) == ("frame-too-large", 1)
+        assert rep_a.abort_sent == "frame-too-large"
+        assert "QUDIT" in rep_a.extra["detail"]
+        assert (rep_b.status, rep_b.exit_code) == ("peer-abort:frame-too-large", 1)
+
     def test_sift_list_past_the_cap_completes(self, monkeypatch):
         # one QUDIT window fills the cap, and the ~10W/6 sifted rounds would
         # not fit it as 4-byte indices; the tail sends a 32-byte digest and

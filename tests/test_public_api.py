@@ -71,9 +71,11 @@ def test_all_is_pinned_and_resolves():
 
 
 # The round-at-a-time path, the ket layer it runs on and the scalar
-# field elements and frame rule live in tests/reference.py; PairState,
-# the scalar sampler qstates.measure, the per-record decoders,
-# SparseKet.deserialize, estimate_ec and RoundLog.record are gone.
+# field elements, sign-mask operator and frame rule live in
+# tests/reference.py; PairState, the scalar sampler qstates.measure, the
+# per-record decoders, SparseKet.deserialize, estimate_ec,
+# RoundLog.record, FieldSpec's scalar mul, inv and pow and the Born
+# rule's ket search are gone.
 GONE = [
     (protocol, "replay_session_scalar"),
     (protocol, "draw_alice_round"),
@@ -83,6 +85,8 @@ GONE = [
     (protocol, "pair_offset"),
     (protocol, "estimate_ec"),
     (protocol, "RoundRecord"),
+    (protocol, "_case_kets"),
+    (protocol, "_CASE_KETS"),
     (protocol.RoundLog, "record"),
     (protocol.RateEstimate, "covers"),
     (channels, "apply_term"),
@@ -107,9 +111,13 @@ GONE = [
     (qstates, "BellIndex"),
     (qstates, "conjugate_bell"),
     (qstates, "conjugate_bell_mask"),
+    (qstates, "DiagonalPhase"),
     (field, "FieldElement"),
     (field, "FieldMismatchError"),
     (field.FieldSpec, "el"),
+    (field.FieldSpec, "mul"),
+    (field.FieldSpec, "inv"),
+    (field.FieldSpec, "pow"),
     (field, "poly_degree"),
     (field, "poly_mod"),
     (field, "is_irreducible"),

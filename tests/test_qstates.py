@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quditqkd.field import field_spec
-from quditqkd.qstates import DiagonalPhase, Outcome, conjugate_frame
+from quditqkd.qstates import Outcome, conjugate_frame
 
 from oracles import conjugation_matches
 from reference import (
     BellIndex,
+    DiagonalPhase,
     FieldElement,
     SparseKet,
     apply_error,

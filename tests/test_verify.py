@@ -62,19 +62,30 @@ def test_born_fault_is_a_mismatch(monkeypatch, fault, n):
     assert not result.passed
 
 
-def test_born_suite_checks_the_weights_measure_uses(monkeypatch):
-    """A planted weight reaches the engine's outcomes."""
-    monkeypatch.setattr(
-        protocol, "born_weights", lambda u, v, k1, k2, sigma: (np.ones(len(u)), 0 * u)
-    )
-    # measure's threshold table is built from born_weights at import
-    monkeypatch.setattr(protocol, "_OUTCOME_THRESHOLDS", protocol._outcome_thresholds())
+def _single_flag_flipped(real):
+    """The Born case map with every case's single-term flag flipped."""
+    return lambda u, v, k1, k2, sigma: real(u, v, k1, k2, sigma) ^ 1
+
+
+@pytest.mark.parametrize("n", verify.BORN_DEGREES)
+def test_case_map_fault_is_a_mismatch(monkeypatch, n):
+    monkeypatch.setattr(protocol, "_born_case", _single_flag_flipped(protocol._born_case))
+    assert not verify.check_born_completeness(n).passed
+
+
+def test_case_map_fault_reaches_measure(monkeypatch):
+    """The case map the Born suite checks is the one measure runs."""
     table = protocol.pair_table(field_spec(2))
-    k1 = np.array([0, 1, 2], np.int16)
-    k2 = np.array([-1, 3, 3], np.int16)
-    sigma = np.array([0, 1, 0], np.int8)
-    _, _, out, _ = protocol.measure(table, k1, k2, sigma, np.random.default_rng(0))
-    assert list(out) == [0, 0, 0]
+    k1 = np.arange(2000, dtype=np.int16) % 4
+    k2 = np.full(2000, -1, np.int16)
+    sigma = np.zeros(2000, np.int8)
+
+    def outcomes():
+        return protocol.measure(table, k1, k2, sigma, np.random.default_rng(0))[2]
+
+    honest = outcomes()
+    monkeypatch.setattr(protocol, "_born_case", _single_flag_flipped(protocol._born_case))
+    assert np.any(outcomes() != honest)
 
 
 def _kappa_flipped(real):
