@@ -43,6 +43,7 @@ from ..channels import resolve_channel
 from ..distill import DistillParams, block_parities, draw_stage_seeds, pair_stage
 from ..field import field_spec
 from ..protocol import (
+    _ENGINE_CHUNK,
     STREAM_ALICE,
     STREAM_BOB,
     STREAM_CHANNEL,
@@ -93,8 +94,9 @@ ROLES = ("alice", "bob", "eve")
 ABORT_INSUFFICIENT_SIFT = "insufficient-sift"
 ABORT_INSUFFICIENT_KEY = "insufficient-key"
 
-# Rounds per round-phase window: one QUDIT frame of 4096 kets is 24 KiB.
-WINDOW = 4096
+# Rounds per round-phase window: the engine's chunk, so the roles run its
+# stages at the size it does.  One QUDIT frame of 65536 kets is 384 KiB.
+WINDOW = _ENGINE_CHUNK
 # Seconds a role waits for its peer's next bytes, or for a listener's
 # peer to dial in, before ending the session.
 PEER_TIMEOUT = 60.0
@@ -421,7 +423,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     session equal to :func:`quditqkd.protocol.run_session`.  The report's
     ``extra["audit_terms"]`` lists the drawn term index of every relayed
     round, entry r for round r; each window's terms are held as one
-    int32 array until then.
+    int32 array until then.  A direction that hears nothing within its
+    source socket's deadline is named in ``extra["timeouts"]`` with it.
     """
     session = cfg.session
     spec = field_spec(session.n)
@@ -437,7 +440,7 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
     timeouts: list[str] = []
     io_notes: list[str] = []
 
-    def relay(src: Link, dst: Link, rewrite) -> None:
+    def relay(src: Link, dst: Link, direction: str, deadline, rewrite) -> None:
         try:
             while True:
                 ftype, payload = src.recv()
@@ -453,8 +456,8 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             la.send_abort(reason)
             lb.send_abort(reason)
             report.abort_sent = reason
-        except TimeoutError as exc:
-            timeouts.append(str(exc))
+        except TimeoutError:
+            timeouts.append(f"{direction}: no frame within {deadline} s")
         except OSError as exc:
             # any other socket failure ends this direction and is reported
             io_notes.append(str(exc))
@@ -479,8 +482,16 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
         return encode_qudit_batch(m1, m2, sigma)
 
     threads = [
-        threading.Thread(target=relay, args=(la, lb, push_qudits), name="eve-a2b"),
-        threading.Thread(target=relay, args=(lb, la, lambda _, payload: payload), name="eve-b2a"),
+        threading.Thread(
+            target=relay,
+            args=(la, lb, "alice->bob", sock_alice.gettimeout(), push_qudits),
+            name="eve-a2b",
+        ),
+        threading.Thread(
+            target=relay,
+            args=(lb, la, "bob->alice", sock_bob.gettimeout(), lambda _, payload: payload),
+            name="eve-b2a",
+        ),
     ]
     for thread in threads:
         thread.start()

@@ -75,6 +75,8 @@ _STREAM_COUNT = 5
 # 2^17 it cuts the peak by a chunk's temporaries at the same speed.
 # Each span's thread allocates its temporaries in its own malloc arena,
 # so a threaded session holds one chunk's temporaries per usable CPU.
+# It also sizes the wire roles' round-phase window (``netrun.roles.WINDOW``),
+# which the CONFIG handshake pins: changing it changes the wire.
 _ENGINE_CHUNK = 1 << 16
 
 # Uniforms each stage draws per round, as the randomness contract fixes.

@@ -31,7 +31,10 @@ gathering them through an index permutation.
 bob's links in those two sessions and in one that eve relays through
 ``z_flip:0.1``.  They were recorded while each role still hashed its
 session-length sift list once, before the sift digest was fed window by
-window, so they show that the wire bytes did not change.
+window, so they show that the wire bytes did not change.  They were
+also recorded at 4096-round windows, and are checked with the window
+set back to that; ``CHUNK_ROLE_TRANSCRIPTS`` pins the same sessions at
+the default window, the engine's chunk.
 
 To re-record after an intended change of outputs, print
 ``{case: digest}`` from :func:`session_digest`,
@@ -57,6 +60,8 @@ from quditqkd import cli, qstates, verify
 from quditqkd.analysis import ErrorMatrix, analysis_report, bell_distribution, error_matrix
 from quditqkd.channels import parse_channel_spec
 from quditqkd.distill import DistillParams, sample_labeled_key, simulate_distillation
+import quditqkd.netrun.roles as roles
+import quditqkd.protocol as protocol
 from quditqkd.field import field_spec
 from quditqkd.netrun import RoleConfig, run_alice, run_bob, run_eve
 from quditqkd.protocol import (
@@ -376,7 +381,8 @@ def test_role_key_digest(seed, rounds):
 
 # alice's and bob's (tx_sha256, rx_sha256): the two role_key_digest
 # sessions, and one relayed by eve applying z_flip:0.1, which rewrites
-# the QUDIT frames alice sends
+# the QUDIT frames alice sends.  Recorded at 4096-round windows, before
+# the window became the engine's chunk; they hold with the window set back
 ROLE_TRANSCRIPTS = {
     "21/6000": {
         "alice": ("c4f741fa4bdbffaa4a3000625163a99091ba52168d3a214a118a3bef15f99611",
@@ -399,10 +405,48 @@ ROLE_TRANSCRIPTS = {
 }
 
 
+# the same cases at the default window, the engine's 2^16-round chunk,
+# and one relayed session that crosses a window
+CHUNK_ROLE_TRANSCRIPTS = {
+    "21/6000": {
+        "alice": ("a79295b18295b942eacefd12f7574cf518d72d548f2d17d53389f038160eabe6",
+                  "ec9ad38c249088bbecc26f3ebf1826d6139d4151e0d6909ab4c24822003c18c9"),
+        "bob": ("ec9ad38c249088bbecc26f3ebf1826d6139d4151e0d6909ab4c24822003c18c9",
+                "a79295b18295b942eacefd12f7574cf518d72d548f2d17d53389f038160eabe6"),
+    },
+    "22/12295": {
+        "alice": ("0d46d5b2d328fc26e174510edf3b6f65531263b7caa867e563733bb579ccecce",
+                  "8f5e2356201eb3a9e8f635134fc643340db0d7196db77920bef4a7f0a79d5065"),
+        "bob": ("8f5e2356201eb3a9e8f635134fc643340db0d7196db77920bef4a7f0a79d5065",
+                "0d46d5b2d328fc26e174510edf3b6f65531263b7caa867e563733bb579ccecce"),
+    },
+    "23/6000/z_flip:0.1": {
+        "alice": ("8483b7cad6f4b858184d64707c71064abde7a3895fc37ed02beb57da359f1e3a",
+                  "8294e3e602d59a8197854398d1d2d9d6243c61829fa956089f249817e6a2b466"),
+        "bob": ("8294e3e602d59a8197854398d1d2d9d6243c61829fa956089f249817e6a2b466",
+                "c87a441a21cdc10d4751994e39582783719ee058f58fa598b9c8383a355345c5"),
+    },
+    "24/70000/z_flip:0.1": {
+        "alice": ("a1a3094fd64ff08a354d16487534186cb696d63b50593dc93661d228f666d0bc",
+                  "7014475b1a5234a40ea0f8f44c8348125a262fd5913e9acaa6dbfdb4c3b615c7"),
+        "bob": ("7014475b1a5234a40ea0f8f44c8348125a262fd5913e9acaa6dbfdb4c3b615c7",
+                "e1d4f517c6460d10c30493acb68847f71c9d482b9682bd1021a5d4d89ac71b15"),
+    },
+}
+
+
 @pytest.mark.parametrize("case", sorted(ROLE_TRANSCRIPTS))
-def test_role_transcripts(case):
+def test_role_transcripts(case, monkeypatch):
+    monkeypatch.setattr(roles, "WINDOW", 4096)
     seed, rounds, *channel = case.split("/")
     assert role_transcripts(int(seed), int(rounds), *channel) == ROLE_TRANSCRIPTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CHUNK_ROLE_TRANSCRIPTS))
+def test_role_transcripts_at_the_engine_chunk(case):
+    assert roles.WINDOW == protocol._ENGINE_CHUNK
+    seed, rounds, *channel = case.split("/")
+    assert role_transcripts(int(seed), int(rounds), *channel) == CHUNK_ROLE_TRANSCRIPTS[case]
 
 
 # n: (sha256 of the --json - stdout, sha256 of the --csv file), grid 2000

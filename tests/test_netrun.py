@@ -105,10 +105,11 @@ class TestCodecs:
         assert sift_digest([]) == sift_digest([np.zeros(0, np.int64)]) == empty
         assert reference_sift_digest(np.zeros(0, np.int64)) == empty
 
-    @pytest.mark.parametrize("cut", [1, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5])
+    # any window size serves; 4096 keeps the one-round cut quick
+    @pytest.mark.parametrize("cut", [1, 4096 - 1, 4096, 4096 + 1, 3 * 4096 + 5])
     def test_sift_digest_by_window_equals_one_shot(self, cut):
         """Fed in windows of rounds cut at ``cut``, the digest is the whole list's."""
-        rounds = 4 * WINDOW
+        rounds = 4 * 4096
         sift = np.flatnonzero(np.random.default_rng(cut).random(rounds) < 1 / 6)
         want = reference_sift_digest(sift)
         # one cut at ``cut``, then windows of ``cut`` rounds each
@@ -431,6 +432,46 @@ class TestAbortPaths:
             assert rep.status == "peer-abort:config-mismatch"
             assert rep.exit_code == 1
             assert rep.shared is None
+
+    def test_old_window_config_is_refused_by_bob(self):
+        """A peer still on 4096-round windows, the framing before the engine's chunk."""
+        cfg = _role_cfg("bob", SessionConfig(n=2, rounds=100, seed=0))
+        mine, theirs = socket.socketpair()
+        out: dict[str, RoleReport] = {}
+        t = threading.Thread(target=lambda: out.__setitem__("b", run_bob(cfg, mine)))
+        t.start()
+        probe = Link(theirs)
+        probe.send(FrameType.CONFIG, encode_json({**handshake_facts(cfg), "window": 4096}))
+        with pytest.raises(AbortReceived) as err:
+            probe.expect(FrameType.CONFIG)
+        _join_or_fail([t], [mine, theirs])
+        probe.close()
+        assert err.value.reason == "config-mismatch"
+        assert (out["b"].status, out["b"].exit_code) == ("config-mismatch", 1)
+
+    def test_old_window_config_is_refused_by_eve(self):
+        session = SessionConfig(n=2, rounds=100, seed=0)
+        old = encode_json({**handshake_facts(_role_cfg("alice", session)), "window": 4096})
+        a_end, eve_a = socket.socketpair()
+        b_end, eve_b = socket.socketpair()
+        out: dict[str, RoleReport] = {}
+        t = threading.Thread(
+            target=lambda: out.__setitem__("e", run_eve(_role_cfg("eve", session), eve_a, eve_b))
+        )
+        t.start()
+        alice, bob = Link(a_end), Link(b_end)
+        alice.send(FrameType.CONFIG, old)
+        reasons = []
+        for probe in (alice, bob):
+            with pytest.raises(AbortReceived) as err:
+                probe.expect(FrameType.CONFIG)
+            reasons.append(err.value.reason)
+            probe.close()
+        _join_or_fail([t], [eve_a, eve_b])
+        assert reasons == ["config-mismatch", "config-mismatch"]
+        report = out["e"]
+        assert report.status == report.abort_sent == "config-mismatch"
+        assert report.extra["errors"] == ["alice's CONFIG differs from eve's in ['window']"]
 
     def test_insufficient_sift(self):
         session = SessionConfig(n=4, rounds=3, seed=0)
@@ -1112,6 +1153,48 @@ class TestWindowBoundaries:
         # CONFIG, 3 windows of QUDIT + PAIR_ANNOUNCE, SIFT, SAMPLE, BLOCK, VERDICT
         assert rep_a.transcripts["peer"]["tx_frames"] == 1 + 3 * 2 + 4
 
+    def test_engine_chunk_reframes_only_the_round_phase(self, monkeypatch):
+        """At 4096-round windows and at the engine's chunk a session sends the same bytes.
+
+        Only the round phase is framed differently, and the CONFIGs differ
+        only in ``window``.
+        """
+        session = SessionConfig(n=3, rounds=70_000, seed=32)
+        params = DistillParams(2, 3)
+        sent: dict[str, list] = {}
+
+        class Tap(Link):
+            def send(self, ftype, payload=b""):
+                sent[threading.current_thread().name].append((ftype, payload))
+                super().send(ftype, payload)
+
+        monkeypatch.setattr(roles, "Link", Tap)
+        frames = {}
+        for window in (4096, WINDOW):
+            monkeypatch.setattr(roles, "WINDOW", window)
+            sent = frames[window] = {"alice": [], "bob": []}
+            rep_a, rep_b = _run_pair(
+                RoleConfig("alice", session, params), RoleConfig("bob", session, params)
+            )
+            assert rep_a.status == rep_b.status == "pass"
+        round_phase = {
+            "alice": (FrameType.QUDIT, FrameType.PAIR_ANNOUNCE),
+            "bob": (FrameType.OUTCOME_ANNOUNCE,),
+        }
+        for role, mine in round_phase.items():
+            old, new = frames[4096][role], frames[WINDOW][role]
+            assert old[0][0] == new[0][0] == FrameType.CONFIG
+            c_old, c_new = decode_json(old[0][1]), decode_json(new[0][1])
+            assert (c_old.pop("window"), c_new.pop("window")) == (4096, WINDOW)
+            assert c_old == c_new
+            for ftype in mine:
+                parts = [[p for t, p in run if t == ftype] for run in (old, new)]
+                assert [len(p) for p in parts] == [-(-session.rounds // w) for w in (4096, WINDOW)]
+                assert b"".join(parts[0]) == b"".join(parts[1])
+            tail_old, tail_new = ([f for f in run[1:] if f[0] not in mine] for run in (old, new))
+            assert len(tail_old) == 4 + params.k - (role == "bob")
+            assert tail_old == tail_new
+
 
 class TestRoleTally:
     """Each role tallies its windows and keeps only its own bits of the sifted rounds."""
@@ -1246,7 +1329,10 @@ class TestDeadlines:
         b_end.close()
         report = out["e"]
         assert (report.status, report.exit_code) == ("peer-timeout", 1)
-        assert len(report.extra["timeouts"]) == 2
+        assert sorted(report.extra["timeouts"]) == [
+            "alice->bob: no frame within 0.3 s",
+            "bob->alice: no frame within 0.3 s",
+        ]
         assert report.extra["audit_terms"] == []
         assert elapsed < 3.0
 

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 import quditqkd.protocol as protocol
 from quditqkd.channels import resolve_channel
 from quditqkd.field import FieldSpec, field_spec
-from quditqkd.netrun.roles import WINDOW
 from quditqkd.netrun.wire import decode_qudit_batch, encode_qudit_batch
 from quditqkd.protocol import (
     RateEstimate,
@@ -548,7 +547,9 @@ class TestAnnouncedTally:
         "n,channel", [(2, "shift_noise:0.3"), (3, "shift_noise:0.4"), (5, "shift_noise:0.2")]
     )
     def test_cut_anywhere_and_joined_equals_whole(self, n, channel):
-        rounds = WINDOW + 1000
+        # any window size serves; cuts around 4096 keep the session small
+        window = 4096
+        rounds = window + 1000
         log = run_session(SessionConfig(n=n, rounds=rounds, channel=channel, seed=7)).log
         cols = (log.alice_i, log.alice_j, log.bob_i, log.bob_j, log.clicked)
 
@@ -561,7 +562,7 @@ class TestAnnouncedTally:
         assert whole.clicked.size and not whole.clicked.all()
         assert np.array_equal(whole.bits[1], log.bob_bit[log.sifted])
         for cuts in (
-            [1], [500], [WINDOW], [WINDOW - 1], [WINDOW + 1], [3, 4, WINDOW - 1, WINDOW + 5]
+            [1], [500], [window], [window - 1], [window + 1], [3, 4, window - 1, window + 5]
         ):
             edges = [0, *cuts, rounds]
             joined = protocol.Tally.join([tally(lo, hi) for lo, hi in zip(edges, edges[1:])])
