@@ -24,6 +24,7 @@ import argparse
 import inspect
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
@@ -165,11 +166,7 @@ def _layer(args: argparse.Namespace) -> dict:
 
 
 def _dump_json(data: dict, path: str) -> None:
-    if path == "-":
-        json.dump(data, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="utf-8") as fh:
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -434,15 +434,11 @@ def block_parities(bits, r: int) -> np.ndarray:
     """Parity of each consecutive r-chunk; the trailing remainder is dropped."""
     bits = np.asarray(bits, np.uint8)
     blocks = len(bits) // r
-    if blocks == 0:
-        return np.zeros(0, np.uint8)
     return np.bitwise_xor.reduce(bits[: blocks * r].reshape(blocks, r), axis=1)
 
 
 def draw_stage_seeds(k: int, rng: np.random.Generator) -> np.ndarray:
     """k pairing seeds from the shared stream; no draw at all when k = 0."""
-    if k == 0:
-        return np.zeros(0, dtype=np.uint64)
     return rng.integers(0, _SEED_BOUND, size=k, dtype=np.uint64)
 
 
@@ -488,11 +484,7 @@ def simulate_distillation(
     used = n_blocks * r
     alice_out = block_parities(bits, r)
     z_out = block_parities(z, r)
-    x_out = (
-        (x[:used].reshape(n_blocks, r).astype(np.int64).sum(axis=1) * 2 > r).astype(np.uint8)
-        if n_blocks
-        else np.zeros(0, np.uint8)
-    )
+    x_out = (x[:used].reshape(n_blocks, r).astype(np.int64).sum(axis=1) * 2 > r).astype(np.uint8)
     bob_out = alice_out ^ z_out
     expected = (
         expected_stage_lengths(matrix, params.k, length) if matrix is not None else None

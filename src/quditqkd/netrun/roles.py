@@ -10,7 +10,8 @@ continuation gate, k pairing-parity exchanges, block parities, and a
 VERDICT cross-check.
 Eve is an optional middlebox that checks alice's CONFIG against the
 facts her decoding relies on, relays every classical frame untouched and
-pushes each QUDIT window through her channel model.
+pushes each QUDIT window through her channel model; a malformed frame or
+a fault in her own stage ends her at protocol-error, ABORT sent both ways.
 
 Both endpoints consume randomness through the same five-stream layout
 as :func:`quditqkd.protocol.run_session` and call its vectorised stages
@@ -35,7 +36,7 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -144,16 +145,8 @@ class RoleReport:
     extra: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "role": self.role,
-            "status": self.status,
-            "exit_code": self.exit_code,
-            "shared": self.shared,
-            "final_key": self.final_key,
-            "abort_sent": self.abort_sent,
-            "transcripts": self.transcripts,
-            "extra": self.extra,
-        }
+        # shallow: asdict would deep-copy final_key
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def handshake_facts(cfg: RoleConfig) -> dict:
@@ -450,17 +443,18 @@ def run_eve(cfg: RoleConfig, sock_alice: socket.socket, sock_bob: socket.socket)
             # failed session: either way the pipe is finished.  A peer that
             # resets mid-session is therefore not noted in io_notes either
             pass
-        except ProtocolViolation as exc:
-            errors.append(str(exc))
-            reason = ABORT_CONFIG if isinstance(exc, _ConfigMismatch) else ABORT_PROTOCOL
-            la.send_abort(reason)
-            lb.send_abort(reason)
-            report.abort_sent = reason
         except TimeoutError:
             timeouts.append(f"{direction}: no frame within {deadline} s")
         except OSError as exc:
             # any other socket failure ends this direction and is reported
             io_notes.append(str(exc))
+        except Exception as exc:
+            # a malformed frame or a fault in eve's own stage ends both ways
+            errors.append(str(exc))
+            reason = ABORT_CONFIG if isinstance(exc, _ConfigMismatch) else ABORT_PROTOCOL
+            la.send_abort(reason)
+            lb.send_abort(reason)
+            report.abort_sent = reason
         finally:
             dst.close_write()
 

@@ -1,9 +1,10 @@
 """Framed wire format for the networked protocol roles.
 
 Every message is one frame: a 4-byte big-endian payload length, one
-type byte, then the payload.  The round phase runs in windows of rounds;
-its three frames each carry one fixed-width record per round of the
-window, in round order.  Payload layouts:
+type byte, then the payload.  Two payload shapes share one codec each:
+the round phase's three frames are record batches, one fixed-width
+record per round of a window, in round order; PARITY_ROUND and
+BLOCK_PARITY are a fixed-width header then a bitmap.  Payload layouts:
 
     QUDIT            (u16 i | u8 sign | u16 j | u8 sign) kets in canonical
                      form: leading sign 0, i < j; a single-term ket has
@@ -40,6 +41,7 @@ import hashlib
 import json
 import socket
 import struct
+from contextlib import suppress
 
 import numpy as np
 
@@ -94,18 +96,13 @@ def encode_frame(ftype: FrameType, payload: bytes) -> bytes:
 
 
 def pack_bitmap(bits) -> bytes:
-    bits = np.asarray(bits, np.uint8)
-    if bits.size == 0:
-        return b""
-    return np.packbits(bits, bitorder="little").tobytes()
+    return np.packbits(np.asarray(bits, np.uint8), bitorder="little").tobytes()
 
 
 def unpack_bitmap(data: bytes, count: int) -> np.ndarray:
     expected = (count + 7) // 8
     if len(data) != expected:
         raise ProtocolViolation(f"bitmap length {len(data)} != {expected} for {count} bits")
-    if count == 0:
-        return np.zeros(0, np.uint8)
     bits = np.unpackbits(np.frombuffer(data, np.uint8), bitorder="little")
     if bits[count:].any():
         raise ProtocolViolation("nonzero padding bits in bitmap")
@@ -118,12 +115,20 @@ _OUTCOME_DTYPE = np.dtype([("u", ">u2"), ("v", ">u2"), ("category", "u1")])
 _PAIR_DTYPE = np.dtype([("i", ">u2"), ("j", ">u2")])
 
 
-def _records(payload: bytes, dtype: np.dtype, count: int, what: str) -> np.ndarray:
+def _encode_records(dtype: np.dtype, *columns) -> bytes:
+    """One record per entry of the first column; fields take the columns in order."""
+    rec = np.empty(len(columns[0]), dtype)
+    for name, column in zip(dtype.names, columns):
+        rec[name] = column
+    return rec.tobytes()
+
+
+def _decode_records(payload: bytes, dtype: np.dtype, count: int, what: str) -> list[np.ndarray]:
+    """``count`` records -> one int32 column per field, in field order."""
     if len(payload) != count * dtype.itemsize:
-        raise ProtocolViolation(
-            f"{what} batch of {len(payload)} bytes, expected {count} records"
-        )
-    return np.frombuffer(payload, dtype)
+        raise ProtocolViolation(f"{what} batch of {len(payload)} bytes, expected {count} records")
+    rec = np.frombuffer(payload, dtype)
+    return [rec[name].astype(np.int32) for name in dtype.names]
 
 
 def _check_pairs(lo: np.ndarray, hi: np.ndarray, order: int, what: str) -> None:
@@ -133,21 +138,14 @@ def _check_pairs(lo: np.ndarray, hi: np.ndarray, order: int, what: str) -> None:
 
 def encode_qudit_batch(k1, k2, sigma) -> bytes:
     """Ket columns (k2 = -1 for a single-term ket) as QUDIT records."""
-    rec = np.zeros(len(k1), _KET_DTYPE)
-    rec["i"] = k1
-    rec["j"] = np.where(np.asarray(k2) < 0, _NO_INDEX, k2)
-    rec["sj"] = sigma
-    return rec.tobytes()
+    return _encode_records(_KET_DTYPE, k1, 0, np.where(np.asarray(k2) < 0, _NO_INDEX, k2), sigma)
 
 
 def decode_qudit_batch(payload: bytes, count: int, order: int):
     """QUDIT records -> (k1, k2, sigma) columns, k2 = -1 for single-term kets."""
-    rec = _records(payload, _KET_DTYPE, count, "qudit")
-    i = rec["i"].astype(np.int32)
-    j = rec["j"].astype(np.int32)
-    sj = rec["sj"]
+    i, si, j, sj = _decode_records(payload, _KET_DTYPE, count, "qudit")
     two = j != _NO_INDEX
-    if np.any(rec["si"] != 0):
+    if np.any(si != 0):
         raise ProtocolViolation("qudit batch holds a ket without a leading + sign")
     if np.any(i >= order):
         raise ProtocolViolation(f"qudit batch holds an index >= {order}")
@@ -158,37 +156,25 @@ def decode_qudit_batch(payload: bytes, count: int, order: int):
 
 
 def encode_outcome_batch(u, v, category) -> bytes:
-    rec = np.empty(len(u), _OUTCOME_DTYPE)
-    rec["u"] = u
-    rec["v"] = v
-    rec["category"] = category
-    return rec.tobytes()
+    return _encode_records(_OUTCOME_DTYPE, u, v, category)
 
 
 def decode_outcome_batch(payload: bytes, count: int, order: int):
     """OUTCOME_ANNOUNCE records -> (u, v, category) columns."""
-    rec = _records(payload, _OUTCOME_DTYPE, count, "outcome")
-    u = rec["u"].astype(np.int32)
-    v = rec["v"].astype(np.int32)
+    u, v, category = _decode_records(payload, _OUTCOME_DTYPE, count, "outcome")
     _check_pairs(u, v, order, "outcome")
-    category = rec["category"]
     if np.any(category > 1):
         raise ProtocolViolation("outcome batch holds a category other than 0 or 1")
     return u.astype(np.int16), v.astype(np.int16), category.astype(np.int8)
 
 
 def encode_pair_batch(i, j) -> bytes:
-    rec = np.empty(len(i), _PAIR_DTYPE)
-    rec["i"] = i
-    rec["j"] = j
-    return rec.tobytes()
+    return _encode_records(_PAIR_DTYPE, i, j)
 
 
 def decode_pair_batch(payload: bytes, count: int, order: int):
     """PAIR_ANNOUNCE records -> (i, j) columns."""
-    rec = _records(payload, _PAIR_DTYPE, count, "pair")
-    i = rec["i"].astype(np.int32)
-    j = rec["j"].astype(np.int32)
+    i, j = _decode_records(payload, _PAIR_DTYPE, count, "pair")
     _check_pairs(i, j, order, "pair")
     return i.astype(np.int16), j.astype(np.int16)
 
@@ -221,15 +207,21 @@ def decode_sample_reveal(payload: bytes, sifted: int, sampled: int):
     return sample_pos, bits
 
 
+def _decode_headed_bitmap(payload: bytes, head: str, count: int, short: str):
+    """The one ``head`` field, then the ``count``-bit bitmap after it."""
+    size = struct.calcsize(head)
+    if len(payload) < size:
+        raise ProtocolViolation(short)
+    (value,) = struct.unpack_from(head, payload)
+    return value, unpack_bitmap(payload[size:], count)
+
+
 def encode_parity_round(seed: int, bits) -> bytes:
     return struct.pack(">Q", seed) + pack_bitmap(bits)
 
 
 def decode_parity_round(payload: bytes, count: int) -> tuple[int, np.ndarray]:
-    if len(payload) < 8:
-        raise ProtocolViolation("parity round shorter than its seed")
-    (seed,) = struct.unpack(">Q", payload[:8])
-    return seed, unpack_bitmap(payload[8:], count)
+    return _decode_headed_bitmap(payload, ">Q", count, "parity round shorter than its seed")
 
 
 def encode_block_parity(r: int, bits) -> bytes:
@@ -237,10 +229,7 @@ def encode_block_parity(r: int, bits) -> bytes:
 
 
 def decode_block_parity(payload: bytes, count: int) -> tuple[int, np.ndarray]:
-    if len(payload) < 4:
-        raise ProtocolViolation("block parity shorter than its size field")
-    (r,) = struct.unpack(">I", payload[:4])
-    return r, unpack_bitmap(payload[4:], count)
+    return _decode_headed_bitmap(payload, ">I", count, "block parity shorter than its size field")
 
 
 def encode_json(obj) -> bytes:
@@ -282,10 +271,8 @@ class Link:
         self._sock.sendall(frame)
 
     def send_abort(self, reason: str) -> None:
-        try:
+        with suppress(OSError):
             self.send(FrameType.ABORT, encode_abort(reason))
-        except OSError:
-            pass
 
     def pending_abort(self) -> str | None:
         """The reason of an ABORT that is the peer's next frame, if it comes soon."""
@@ -347,13 +334,9 @@ class Link:
         }
 
     def close_write(self) -> None:
-        try:
+        with suppress(OSError):
             self._sock.shutdown(socket.SHUT_WR)
-        except OSError:
-            pass
 
     def close(self) -> None:
-        try:
+        with suppress(OSError):
             self._sock.close()
-        except OSError:
-            pass

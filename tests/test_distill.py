@@ -380,6 +380,17 @@ class TestPipeline:
         assert np.array_equal(block_parities(bits, 7), np.array([0], np.uint8))
         assert len(block_parities(bits, 9)) == 0
 
+    def test_fewer_bits_than_r_give_empty_uint8_outputs(self):
+        short = block_parities(np.array([1, 0], np.uint8), 3)
+        assert short.dtype == np.uint8 and short.shape == (0,)
+        # the one z-labelled position discards its pair: 2 survivors < r = 3
+        z = np.array([1, 0, 0, 0, 0, 0], np.uint8)
+        key = LabeledKey(np.ones(6, np.uint8), np.zeros(6, np.uint8), z)
+        report = simulate_distillation(key, DistillParams(1, 3), np.random.default_rng(0))
+        assert (report.survivor_count, report.n_blocks) == (2, 0)
+        for out in (report.alice_out, report.bob_out, report.out_x, report.out_z):
+            assert out.dtype == np.uint8 and out.shape == (0,)
+
     def test_disagreements_are_z_block_parities(self):
         key = sample_labeled_key(ErrorMatrix(0.9, 0.0, 0.0, 0.1), 999, np.random.default_rng(8))
         report = simulate_distillation(key, DistillParams(0, 3), np.random.default_rng(0))

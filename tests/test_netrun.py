@@ -94,6 +94,11 @@ class TestBitmaps:
         with pytest.raises(ProtocolViolation):
             unpack_bitmap(b"\xff", 3)
 
+    def test_empty_bitmap_dtypes(self):
+        assert pack_bitmap([]) == b""
+        out = unpack_bitmap(b"", 0)
+        assert out.dtype == np.uint8 and out.shape == (0,)
+
 
 class TestCodecs:
     def test_sift_digest_hashes_little_endian_int64(self):
@@ -472,6 +477,25 @@ class TestAbortPaths:
         report = out["e"]
         assert report.status == report.abort_sent == "config-mismatch"
         assert report.extra["errors"] == ["alice's CONFIG differs from eve's in ['window']"]
+
+    def test_fault_in_eves_stage_aborts_both_ways(self, monkeypatch):
+        # a failure of eve's own channel stage ends her relay like a
+        # malformed frame: a named status and ABORT to both peers
+        def broken(*_):
+            raise RuntimeError("channel stage failed")
+
+        monkeypatch.setattr(roles, "transmit", broken)
+        session = SessionConfig(n=2, rounds=500, seed=4)
+        rep_a, rep_b, rep_e = _run_triple(
+            _role_cfg("alice", session),
+            _role_cfg("bob", session),
+            _role_cfg("eve", SessionConfig(n=2, rounds=500, seed=4, channel="identity")),
+        )
+        assert (rep_e.status, rep_e.exit_code) == ("protocol-error", 1)
+        assert rep_e.abort_sent == "protocol-error"
+        assert rep_e.extra["errors"] == ["channel stage failed"]
+        for rep in (rep_a, rep_b):
+            assert (rep.status, rep.exit_code) == ("peer-abort:protocol-error", 1)
 
     def test_insufficient_sift(self):
         session = SessionConfig(n=4, rounds=3, seed=0)
@@ -875,21 +899,36 @@ class TestHostileTail:
         at = 0 if how == "flip-first" else len(payload) - 1
         return _patched(payload, at, bytes([payload[at] ^ 0xFF]))
 
-    def _run_mangled(self, ftype, from_alice: bool, how: str):
+    def _run_mangled(self, ftype, from_alice: bool, how: str, eve: bool = False):
         """Alice and bob through a relay that mangles the first ``ftype`` one of them sends.
 
         "drop" forwards nothing of that frame, and "swap" forwards the
-        sender's next frame ahead of it.
+        sender's next frame ahead of it.  With ``eve`` an identity-channel
+        eve sits between alice and the relay, and her report is returned
+        third; her sockets keep no deadline, so she ends when both roles
+        have closed.
         """
         # 482 sifted, 48 sampled: flipping the last byte flips eight sample bits
         session = SessionConfig(n=2, rounds=3000, seed=15)
         params = DistillParams(1, 3)
         a_end, relay_a = socket.socketpair()
         b_end, relay_b = socket.socketpair()
+        socks = [a_end, b_end, relay_a, relay_b]
+        threads = []
+        out: dict[str, RoleReport] = {}
+        if eve:
+            eve_b = a_end
+            a_end, eve_a = socket.socketpair()
+            socks += [a_end, eve_a]
+            cfg_e = RoleConfig(
+                "eve", SessionConfig(n=2, rounds=3000, seed=15, channel="identity"), params
+            )
+            threads.append(
+                threading.Thread(target=lambda: out.__setitem__("e", run_eve(cfg_e, eve_a, eve_b)))
+            )
         a_end.settimeout(self.DEADLINE)
         b_end.settimeout(self.DEADLINE)
         la, lb = Link(relay_a), Link(relay_b)
-        out: dict[str, RoleReport] = {}
 
         def relay(src: Link, dst: Link, pending: bool) -> None:
             held = []
@@ -915,7 +954,7 @@ class TestHostileTail:
                 dst.close_write()
 
         cfg_a, cfg_b = RoleConfig("alice", session, params), RoleConfig("bob", session, params)
-        threads = [
+        threads += [
             threading.Thread(target=lambda: out.__setitem__("a", run_alice(cfg_a, a_end))),
             threading.Thread(target=lambda: out.__setitem__("b", run_bob(cfg_b, b_end))),
             threading.Thread(target=relay, args=(la, lb, from_alice)),
@@ -923,10 +962,11 @@ class TestHostileTail:
         ]
         for t in threads:
             t.start()
-        _join_or_fail(threads, [a_end, b_end, relay_a, relay_b])
+        _join_or_fail(threads, socks)
         la.close()
         lb.close()
-        return out["a"], out["b"]
+        reports = (out["a"], out["b"])
+        return (*reports, out["e"]) if eve else reports
 
     @pytest.mark.parametrize("how", FAULTS)
     @pytest.mark.parametrize(
@@ -996,6 +1036,36 @@ class TestHostileTail:
         # SAMPLE_REVEAL leaves both sides waiting until their deadline
         rep_a, rep_b = self._run_mangled(ftype, from_alice, "drop")
         assert {rep_a.status, rep_b.status} <= self.NAMED | self.STALLED
+
+    # (frame, sent by alice, fault) run again with eve in the path; the
+    # last case stalls both roles
+    THROUGH_EVE = [
+        (FrameType.SIFT_ACCEPT, True, "flip-last"),
+        (FrameType.SAMPLE_REVEAL, True, "duplicate"),
+        (FrameType.SAMPLE_REVEAL, False, "truncate"),
+        (FrameType.PARITY_ROUND, True, "flip-first"),
+        (FrameType.VERDICT, False, "flip-first"),
+        (FrameType.VERDICT, False, "drop"),
+        (FrameType.SAMPLE_REVEAL, True, "drop"),
+    ]
+
+    @pytest.mark.parametrize(
+        "ftype, from_alice, how",
+        THROUGH_EVE,
+        ids=[f"{f.name.lower()}-to-{'bob' if a else 'alice'}-{how}" for f, a, how in THROUGH_EVE],
+    )
+    def test_eve_is_transparent_to_tail_faults(self, ftype, from_alice, how):
+        # eve relays the tail untouched, so the roles end as they do
+        # without her, and a fault between eve and bob is none of hers
+        rep_a, rep_b, rep_e = self._run_mangled(ftype, from_alice, how, eve=True)
+        if (ftype, from_alice, how) == self.THROUGH_EVE[-1]:
+            # which role's deadline ends the stall first is a race
+            assert {rep_a.status, rep_b.status} <= self.STALLED
+        else:
+            direct_a, direct_b = self._run_mangled(ftype, from_alice, how)
+            assert (rep_a.status, rep_b.status) == (direct_a.status, direct_b.status)
+        assert rep_e.status == "pass"
+        assert rep_e.extra["errors"] == rep_e.extra["timeouts"] == []
 
 
 def _patched(payload: bytes, offset: int, data: bytes) -> bytes:
